@@ -209,8 +209,17 @@ class IntegrationMultifunction(Multifunction):
                 return (out, np.zeros(len(base))) if with_mass else out
             out = self.omega.coefficients_batch(base)[:, 0]
             return (out, np.abs(out)) if with_mass else out
-        disp = np.einsum("qk,nkd->nqd", P, edges)
-        pos = (base[:, np.newaxis, :] + disp).reshape(-1, n)
+        # pos[:, :, c] = sum_j outer(edges[:, j, c], P[:, j]) + base[:, c],
+        # summed in order j = 0, 1, ... without fused multiply-adds: the
+        # same bits as einsum("qk,nkd->nqd", P, edges) plus base.
+        pos = np.empty((len(base), len(P), n))
+        for c in range(n):
+            pos_c = pos[:, :, c]
+            np.multiply.outer(edges[:, 0, c], P[:, 0], out=pos_c)
+            for j in range(1, k):
+                pos_c += np.multiply.outer(edges[:, j, c], P[:, j])
+            pos_c += base[:, c, np.newaxis]
+        pos = pos.reshape(-1, n)
         coeffs = self.omega.coefficients_batch(pos).reshape(
             len(base), len(P), -1
         )

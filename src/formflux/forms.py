@@ -12,6 +12,7 @@ An optional support domain extends the form by zero outside it.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -60,10 +61,36 @@ class Polynomial:
         return cls(dimension, {tuple(powers): 1.0})
 
     def evaluate_batch(self, pts):
+        """Values at pts (N, dimension).
+
+        The same bits as sum_terms c * prod(pts ** powers, axis=1) on
+        row-major pts, without building pts ** powers for every term.  Zero
+        exponents are skipped and exponent 1 uses the column itself, both
+        exact; each higher power is computed once per call.  numpy squares
+        instead of calling pow when an exponent of 2 reaches its power loop
+        with stride 0, which pts ** powers does only in dimension 1, so
+        elsewhere the exponent goes in as a full-length array.
+        """
         pts = np.asarray(pts, dtype=float)
-        out = np.zeros(pts.shape[0])
+        if pts.ndim != 2 or pts.shape[1] != self.dimension:
+            raise ArgumentError(f"expected points of shape (N, {self.dimension})")
+        n_pts = pts.shape[0]
+        powers_of = {}
+
+        def power(j, e):
+            if e == 1:
+                return pts[:, j]
+            if (j, e) not in powers_of:
+                exponent = (
+                    float(e) if self.dimension == 1 else np.full(n_pts, float(e))
+                )
+                powers_of[j, e] = pts[:, j] ** exponent
+            return powers_of[j, e]
+
+        out = np.zeros(n_pts)
         for powers, c in self.terms.items():
-            out += c * np.prod(pts ** np.asarray(powers), axis=1)
+            factors = [power(j, e) for j, e in enumerate(powers) if e]
+            out += c * functools.reduce(np.multiply, factors) if factors else c
         return out
 
     def __call__(self, x):

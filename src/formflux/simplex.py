@@ -12,6 +12,7 @@ sorted-uniform-spacings Monte Carlo rule for rough higher orders.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -177,14 +178,23 @@ def stratified_segment_rule(samples=1024, seed=0):
     return SimplexQuadratureRule("stratified", 1, pts, wts)
 
 
+@functools.lru_cache(maxsize=32)
 def default_rule(k, smooth=True):
     """Grundmann-Moller degree 7 for smooth integrands; stratified nodes
-    for rough segments, plain MC 1024 for rough higher orders."""
+    for rough segments, plain MC 1024 for rough higher orders.
+
+    The rules are deterministic (the rough ones use seed 0), so each is
+    built once and shared; its points and weights are read-only.
+    """
     if smooth:
-        return grundmann_moller_rule(k, degree=7)
-    if k == 1:
-        return stratified_segment_rule(samples=1024)
-    return monte_carlo_rule(k, samples=1024)
+        rule = grundmann_moller_rule(k, degree=7)
+    elif k == 1:
+        rule = stratified_segment_rule(samples=1024)
+    else:
+        rule = monte_carlo_rule(k, samples=1024)
+    rule.points.flags.writeable = False
+    rule.weights.flags.writeable = False
+    return rule
 
 
 def gram_jacobian(simplex):

@@ -1,0 +1,134 @@
+"""The batched pullback and polynomial kernels against their plain formulas.
+
+The kernels are restructured for speed but must return the same bits as
+the straightforward numpy expressions kept here as references:
+
+  node positions   base + einsum("qk,nkd->nqd", P, edges)
+  polynomials      sum_terms c * prod(pts ** powers, axis=1)
+"""
+
+from itertools import combinations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from formflux.alexander_spanier import IntegrationMultifunction
+from formflux.exterior import _batch_det
+from formflux.forms import FormField, Polynomial
+from formflux.simplex import default_rule
+
+PROPERTY = settings(max_examples=60, deadline=2000)
+
+
+def reference_polynomial(poly, pts):
+    out = np.zeros(pts.shape[0])
+    for powers, c in poly.terms.items():
+        out += c * np.prod(pts ** np.asarray(powers), axis=1)
+    return out
+
+
+def reference_coefficients(omega, pts):
+    out = np.empty((pts.shape[0], len(omega.indices)))
+    for col, idx in enumerate(omega.indices):
+        comp = omega.components[idx]
+        if isinstance(comp, Polynomial):
+            out[:, col] = reference_polynomial(comp, pts)
+        else:
+            out[:, col] = np.asarray(comp(pts), dtype=float)
+    return out
+
+
+def reference_edge_integrals(F, base, edges, unit_vectors=None):
+    n = F.dimension
+    P, W = F.rule.points, F.rule.weights
+    disp = np.einsum("qk,nkd->nqd", P, edges)
+    pos = (base[:, np.newaxis, :] + disp).reshape(-1, n)
+    coeffs = reference_coefficients(F.omega, pos).reshape(len(base), len(P), -1)
+    det_source = edges if unit_vectors is None else unit_vectors
+    dets = np.empty((len(base), len(F.omega.indices)))
+    for col, idx in enumerate(F.omega.indices):
+        dets[:, col] = _batch_det(det_source[:, :, [i - 1 for i in idx]])
+    return np.einsum("nqm,nm->nq", coeffs, dets) @ W
+
+
+coordinates = st.floats(-4.0, 4.0, allow_nan=False, width=64)
+coefficients = st.floats(-8.0, 8.0, allow_nan=False, width=64)
+
+
+@st.composite
+def sparse_polynomials(draw, dimension, max_degree=7):
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        total = draw(st.integers(0, max_degree))
+        powers = [0] * dimension
+        for _ in range(total):
+            powers[draw(st.integers(0, dimension - 1))] += 1
+        terms[tuple(powers)] = draw(coefficients)
+    return Polynomial(dimension, terms)
+
+
+@st.composite
+def polynomial_cases(draw):
+    n = draw(st.integers(1, 3))
+    rows = draw(st.integers(1, 40))
+    pts = draw(hnp.arrays(np.float64, (rows, n), elements=coordinates))
+    return draw(sparse_polynomials(n)), pts
+
+
+@PROPERTY
+@given(polynomial_cases())
+def test_polynomial_batch_matches_reference(case):
+    poly, pts = case
+    assert np.array_equal(poly.evaluate_batch(pts), reference_polynomial(poly, pts))
+
+
+def _rough_component(shift):
+    return lambda p: np.sin(3.0 * p[:, 0] + shift) * np.sign(p[:, -1] - 0.1)
+
+
+@st.composite
+def integration_cases(draw):
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k, 3))
+    smooth = draw(st.booleans())
+    indices = [
+        idx for idx in combinations(range(1, n + 1), k) if draw(st.booleans())
+    ] or [tuple(range(1, k + 1))]
+    if smooth:
+        omega = FormField.from_polynomials(
+            n, k, {idx: draw(sparse_polynomials(n, max_degree=5)) for idx in indices}
+        )
+    else:
+        omega = FormField.from_callables(
+            n, k, {idx: _rough_component(0.5 * i) for i, idx in enumerate(indices)}
+        )
+    rows = draw(st.integers(1, 6 if smooth else 2))
+    x0 = draw(hnp.arrays(np.float64, (rows, n), elements=coordinates))
+    vs = draw(hnp.arrays(np.float64, (rows, k, n), elements=coordinates))
+    rs = draw(hnp.arrays(
+        np.float64, (rows, k), elements=st.floats(0.0, 2.0, width=64)
+    ))
+    return IntegrationMultifunction(omega, default_rule(k, smooth=smooth)), x0, vs, rs
+
+
+@PROPERTY
+@given(integration_cases())
+def test_integration_batch_matches_einsum_reference(case):
+    F, x0, vs, _ = case
+    tuples = np.concatenate([x0[:, np.newaxis, :], x0[:, np.newaxis, :] + vs], axis=1)
+    edges = tuples[:, 1:, :] - tuples[:, :1, :]
+    assert np.array_equal(
+        F.evaluate_batch(tuples), reference_edge_integrals(F, x0, edges)
+    )
+
+
+@PROPERTY
+@given(integration_cases())
+def test_scaled_integration_matches_einsum_reference(case):
+    F, x0, vs, rs = case
+    expected = reference_edge_integrals(
+        F, x0, rs[..., np.newaxis] * vs, unit_vectors=vs
+    )
+    assert np.array_equal(F.evaluate_scaled_batch(x0, vs, rs), expected)

@@ -47,6 +47,13 @@ def test_polynomial_evaluate_and_partial():
     assert p.partial(2).partial(2).is_zero()
 
 
+@pytest.mark.parametrize("shape", [(5, 1), (5, 3), (5,)])
+def test_polynomial_batch_rejects_wrong_point_shape(shape):
+    p = Polynomial(2, {(1, 0): 1.0, (0, 2): 3.0})
+    with pytest.raises(ArgumentError):
+        p.evaluate_batch(np.ones(shape))
+
+
 def test_evaluate_form():
     w = x1_dx2()
     cov = w.evaluate([2.0, 5.0])

@@ -10,6 +10,7 @@ from formflux.errors import ArgumentError
 from formflux.forms import FormField, Polynomial
 from formflux.simplex import (
     SimplexTuple,
+    default_rule,
     grundmann_moller_rule,
     gram_jacobian,
     integrate_form,
@@ -50,6 +51,16 @@ def test_mc_weights_sum(k):
     assert abs(rule.weights.sum() - 1.0 / math.factorial(k)) < 1e-12
     assert np.all(rule.points >= 0.0)
     assert np.all(rule.points.sum(axis=1) <= 1.0)
+
+
+@pytest.mark.parametrize("k,smooth", [(1, True), (2, True), (1, False), (2, False)])
+def test_default_rule_is_shared_and_read_only(k, smooth):
+    rule = default_rule(k, smooth=smooth)
+    assert default_rule(k, smooth=smooth) is rule
+    with pytest.raises(ValueError):
+        rule.points[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        rule.weights[0] = 0.0
 
 
 def test_gm_rejects_even_degree():
