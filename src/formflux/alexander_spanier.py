@@ -209,18 +209,17 @@ class IntegrationMultifunction(Multifunction):
                 return (out, np.zeros(len(base))) if with_mass else out
             out = self.omega.coefficients_batch(base)[:, 0]
             return (out, np.abs(out)) if with_mass else out
-        # pos[:, :, c] = sum_j outer(edges[:, j, c], P[:, j]) + base[:, c],
-        # summed in order j = 0, 1, ... without fused multiply-adds: the
-        # same bits as einsum("qk,nkd->nqd", P, edges) plus base.
-        pos = np.empty((len(base), len(P), n))
+        # pos[c] = sum_j outer(edges[:, j, c], P[:, j]) + base[:, c], summed
+        # in order j = 0, 1, ... without fused multiply-adds: the same bits
+        # as einsum("qk,nkd->nqd", P, edges) plus base.  Coordinate-major,
+        # so the coefficients read the column-major (N * Q, n) view.
+        pos = np.empty((n, len(base), len(P)))
         for c in range(n):
-            pos_c = pos[:, :, c]
-            np.multiply.outer(edges[:, 0, c], P[:, 0], out=pos_c)
+            np.multiply.outer(edges[:, 0, c], P[:, 0], out=pos[c])
             for j in range(1, k):
-                pos_c += np.multiply.outer(edges[:, j, c], P[:, j])
-            pos_c += base[:, c, np.newaxis]
-        pos = pos.reshape(-1, n)
-        coeffs = self.omega.coefficients_batch(pos).reshape(
+                pos[c] += np.multiply.outer(edges[:, j, c], P[:, j])
+            pos[c] += base[:, c, np.newaxis]
+        coeffs = self.omega.coefficients_batch(pos.reshape(n, -1).T).reshape(
             len(base), len(P), -1
         )
         det_source = edges if unit_vectors is None else unit_vectors

@@ -47,9 +47,14 @@ VERIFY_SUITES = ("stokes", "dd-zero", "variant-ordering", "diagonal-vanishing",
                  "mollifier")
 
 
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _load_json(path, decode):
+    """decode(the JSON document at path); an unreadable file or a malformed
+    document is a usage error, whatever the decoder raises for it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return decode(json.load(fh))
+    except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ArgumentError(f"{path}: {exc}") from exc
 
 
 def _resolve_seed(args, fallback=DEFAULT_SEED):
@@ -110,8 +115,8 @@ def _emit(args, name, csv_text, svg_text=None, report_lines=()):
 
 
 def cmd_seminorm(args):
-    form = form_from_json(_load_json(args.form))
-    domain = domain_from_json(_load_json(args.domain))
+    form = _load_json(args.form, form_from_json)
+    domain = _load_json(args.domain, domain_from_json)
     F = _build_multifunction(form, args.k)
     seed = _resolve_seed(args)
     thetas = args.theta or [0.9]
@@ -149,8 +154,8 @@ def _short(v):
 
 
 def cmd_sweep(args):
-    form = form_from_json(_load_json(args.form))
-    domain = domain_from_json(_load_json(args.domain))
+    form = _load_json(args.form, form_from_json)
+    domain = _load_json(args.domain, domain_from_json)
     F = _build_multifunction(form, args.k)
     seed = _resolve_seed(args)
     thetas = tuple(args.theta) if args.theta else DEFAULT_THETAS
@@ -189,7 +194,7 @@ def cmd_experiment(args):
     if (args.name is None) == (args.spec is None):
         raise ArgumentError("give exactly one of an experiment name or --spec")
     if args.spec is not None:
-        spec = ExperimentSpec.from_json(_load_json(args.spec))
+        spec = _load_json(args.spec, ExperimentSpec.from_json)
         if args.samples is not None or args.seed is not None:
             from dataclasses import replace
 
@@ -280,11 +285,7 @@ def main(argv=None):
     except InefficiencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ArgumentError, UnsupportedOperationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, KeyError, ValueError,
-            TypeError) as exc:
+    except (ArgumentError, UnsupportedOperationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import permutations
 
 import numpy as np
 
@@ -328,14 +329,15 @@ def dd_zero_residual(F: Multifunction, points):
     second-order faces, giving the rounding floor of the cancellation."""
     ddF = DifferentialMultifunction(DifferentialMultifunction(F))
     value = abs(ddF.evaluate(points))
-    m = len(points)
+    faces = {}
     scale = 0.0
-    for i in range(m):
-        for j in range(m):
-            if j == i:
-                continue
-            sub = np.delete(points, [min(i, j), max(i, j)], axis=0)
-            scale += abs(F.evaluate(sub))
+    # one evaluation per unordered pair, one term per ordered pair: the sum
+    # keeps its (i, j) order and so its bits
+    for i, j in permutations(range(len(points)), 2):
+        pair = (min(i, j), max(i, j))
+        if pair not in faces:
+            faces[pair] = abs(F.evaluate(np.delete(points, pair, axis=0)))
+        scale += faces[pair]
     return value, scale
 
 

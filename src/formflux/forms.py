@@ -231,6 +231,13 @@ class FormField:
     @classmethod
     def from_callables(cls, dimension, degree, components, smooth=False,
                        support=None, partials=None):
+        """Form from {index: callable pts -> (N,)} (partials: -> (N, n)).
+
+        The callables receive an (N, n) float array in an unspecified memory
+        order; the pullback and the mollifier convolution pass column-major
+        views.  For reproducible bits, compute each row on its own (numpy
+        elementwise operations do; a matrix product may not).
+        """
         backend = "analytic" if smooth else "rough"
         if backend == "rough":
             partials = None
@@ -484,44 +491,33 @@ def mollify(omega, eta, quadrature_nodes=None):
         eta = eta.with_nodes(quadrature_nodes)
     ys, ws = eta.convolution_rule()
     _, grad_ws = eta.gradient_rule()
+    n, nodes = omega.dimension, len(ys)
+    chunk = max(1, (1 << 22) // max(1, nodes))
 
-    def conv(component, weights):
-        def value(pts, component=component, weights=weights):
-            pts = np.asarray(pts, dtype=float)
-            out = np.zeros(len(pts))
-            chunk = max(1, (1 << 22) // max(1, len(ys)))
-            for lo in range(0, len(pts), chunk):
-                shifted = (
-                    pts[lo : lo + chunk, np.newaxis, :] - ys[np.newaxis, :, :]
-                )
-                flat = shifted.reshape(-1, omega.dimension)
-                vals = _component_values(omega, component, flat).reshape(
-                    -1, len(ys)
-                )
-                out[lo : lo + chunk] = vals @ weights
-            return out
+    def convolve(idx, weights, pts):
+        """sum_q omega_idx(pts - y_q) weights[q], chunk points at a time.
 
-        return value
+        The shifted nodes are built one coordinate at a time into an
+        (n, chunk, nodes) buffer; the component reads its column-major
+        (chunk * nodes, n) view.  The chunk rule fixes the row count of
+        each vals @ weights, which decides its bits.
+        """
+        pts = np.asarray(pts, dtype=float)
+        out = np.empty((len(pts),) + weights.shape[1:])
+        buf = np.empty(n * min(chunk, len(pts)) * nodes)
+        for lo in range(0, len(pts), chunk):
+            block = pts[lo : lo + chunk]
+            shifted = buf[: n * len(block) * nodes].reshape(n, len(block), nodes)
+            for c in range(n):
+                np.subtract.outer(block[:, c], ys[:, c], out=shifted[c])
+            vals = _component_values(omega, idx, shifted.reshape(n, -1).T)
+            out[lo : lo + chunk] = vals.reshape(-1, nodes) @ weights
+        return out
 
-    comps = {}
-    partials = {}
-    for idx in omega.indices:
-        comps[idx] = conv(idx, ws)
-
-        def grad(pts, idx=idx):
-            pts = np.asarray(pts, dtype=float)
-            out = np.zeros((len(pts), omega.dimension))
-            chunk = max(1, (1 << 22) // max(1, len(ys)))
-            for lo in range(0, len(pts), chunk):
-                shifted = (
-                    pts[lo : lo + chunk, np.newaxis, :] - ys[np.newaxis, :, :]
-                )
-                flat = shifted.reshape(-1, omega.dimension)
-                vals = _component_values(omega, idx, flat).reshape(-1, len(ys))
-                out[lo : lo + chunk] = vals @ grad_ws
-            return out
-
-        partials[idx] = grad
+    comps = {idx: functools.partial(convolve, idx, ws) for idx in omega.indices}
+    partials = {
+        idx: functools.partial(convolve, idx, grad_ws) for idx in omega.indices
+    }
     return FormField(omega.dimension, omega.degree, comps, "analytic",
                      partials=partials)
 

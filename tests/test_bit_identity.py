@@ -5,18 +5,21 @@ the straightforward numpy expressions kept here as references:
 
   node positions   base + einsum("qk,nkd->nqd", P, edges)
   polynomials      sum_terms c * prod(pts ** powers, axis=1)
+  convolution      omega(pts[:, None, :] - ys[None]) @ weights, per chunk
 """
 
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from formflux.alexander_spanier import IntegrationMultifunction
+from formflux.domains import AxisBox, Ball
 from formflux.exterior import _batch_det
-from formflux.forms import FormField, Polynomial
+from formflux.forms import FormField, Mollifier, Polynomial, mollify
 from formflux.simplex import default_rule
 
 PROPERTY = settings(max_examples=60, deadline=2000)
@@ -132,3 +135,76 @@ def test_scaled_integration_matches_einsum_reference(case):
         F, x0, rs[..., np.newaxis] * vs, unit_vectors=vs
     )
     assert np.array_equal(F.evaluate_scaled_batch(x0, vs, rs), expected)
+
+
+# mollify before the coordinate-major layout: row-major shifted nodes, whose
+# polynomial values test_polynomial_batch_matches_reference ties to the plain
+# formula.  The chunk rule stays: the row count of each vals @ weights
+# decides its bits.
+def reference_convolution(omega, idx, ys, weights, pts):
+    out = np.zeros((len(pts),) + weights.shape[1:])
+    chunk = max(1, (1 << 22) // max(1, len(ys)))
+    for lo in range(0, len(pts), chunk):
+        shifted = pts[lo : lo + chunk, np.newaxis, :] - ys[np.newaxis, :, :]
+        flat = shifted.reshape(-1, omega.dimension)
+        vals = omega.coefficients_batch(flat)[:, omega.indices.index(idx)]
+        out[lo : lo + chunk] = vals.reshape(-1, len(ys)) @ weights
+    return out
+
+
+@lru_cache(maxsize=None)
+def _mollifier(n):
+    return Mollifier(n, 0.25, nodes={1: 24, 2: 40, 3: 24}[n])
+
+
+@st.composite
+def mollifier_cases(draw):
+    n = draw(st.integers(1, 3))
+    eta = _mollifier(n)
+    # One case in ten spans a chunk boundary.  That takes about 4M shifted
+    # nodes whatever n is, so it uses the cheapest component: a linear
+    # polynomial (the chunk split does not depend on the component).
+    chunk = (1 << 22) // len(eta.convolution_rule()[0])
+    across = draw(st.sampled_from([False] * 9 + [True]))
+    kind = "polynomial" if across else draw(
+        st.sampled_from(["polynomial", "rough", "truncated"])
+    )
+    if kind == "rough":
+        omega = FormField.from_callables(n, 0, {(): _rough_component(0.3)})
+    else:
+        poly = draw(sparse_polynomials(n, max_degree=1 if across else 5))
+        omega = FormField.from_polynomials(n, 0, {(): poly})
+    if kind == "truncated":
+        omega = omega.with_support(draw(st.sampled_from(
+            [Ball(np.full(n, 0.1), 0.7), AxisBox(np.full(n, -0.4), np.full(n, 0.6))]
+        )))
+    rows = draw(st.integers(chunk - 2, chunk + 3) if across else st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(-1.2, 1.2, size=(rows, n))
+    if draw(st.booleans()):
+        pts = np.asfortranarray(pts)  # the layout the pullback passes
+    return omega, eta, pts, draw(st.booleans())
+
+
+def _across_case(n, gradient):
+    eta = _mollifier(n)
+    rows = (1 << 22) // len(eta.convolution_rule()[0]) + 3
+    pts = np.random.default_rng(n).uniform(-1.2, 1.2, size=(rows, n))
+    poly = {(1,) + (0,) * (n - 1): 1.5, (0,) * n: -0.5}
+    return FormField.from_polynomials(n, 0, {(): poly}), eta, pts, gradient
+
+
+@settings(max_examples=24, deadline=5000)
+@given(mollifier_cases())
+@example(_across_case(2, gradient=True))
+def test_mollified_closures_match_broadcast_reference(case):
+    omega, eta, pts, gradient = case
+    smooth = mollify(omega, eta)
+    if gradient:
+        ys, weights = eta.gradient_rule()
+        closure = smooth.partials[()]
+    else:
+        ys, weights = eta.convolution_rule()
+        closure = smooth.components[()]
+    expected = reference_convolution(omega, (), ys, weights, pts)
+    assert np.array_equal(closure(pts), expected)

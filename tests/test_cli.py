@@ -209,3 +209,30 @@ def test_experiment_malformed_spec_is_config_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"name": "x"')
     assert main(["experiment", "--spec", str(path)]) == 2
+
+
+@pytest.mark.parametrize("doc", [{"name": "x"}, [], {"form": 3, "domain": {}}])
+def test_experiment_spec_with_bad_structure_is_config_error(tmp_path, capsys,
+                                                            doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["experiment", "--spec", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_form_with_bad_structure_is_config_error(fixtures, tmp_path, capsys):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"n": 2, "k": 1, "terms": [{"index": 1}]}))
+    args = seminorm_args(fixtures)
+    args[2] = str(path)
+    assert main(args) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_internal_type_error_propagates(fixtures, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("internal bug")
+
+    monkeypatch.setattr("formflux.cli.fixed_theta_seminorm", broken)
+    with pytest.raises(TypeError, match="internal bug"):
+        main(seminorm_args(fixtures, "--theta", "0.9"))
