@@ -5,9 +5,13 @@ differential inserts alternating-sign face omissions:
 
     dF(x_0, ..., x_{k+1}) = sum_i (-1)^i F(..., omit x_i, ...).
 
-I_omega integrates a k-form over the simplex spanned by the tuple; its
-differential dI_omega is the discrete boundary pairing that the singular
-seminorms probe.
+One face builder (_faces) and one alternating sum (_alternating_sum)
+implement it for every multifunction, and single-tuple evaluation is always
+a batch of one.  I_omega integrates a k-form over the simplex spanned by
+the tuple through the pullback kernel simplex.edge_integrals; its
+differential dI_omega, the discrete boundary pairing that the singular
+seminorms probe, is the differential of I_omega plus a scaled-evaluation
+policy (CoboundaryMultifunction).
 
 Seminorm estimators evaluate tuples of the shape x_i = x_0 + r_i v_i where
 the radii r_i shrink to the float floor as theta -> 1.  Every multifunction
@@ -16,9 +20,9 @@ prod r_i computed without the catastrophic cancellation of forming the
 quotient directly: integration multifunctions pull the radii out of the
 edge determinants analytically, and coboundaries of derivative-carrying
 untruncated forms are rewritten through the simplex Stokes identity
-dI_omega = I_{d omega}.  The generic face-sum fallback keeps a cancellation
-snap guard: face sums smaller than the quadrature resolution times the face
-magnitude are floored to zero.
+dI_omega = I_{d omega}.  The other coboundaries sum their faces and keep a
+cancellation snap guard: face sums smaller than the quadrature resolution
+times the face magnitude are floored to zero.
 """
 
 from __future__ import annotations
@@ -28,20 +32,48 @@ import math
 import numpy as np
 
 from .errors import ArgumentError
-from .exterior import _batch_det
 from .forms import FormField
-from .simplex import default_rule, integrate_form
+from .simplex import default_rule, edge_integrals, integrate_form
 
 __all__ = [
     "Multifunction",
     "UserMultifunction",
     "IntegrationMultifunction",
     "CoboundaryMultifunction",
+    "DifferentialMultifunction",
     "integration_multifunction",
     "as_differential",
     "stokes_residual",
     "StokesResult",
 ]
+
+
+def _faces(tuples):
+    """Face i of each m-tuple omits point i: (N, m, n) -> (m, N, m-1, n)."""
+    return np.stack([np.delete(tuples, i, axis=1) for i in range(tuples.shape[1])])
+
+
+def _alternating_sum(face_values):
+    """sum_i (-1)^i face_values[i], added in the order i = 0, 1, ..."""
+    out = np.zeros(face_values.shape[1:])
+    for i, vals in enumerate(face_values):
+        out += -vals if i % 2 else vals
+    return out
+
+
+def _scaled_tuples(x0, vs, rs):
+    """The tuples (x0, x0 + r_1 v_1, ..., x0 + r_k v_k), one per row."""
+    x0 = np.asarray(x0, dtype=float)[:, np.newaxis, :]
+    vs = np.asarray(vs, dtype=float)
+    rs = np.asarray(rs, dtype=float)
+    return np.concatenate([x0, x0 + rs[..., np.newaxis] * vs], axis=1)
+
+
+def _over_radii(values, rs):
+    """values / prod_i r_i; quotients made non-finite by zero radii are 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = values / np.prod(np.asarray(rs, dtype=float), axis=1)
+    return np.where(np.isfinite(out), out, 0.0)
 
 
 class Multifunction:
@@ -71,31 +103,13 @@ class Multifunction:
     def evaluate_batch(self, tuples):
         raise NotImplementedError
 
-    def _evaluate_sub(self, root, subset, memo):
-        """Evaluate on root[subset]; memo is shared within one outer call."""
-        key = (id(self), subset)
-        if key not in memo:
-            memo[key] = self.evaluate(root[list(subset)])
-        return memo[key]
-
     def evaluate_scaled_batch(self, x0, vs, rs):
         """F(x0, x0 + r_1 v_1, ...) / prod_i r_i for each row.
 
         The generic implementation forms the quotient directly; subclasses
         with analytic structure override it with a stable version.
         """
-        x0 = np.asarray(x0, dtype=float)
-        vs = np.asarray(vs, dtype=float)
-        rs = np.asarray(rs, dtype=float)
-        tuples = np.concatenate(
-            [x0[:, np.newaxis, :], x0[:, np.newaxis, :] + rs[..., np.newaxis] * vs],
-            axis=1,
-        )
-        vals = self.evaluate_batch(tuples)
-        prod = np.prod(rs, axis=1) if self.degree else np.ones(len(x0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = vals / prod
-        return np.where(np.isfinite(out), out, 0.0)
+        return _over_radii(self.evaluate_batch(_scaled_tuples(x0, vs, rs)), rs)
 
     def __add__(self, other):
         if not isinstance(other, Multifunction):
@@ -152,9 +166,6 @@ class _Combination(Multifunction):
             out += a * f.evaluate_batch(tuples)
         return out
 
-    def _evaluate_sub(self, root, subset, memo):
-        return sum(a * f._evaluate_sub(root, subset, memo) for a, f in self.terms)
-
     def evaluate_scaled_batch(self, x0, vs, rs):
         out = np.zeros(len(np.asarray(x0)))
         for a, f in self.terms:
@@ -180,9 +191,8 @@ class IntegrationMultifunction(Multifunction):
 
     def evaluate_batch(self, tuples):
         tuples = np.asarray(tuples, dtype=float)
-        x0 = tuples[:, 0, :]
-        edges = tuples[:, 1:, :] - tuples[:, :1, :]
-        return self._edge_integrals(x0, edges)
+        return edge_integrals(self.omega, self.rule, tuples[:, 0, :],
+                              tuples[:, 1:, :] - tuples[:, :1, :])
 
     def evaluate_batch_with_mass(self, tuples):
         """(integral, quadrature mass) per tuple, the mass being
@@ -190,68 +200,45 @@ class IntegrationMultifunction(Multifunction):
         it, cannot cancel to zero, so it is the right scale for deciding
         whether a small alternating sum is signal or rule noise."""
         tuples = np.asarray(tuples, dtype=float)
-        x0 = tuples[:, 0, :]
-        edges = tuples[:, 1:, :] - tuples[:, :1, :]
-        return self._edge_integrals(x0, edges, with_mass=True)
-
-    def _edge_integrals(self, base, edges, unit_vectors=None, with_mass=False):
-        """sum_q w_q omega_{base + s_q . edges}(det edges), batched.
-
-        When unit_vectors is given the determinant part uses it instead of
-        edges (the radii having been factored out analytically).
-        """
-        n = self.dimension
-        k = self.degree
-        P, W = self.rule.points, self.rule.weights
-        if k == 0:
-            if not self.omega.indices:
-                out = np.zeros(len(base))
-                return (out, np.zeros(len(base))) if with_mass else out
-            out = self.omega.coefficients_batch(base)[:, 0]
-            return (out, np.abs(out)) if with_mass else out
-        # pos[c] = sum_j outer(edges[:, j, c], P[:, j]) + base[:, c], summed
-        # in order j = 0, 1, ... without fused multiply-adds: the same bits
-        # as einsum("qk,nkd->nqd", P, edges) plus base.  Coordinate-major,
-        # so the coefficients read the column-major (N * Q, n) view.
-        pos = np.empty((n, len(base), len(P)))
-        for c in range(n):
-            np.multiply.outer(edges[:, 0, c], P[:, 0], out=pos[c])
-            for j in range(1, k):
-                pos[c] += np.multiply.outer(edges[:, j, c], P[:, j])
-            pos[c] += base[:, c, np.newaxis]
-        coeffs = self.omega.coefficients_batch(pos.reshape(n, -1).T).reshape(
-            len(base), len(P), -1
-        )
-        det_source = edges if unit_vectors is None else unit_vectors
-        dets = np.empty((len(base), len(self.omega.indices)))
-        for col, idx in enumerate(self.omega.indices):
-            cols = [i - 1 for i in idx]
-            dets[:, col] = _batch_det(det_source[:, :, cols])
-        integrand = np.einsum("nqm,nm->nq", coeffs, dets)
-        out = integrand @ W
-        if not with_mass:
-            return out
-        return out, np.abs(integrand) @ np.abs(W)
+        return edge_integrals(self.omega, self.rule, tuples[:, 0, :],
+                              tuples[:, 1:, :] - tuples[:, :1, :],
+                              with_mass=True)
 
     def evaluate_scaled_batch(self, x0, vs, rs):
         """I_omega / prod r_i with the radii cancelled inside the pullback:
         the determinant uses the unit directions, positions use r_i v_i.
         Finite for every r_i >= 0, including 0."""
-        x0 = np.asarray(x0, dtype=float)
-        if self.degree == 0:
-            if not self.omega.indices:
-                return np.zeros(len(x0))
-            return self.omega.coefficients_batch(x0)[:, 0]
         vs = np.asarray(vs, dtype=float)
         rs = np.asarray(rs, dtype=float)
-        return self._edge_integrals(x0, rs[..., np.newaxis] * vs,
-                                    unit_vectors=vs)
+        return edge_integrals(self.omega, self.rule, np.asarray(x0, dtype=float),
+                              rs[..., np.newaxis] * vs, unit_vectors=vs)
 
 
-class CoboundaryMultifunction(Multifunction):
-    """dI_omega, of degree k+1 for a k-form omega.
+class DifferentialMultifunction(Multifunction):
+    """The Alexander-Spanier differential of an arbitrary multifunction.
 
-    Two evaluation routes.  When omega carries a derivative and is not
+    All faces of a batch go to the base in one evaluate_batch call, so a
+    nested d(dF) reaches its leaves in one call as well.
+    """
+
+    def __init__(self, base: Multifunction):
+        super().__init__(base.dimension, base.degree + 1,
+                         provenance="differential-of")
+        self.base = base
+
+    def evaluate_batch(self, tuples):
+        faces = _faces(np.asarray(tuples, dtype=float))
+        m, N = faces.shape[:2]
+        vals = self.base.evaluate_batch(faces.reshape((m * N,) + faces.shape[2:]))
+        return _alternating_sum(vals.reshape(m, N))
+
+
+class CoboundaryMultifunction(DifferentialMultifunction):
+    """dI_omega, of degree k+1 for a k-form omega: the differential of
+    IntegrationMultifunction(omega, face_rule) with a scaled-evaluation
+    policy.
+
+    Two scaled routes.  When omega carries a derivative and is not
     truncated by a support domain, dI_omega = I_{d omega} identically, so
     the scaled evaluation reuses the integration route on d omega.
     Otherwise the alternating face sum is formed explicitly; a snap guard
@@ -266,12 +253,10 @@ class CoboundaryMultifunction(Multifunction):
 
     def __init__(self, omega: FormField, face_rule=None, volume_rule=None,
                  snap_tol=None):
-        super().__init__(omega.dimension, omega.degree + 1,
-                         provenance="differential-of")
+        super().__init__(IntegrationMultifunction(omega, face_rule))
         self.omega = omega
+        self.face_rule = self.base.rule
         smooth = omega.backend != "rough"
-        self.face_rule = face_rule or default_rule(omega.degree, smooth=smooth)
-        self._faces = IntegrationMultifunction(omega, self.face_rule)
         self.stokes_route = omega.has_derivative() and omega.support is None
         if self.stokes_route:
             self._volume = IntegrationMultifunction(
@@ -294,97 +279,19 @@ class CoboundaryMultifunction(Multifunction):
                 snap_tol = 1e-10
         self.snap_tol = float(snap_tol)
 
-    def _face_sum_batch(self, tuples, with_mass=False):
-        """(signed face sum, quadrature mass of the faces) for each tuple."""
-        tuples = np.asarray(tuples, dtype=float)
-        m = self.arity
-        total = np.zeros(len(tuples))
-        mass = np.zeros(len(tuples)) if with_mass else None
-        for omit in range(m):
-            keep = [j for j in range(m) if j != omit]
-            face = tuples[:, keep, :]
-            sign = -1.0 if omit % 2 else 1.0
-            if with_mass:
-                vals, face_mass = self._faces.evaluate_batch_with_mass(face)
-                mass += face_mass
-            else:
-                vals = self._faces.evaluate_batch(face)
-            total += sign * vals
-        return total, mass
-
-    def evaluate_batch(self, tuples):
-        total, _ = self._face_sum_batch(tuples)
-        return total
-
     def evaluate_scaled_batch(self, x0, vs, rs):
-        x0 = np.asarray(x0, dtype=float)
-        vs = np.asarray(vs, dtype=float)
-        rs = np.asarray(rs, dtype=float)
         if self.stokes_route:
             return self._volume.evaluate_scaled_batch(x0, vs, rs)
-        tuples = np.concatenate(
-            [x0[:, np.newaxis, :], x0[:, np.newaxis, :] + rs[..., np.newaxis] * vs],
-            axis=1,
-        )
-        total, mass = self._face_sum_batch(tuples, with_mass=True)
+        faces = _faces(_scaled_tuples(x0, vs, rs))
+        vals = np.empty(faces.shape[:2])
+        mass = np.zeros(faces.shape[1])
+        # one call per face: each face already holds N * Q quadrature nodes
+        for i, face in enumerate(faces):
+            vals[i], face_mass = self.base.evaluate_batch_with_mass(face)
+            mass += face_mass
+        total = _alternating_sum(vals)
         total = np.where(np.abs(total) < self.snap_tol * mass, 0.0, total)
-        prod = np.prod(rs, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = total / prod
-        return np.where(np.isfinite(out), out, 0.0)
-
-    def _evaluate_sub(self, root, subset, memo):
-        total = 0.0
-        for pos in range(len(subset)):
-            sub = subset[:pos] + subset[pos + 1 :]
-            total += (-1.0) ** pos * self._faces._evaluate_sub(root, sub, memo)
-        return total
-
-    def evaluate(self, points):
-        points = np.asarray(points, dtype=float)
-        if points.shape != (self.arity, self.dimension):
-            raise ArgumentError(
-                f"expected {self.arity} points of dimension {self.dimension}"
-            )
-        memo = {}
-        return float(
-            self._evaluate_sub(points, tuple(range(self.arity)), memo)
-        )
-
-
-class DifferentialMultifunction(Multifunction):
-    """The Alexander-Spanier differential of an arbitrary multifunction."""
-
-    def __init__(self, base: Multifunction):
-        super().__init__(base.dimension, base.degree + 1,
-                         provenance="differential-of")
-        self.base = base
-
-    def _evaluate_sub(self, root, subset, memo):
-        total = 0.0
-        for pos in range(len(subset)):
-            sub = subset[:pos] + subset[pos + 1 :]
-            total += (-1.0) ** pos * self.base._evaluate_sub(root, sub, memo)
-        return total
-
-    def evaluate(self, points):
-        points = np.asarray(points, dtype=float)
-        if points.shape != (self.arity, self.dimension):
-            raise ArgumentError(
-                f"expected {self.arity} points of dimension {self.dimension}"
-            )
-        memo = {}
-        return float(self._evaluate_sub(points, tuple(range(self.arity)), memo))
-
-    def evaluate_batch(self, tuples):
-        tuples = np.asarray(tuples, dtype=float)
-        m = self.arity
-        out = np.zeros(len(tuples))
-        for omit in range(m):
-            keep = [j for j in range(m) if j != omit]
-            sign = -1.0 if omit % 2 else 1.0
-            out += sign * self.base.evaluate_batch(tuples[:, keep, :])
-        return out
+        return _over_radii(total, rs)
 
 
 def integration_multifunction(omega, rule=None):
@@ -433,15 +340,11 @@ def stokes_residual(omega, points, rule=None):
     k = omega.degree
     if points.shape != (k + 2, omega.dimension):
         raise ArgumentError(f"need {k + 2} points of dimension {omega.dimension}")
-    smooth = omega.backend != "rough"
-    face_rule = rule or default_rule(k, smooth=smooth)
-    lhs = 0.0
-    for omit in range(k + 2):
-        keep = [j for j in range(k + 2) if j != omit]
-        sign = -1.0 if omit % 2 else 1.0
-        lhs += sign * integrate_form(omega, points[keep], face_rule)
+    dI = DifferentialMultifunction(IntegrationMultifunction(omega, rule))
+    lhs = dI.evaluate(points)
     rhs = integrate_form(
-        omega.exterior_derivative(), points, default_rule(k + 1, smooth=smooth)
+        omega.exterior_derivative(), points,
+        default_rule(k + 1, smooth=omega.backend != "rough"),
     )
     if omega.support is None:
         containment = True

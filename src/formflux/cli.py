@@ -179,11 +179,9 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
-    seed = args.seed
-    if seed is None and os.environ.get("FORMFLUX_SEED") is not None:
-        seed = _resolve_seed(args)
     size = args.count if args.count is not None else args.samples
-    report = run_experiment(args.suite, samples=size, seed=seed)
+    report = run_experiment(args.suite, samples=size,
+                            seed=_resolve_seed(args, fallback=None))
     print(report.summary(), file=sys.stderr)
     if report.rows:
         _emit(args, "verify-" + args.suite, report.to_csv())
@@ -209,10 +207,8 @@ def cmd_experiment(args):
         report = runner(spec)
         name = spec.name
     else:
-        seed = args.seed
-        if seed is None and os.environ.get("FORMFLUX_SEED") is not None:
-            seed = _resolve_seed(args)
-        report = run_experiment(args.name, samples=args.samples, seed=seed)
+        report = run_experiment(args.name, samples=args.samples,
+                                seed=_resolve_seed(args, fallback=None))
         name = args.name
     print(report.summary(), file=sys.stderr)
     if report.rows:

@@ -31,6 +31,7 @@ __all__ = [
     "default_rule",
     "gram_jacobian",
     "integrate_form",
+    "edge_integrals",
     "integrate_scalar",
     "integrate_polynomial_form_exact",
     "reference_monomial_integral",
@@ -211,8 +212,9 @@ def gram_jacobian(simplex):
 def integrate_form(omega, simplex, rule=None):
     """The oriented integral of the k-form omega over the simplex.
 
-    Pulls back through the affine chart: sum_q w_q omega_{phi(s_q)}(edges).
-    Odd permutations of the corners negate the value.
+    Pulls back through the affine chart: sum_q w_q omega_{phi(s_q)}(edges),
+    computed by edge_integrals as a batch of one.  Odd permutations of the
+    corners negate the value.
     """
     pts = _as_points(simplex)
     k = pts.shape[0] - 1
@@ -226,21 +228,50 @@ def integrate_form(omega, simplex, rule=None):
         rule = default_rule(k, smooth=omega.backend != "rough")
     if rule.order != k:
         raise ArgumentError("rule order does not match simplex order")
-    base = pts[0]
-    edges = pts[1:] - pts[0]
-    positions = base + rule.points @ edges
+    edges = (pts[1:] - pts[0])[np.newaxis]
+    return float(edge_integrals(omega, rule, pts[:1], edges)[0])
+
+
+def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False):
+    """sum_q w_q omega_{base + s_q . edges}(det edges) for each of N simplices.
+
+    base is (N, n) and edges (N, k, n).  When unit_vectors is given the
+    determinant part uses it instead of edges (the radii having been
+    factored out analytically).  With with_mass, also returns the quadrature
+    mass sum_q |w_q| |integrand_q|.
+    """
+    n = omega.dimension
+    k = omega.degree
+    P, W = rule.points, rule.weights
     if k == 0:
-        vals = omega.coefficients_batch(positions)[:, 0] if omega.indices else (
-            np.zeros(1)
-        )
-        return float(np.sum(rule.weights * vals))
-    coeffs = omega.coefficients_batch(positions)  # (Q, m)
-    total = np.zeros(len(positions))
+        if not omega.indices:
+            out = np.zeros(len(base))
+            return (out, np.zeros(len(base))) if with_mass else out
+        out = omega.coefficients_batch(base)[:, 0]
+        return (out, np.abs(out)) if with_mass else out
+    # pos[c] = sum_j outer(edges[:, j, c], P[:, j]) + base[:, c], summed
+    # in order j = 0, 1, ... without fused multiply-adds: the same bits
+    # as einsum("qk,nkd->nqd", P, edges) plus base.  Coordinate-major,
+    # so the coefficients read the column-major (N * Q, n) view.
+    pos = np.empty((n, len(base), len(P)))
+    for c in range(n):
+        np.multiply.outer(edges[:, 0, c], P[:, 0], out=pos[c])
+        for j in range(1, k):
+            pos[c] += np.multiply.outer(edges[:, j, c], P[:, j])
+        pos[c] += base[:, c, np.newaxis]
+    coeffs = omega.coefficients_batch(pos.reshape(n, -1).T).reshape(
+        len(base), len(P), -1
+    )
+    det_source = edges if unit_vectors is None else unit_vectors
+    dets = np.empty((len(base), len(omega.indices)))
     for col, idx in enumerate(omega.indices):
         cols = [i - 1 for i in idx]
-        minor = edges[:, cols][np.newaxis, :, :]
-        total += coeffs[:, col] * _batch_det(minor)[0]
-    return float(np.sum(rule.weights * total))
+        dets[:, col] = _batch_det(det_source[:, :, cols])
+    integrand = np.einsum("nqm,nm->nq", coeffs, dets)
+    out = integrand @ W
+    if not with_mass:
+        return out
+    return out, np.abs(integrand) @ np.abs(W)
 
 
 def integrate_scalar(rho, simplex, rule=None):

@@ -1,5 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formflux.alexander_spanier import (
     CoboundaryMultifunction,
@@ -12,6 +16,7 @@ from formflux.alexander_spanier import (
 )
 from formflux.domains import Ball, SlitBox
 from formflux.errors import ArgumentError
+from formflux.experiments import dd_zero_residual
 from formflux.forms import FormField, Polynomial
 from formflux.simplex import default_rule, monte_carlo_rule
 
@@ -312,3 +317,55 @@ def test_user_scaled_fallback_guards_zero_radii():
     out = F.evaluate_scaled_batch(x0, vs, rs)
     assert out[0] == pytest.approx(1.0, abs=1e-14)
     assert out[1] == 0.0
+
+
+PROPERTY = settings(max_examples=40, deadline=2000)
+
+
+def _user(n, degree, c):
+    return UserMultifunction(
+        n, degree, lambda p: float(np.cos(p @ c).prod() + p[-1] @ c)
+    )
+
+
+@st.composite
+def multifunction_cases(draw):
+    """A random user or integration multifunction and a random tuple long
+    enough for its second differential."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, n))
+    if draw(st.booleans()):
+        F = _user(n, degree, rng.normal(size=n))
+    else:
+        F = IntegrationMultifunction(FormField.from_polynomials(n, degree, {
+            idx: random_dyadic_polynomial(rng, n)
+            for idx in combinations(range(1, n + 1), degree)
+        }))
+    return F, rng
+
+
+@PROPERTY
+@given(multifunction_cases())
+def test_dd_vanishes_relative_to_second_faces(case):
+    F, rng = case
+    points = rng.normal(size=(F.degree + 3, F.dimension))
+    value, scale = dd_zero_residual(F, points)
+    assert value <= 1e-12 * scale
+
+
+@PROPERTY
+@given(multifunction_cases(), st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+def test_differential_is_linear_on_random_multifunctions(case, a, b):
+    F, rng = case
+    G = _user(F.dimension, F.degree, rng.normal(size=F.dimension))
+    tuples = rng.normal(size=(5, F.degree + 2, F.dimension))
+    lhs = DifferentialMultifunction(a * F + b * G).evaluate_batch(tuples)
+    dF = DifferentialMultifunction(F).evaluate_batch(tuples)
+    dG = DifferentialMultifunction(G).evaluate_batch(tuples)
+    faces = [np.delete(tuples, i, axis=1) for i in range(F.degree + 2)]
+    scale = sum(
+        np.abs(a * F.evaluate_batch(f)) + np.abs(b * G.evaluate_batch(f))
+        for f in faces
+    )
+    assert np.all(np.abs(lhs - (a * dF + b * dG)) <= 1e-12 * scale)

@@ -6,6 +6,11 @@ the straightforward numpy expressions kept here as references:
   node positions   base + einsum("qk,nkd->nqd", P, edges)
   polynomials      sum_terms c * prod(pts ** powers, axis=1)
   convolution      omega(pts[:, None, :] - ys[None]) @ weights, per chunk
+  face route       one face at a time, signed sum in face order, snap guard
+
+Single-tuple evaluation is a batch of one, so it must also give the bits of
+the same tuple evaluated inside a larger batch wherever the base computes
+row by row.
 """
 
 from functools import lru_cache
@@ -16,11 +21,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from formflux.alexander_spanier import IntegrationMultifunction
+from formflux.alexander_spanier import (
+    CoboundaryMultifunction,
+    DifferentialMultifunction,
+    IntegrationMultifunction,
+    UserMultifunction,
+)
 from formflux.domains import AxisBox, Ball
 from formflux.exterior import _batch_det
 from formflux.forms import FormField, Mollifier, Polynomial, mollify
-from formflux.simplex import default_rule
+from formflux.simplex import default_rule, edge_integrals, integrate_form
 
 PROPERTY = settings(max_examples=60, deadline=2000)
 
@@ -208,3 +218,113 @@ def test_mollified_closures_match_broadcast_reference(case):
         closure = smooth.components[()]
     expected = reference_convolution(omega, (), ys, weights, pts)
     assert np.array_equal(closure(pts), expected)
+
+
+# CoboundaryMultifunction's face route written out plainly: each face
+# integrated on its own, the signed face values added in face order, the
+# snap guard against the summed mass, then the division by the radii.
+def reference_face_route(dF, x0, vs, rs):
+    faces = IntegrationMultifunction(dF.omega, dF.face_rule)
+    tuples = np.concatenate(
+        [x0[:, np.newaxis, :], x0[:, np.newaxis, :] + rs[..., np.newaxis] * vs],
+        axis=1,
+    )
+    m = dF.arity
+    total = np.zeros(len(tuples))
+    mass = np.zeros(len(tuples))
+    for omit in range(m):
+        keep = [j for j in range(m) if j != omit]
+        vals, face_mass = faces.evaluate_batch_with_mass(tuples[:, keep, :])
+        mass += face_mass
+        total += (-1.0 if omit % 2 else 1.0) * vals
+    total = np.where(np.abs(total) < dF.snap_tol * mass, 0.0, total)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = total / np.prod(rs, axis=1)
+    return np.where(np.isfinite(out), out, 0.0)
+
+
+@st.composite
+def face_route_cases(draw):
+    k = draw(st.integers(0, 1))
+    n = draw(st.integers(max(k, 1), 3))
+    indices = [
+        idx for idx in combinations(range(1, n + 1), k) if draw(st.booleans())
+    ] or [tuple(range(1, k + 1))]
+    if draw(st.booleans()):
+        omega = FormField.from_callables(
+            n, k, {idx: _rough_component(0.5 * i) for i, idx in enumerate(indices)}
+        )
+    else:
+        omega = FormField.from_polynomials(
+            n, k, {idx: draw(sparse_polynomials(n, max_degree=5)) for idx in indices}
+        ).with_support(draw(st.sampled_from(
+            [Ball(np.full(n, 0.1), 0.7), AxisBox(np.full(n, -0.4), np.full(n, 0.6))]
+        )))
+    # the estimator's tuple shape: unit directions, radii up to 1, and one
+    # radius in five at 0, 1e-300 or 1e-12
+    rows = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x0 = rng.uniform(-1.0, 1.0, size=(rows, n))
+    vs = rng.normal(size=(rows, k + 1, n))
+    vs /= np.linalg.norm(vs, axis=2, keepdims=True)
+    rs = rng.uniform(0.0, 1.0, size=(rows, k + 1))
+    tiny = rng.random(rs.shape) < 0.2
+    rs[tiny] = rng.choice([0.0, 1e-300, 1e-12], size=int(tiny.sum()))
+    return CoboundaryMultifunction(omega), x0, vs, rs
+
+
+@PROPERTY
+@given(face_route_cases())
+def test_face_route_matches_per_face_reference(case):
+    dF, x0, vs, rs = case
+    assert not dF.stokes_route
+    expected = reference_face_route(dF, x0, vs, rs)
+    assert np.array_equal(dF.evaluate_scaled_batch(x0, vs, rs), expected)
+
+
+@PROPERTY
+@given(integration_cases())
+def test_integrate_form_is_a_batch_of_one(case):
+    F, x0, vs, _ = case
+    pts = np.concatenate([x0[:1], x0[:1] + vs[0]])
+    kernel = edge_integrals(F.omega, F.rule, pts[:1], (pts[1:] - pts[0])[np.newaxis])
+    value = integrate_form(F.omega, pts, F.rule)
+    assert value == kernel[0]
+    assert F.evaluate(pts) == value
+
+
+def _row_by_row(n, degree, shift):
+    return UserMultifunction(
+        n, degree, lambda p: float(np.sin(p @ np.arange(1.0, n + 1.0) + shift).sum())
+    )
+
+
+@st.composite
+def user_multifunction_cases(draw):
+    n = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 2))
+    F = _row_by_row(n, degree, 0.0)
+    kind = draw(st.sampled_from(["d", "combination", "dd", "d of combination"]))
+    if kind == "combination":
+        G = draw(coefficients) * F - _row_by_row(n, degree, 1.0)
+    elif kind == "dd":
+        G = DifferentialMultifunction(DifferentialMultifunction(F))
+    elif kind == "d of combination":
+        G = DifferentialMultifunction(
+            F + draw(coefficients) * _row_by_row(n, degree, 2.0)
+        )
+    else:
+        G = DifferentialMultifunction(F)
+    rows = draw(st.integers(1, 6))
+    tuples = draw(hnp.arrays(np.float64, (rows, G.arity, n), elements=coordinates))
+    return G, tuples
+
+
+@PROPERTY
+@given(user_multifunction_cases())
+def test_single_tuple_matches_its_batch_row(case):
+    G, tuples = case
+    batch = G.evaluate_batch(tuples)
+    singles = np.array([G.evaluate(t) for t in tuples])
+    assert np.array_equal(singles, batch)
+    assert np.array_equal(G.evaluate_batch(tuples[:1]), batch[:1])

@@ -236,3 +236,58 @@ def test_internal_type_error_propagates(fixtures, monkeypatch):
     monkeypatch.setattr("formflux.cli.fixed_theta_seminorm", broken)
     with pytest.raises(TypeError, match="internal bug"):
         main(seminorm_args(fixtures, "--theta", "0.9"))
+
+
+class _Report:
+    rows = []
+    passed = True
+
+    def summary(self):
+        return "[PASS] stub"
+
+
+@pytest.fixture
+def run_seeds(monkeypatch):
+    """Replace run_experiment by a stub recording each call's seed."""
+    seeds = []
+
+    def stub(name, samples=None, seed=None):
+        seeds.append(seed)
+        return _Report()
+
+    monkeypatch.setattr("formflux.cli.run_experiment", stub)
+    return seeds
+
+
+NAMED_RUNS = [["verify", "dd-zero"], ["experiment", "bbm-square-scalar"]]
+
+
+@pytest.mark.parametrize("command", NAMED_RUNS)
+def test_named_run_takes_env_seed_when_flag_absent(command, run_seeds,
+                                                   monkeypatch, capsys):
+    monkeypatch.setenv("FORMFLUX_SEED", "321")
+    assert main(command) == 0
+    assert run_seeds == [321]
+
+
+@pytest.mark.parametrize("command", NAMED_RUNS)
+def test_named_run_seed_flag_beats_env(command, run_seeds, monkeypatch, capsys):
+    monkeypatch.setenv("FORMFLUX_SEED", "321")
+    assert main(command + ["--seed", "5"]) == 0
+    assert run_seeds == [5]
+
+
+@pytest.mark.parametrize("command", NAMED_RUNS)
+def test_named_run_without_seed_keeps_experiment_default(command, run_seeds,
+                                                         monkeypatch, capsys):
+    monkeypatch.delenv("FORMFLUX_SEED", raising=False)
+    assert main(command) == 0
+    assert run_seeds == [None]
+
+
+@pytest.mark.parametrize("command", NAMED_RUNS)
+def test_named_run_bad_env_seed_is_config_error(command, run_seeds,
+                                                monkeypatch, capsys):
+    monkeypatch.setenv("FORMFLUX_SEED", "soon")
+    assert main(command) == 2
+    assert run_seeds == []
