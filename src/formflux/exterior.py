@@ -13,6 +13,7 @@ computed by product quadrature (n = 2, 3) or Monte Carlo (any n).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +23,6 @@ from .errors import ArgumentError
 from .estimates import Estimate
 
 __all__ = [
-    "MultiIndex",
     "Covector",
     "SphereNormConfig",
     "wedge",
@@ -30,6 +30,9 @@ __all__ = [
     "sphere_norm",
     "unit_sphere_area",
     "sphere_quadrature",
+    "minor_dets",
+    "contract_minors",
+    "sphere_power_integrals",
 ]
 
 
@@ -44,25 +47,6 @@ def _normalize_index(entries, n, k=None):
     if any(a >= b for a, b in zip(idx, idx[1:])):
         raise ArgumentError(f"multi-index {idx} is not strictly increasing")
     return idx
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """A strictly increasing tuple of axis indices in {1, ..., n}."""
-
-    entries: tuple
-    dimension: int
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "entries", _normalize_index(self.entries, self.dimension)
-        )
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
 
 
 def sort_with_sign(entries):
@@ -103,8 +87,6 @@ class Covector:
         clean = {}
         if coeffs and self.degree <= self.dimension:
             for idx, c in coeffs.items():
-                if isinstance(idx, MultiIndex):
-                    idx = idx.entries
                 idx = _normalize_index(idx, self.dimension, self.degree)
                 c = float(c)
                 if c != 0.0:
@@ -183,12 +165,9 @@ class Covector:
                 f"expected batch shape (N, {self.degree}, {self.dimension}), "
                 f"got {vs.shape}"
             )
-        out = np.zeros(n_batch)
-        for idx, c in self.coeffs.items():
-            cols = [i - 1 for i in idx]
-            minors = vs[:, :, cols]
-            out += c * _batch_det(minors)
-        return out
+        return contract_minors(
+            np.array(list(self.coeffs.values())), minor_dets(list(self.coeffs), vs)
+        )
 
     __call__ = evaluate
 
@@ -207,6 +186,30 @@ def _batch_det(m):
             + m[:, 0, 2] * (m[:, 1, 0] * m[:, 2, 1] - m[:, 1, 1] * m[:, 2, 0])
         )
     return np.linalg.det(m)
+
+
+def minor_dets(indices, vectors):
+    """The minor table of k-tuples of vectors: (N, k, n) -> (N, len(indices)).
+
+    Column m holds det(vectors[:, :, indices[m] - 1]), the value of the basis
+    covector dx_{indices[m]} on each tuple.
+    """
+    out = np.empty((len(vectors), len(indices)))
+    for col, idx in enumerate(indices):
+        out[:, col] = _batch_det(vectors[:, :, [i - 1 for i in idx]])
+    return out
+
+
+def contract_minors(coeffs, dets):
+    """sum_m coeffs[..., m] * dets[..., m], added in order m = 0, 1, ...
+
+    The one ordered sum behind covector evaluation and the pullback field;
+    coeffs and dets broadcast against each other.
+    """
+    out = np.zeros(np.broadcast_shapes(np.shape(coeffs), dets.shape)[:-1])
+    for col in range(dets.shape[-1]):
+        out += coeffs[..., col] * dets[..., col]
+    return out
 
 
 def wedge(alpha: Covector, beta: Covector) -> Covector:
@@ -299,27 +302,54 @@ def sphere_quadrature(n, nodes):
     )
 
 
-def _sphere_power_integral_quadrature(alpha, p, nodes, chunk=1 << 20):
-    """Q = int |alpha(v_1..v_k)|^p over the product of spheres, by quadrature.
+# combinations of the sphere grid handled per pass of sphere_power_integrals
+_GRID_CHUNK = 1 << 20
 
-    The tensor grid has m^k combinations; they are enumerated in chunks to
-    keep memory flat.
+
+def sphere_power_integrals(coeffs, indices, n, p, nodes):
+    """int_{(S^{n-1})^k} |alpha_i(v_1,...,v_k)|^p for each coefficient row.
+
+    coeffs is (N, len(indices)), row i holding the coefficients of alpha_i
+    over the basis indices (non-empty, all of degree k).  Product quadrature
+    on the M^k tensor grid of sphere_quadrature(n, nodes), walked
+    _GRID_CHUNK combinations at a time with at most 1 << 24 rows x
+    combinations per block, so memory is bounded whatever the node count.
+
+    Returns the integrals and their relative error from a half-resolution
+    rule, times 10 for non-even p (|.|^p has a kink at zeros).
     """
-    n, k = alpha.dimension, alpha.degree
-    pts, wts = sphere_quadrature(n, nodes)
-    m = len(pts)
-    total = m**k
-    acc = 0.0
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        combo = np.stack(
-            np.unravel_index(np.arange(lo, hi), (m,) * k), axis=1
-        )  # (hi-lo, k)
-        vs = pts[combo]  # (hi-lo, k, n)
-        vals = np.abs(alpha.evaluate_batch(vs)) ** p
-        w = np.prod(wts[combo], axis=1)
-        acc += float(np.sum(w * vals))
-    return acc
+    k = len(indices[0])
+
+    def integrate(m):
+        pts, wts = sphere_quadrature(n, m)
+        total = len(pts) ** k
+        out = np.zeros(len(coeffs))
+        for lo in range(0, total, _GRID_CHUNK):
+            combo = np.stack(
+                np.unravel_index(
+                    np.arange(lo, min(lo + _GRID_CHUNK, total)), (len(pts),) * k
+                ),
+                axis=1,
+            )
+            add(out, minor_dets(indices, pts[combo]), np.prod(wts[combo], axis=1))
+        return out
+
+    # a function, so that a chunk's tables are freed before the next is built
+    def add(out, dets, w):
+        """out += |coeffs @ dets.T|^p @ w, one block of rows at a time."""
+        rows = max(1, (1 << 24) // len(dets))
+        for r in range(0, len(coeffs), rows):
+            block = coeffs[r : r + rows] @ dets.T
+            np.abs(block, out=block)
+            block **= p
+            out[r : r + rows] += block @ w
+
+    full = integrate(nodes)
+    half = integrate(max(2, nodes // 2))
+    rel = np.abs(full - half) / np.maximum(np.abs(full), 1e-300)
+    if p != 2.0 * round(p / 2.0):
+        rel *= 10.0
+    return full, rel
 
 
 def sphere_norm(alpha: Covector, cfg: SphereNormConfig = SphereNormConfig()) -> Estimate:
@@ -330,28 +360,32 @@ def sphere_norm(alpha: Covector, cfg: SphereNormConfig = SphereNormConfig()) -> 
     coefficient times the sphere norm of the unit top covector, which is
     computed (and cached), not assumed.
     """
-    n, k, p = alpha.dimension, alpha.degree, cfg.p
+    n, k = alpha.dimension, alpha.degree
     if k == 0:
         return Estimate(abs(alpha.coeffs.get((), 0.0)), 0.0)
     if k > n or alpha.is_zero():
         return Estimate(0.0, 0.0)
     if k == n:
-        top = tuple(range(1, n + 1))
-        c = alpha.coeffs.get(top, 0.0)
+        c = alpha.coeffs.get(tuple(range(1, n + 1)), 0.0)
         unit = _unit_top_norm(n, cfg)
         return Estimate(abs(c) * unit.value, abs(c) * unit.error)
+    return _sphere_norm(alpha, cfg)
 
+
+@functools.lru_cache(maxsize=32)
+def _unit_top_norm(n, cfg):
+    return _sphere_norm(Covector.basis(n, tuple(range(1, n + 1))), cfg)
+
+
+def _sphere_norm(alpha, cfg):
+    """sphere_norm for degrees 1..n, by product quadrature or Monte Carlo."""
+    n, k, p = alpha.dimension, alpha.degree, cfg.p
     if cfg.method == "product-quadrature":
-        q_full = _sphere_power_integral_quadrature(alpha, p, cfg.nodes_or_samples)
-        q_half = _sphere_power_integral_quadrature(
-            alpha, p, max(2, cfg.nodes_or_samples // 2)
+        coeffs = np.array([list(alpha.coeffs.values())])
+        q, rel = sphere_power_integrals(
+            coeffs, list(alpha.coeffs), n, p, cfg.nodes_or_samples
         )
-        q_err = abs(q_full - q_half)
-        if p != 2.0 * round(p / 2.0):
-            # |.|^p has a kink at zeros for non-even p
-            q_err *= 10.0
-        q = q_full
-        n_eff = None
+        q, q_err = float(q[0]), float(rel[0] * q[0])
     else:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
         n_samples = cfg.nodes_or_samples
@@ -361,7 +395,6 @@ def sphere_norm(alpha: Covector, cfg: SphereNormConfig = SphereNormConfig()) -> 
         area = unit_sphere_area(n) ** k
         q = area * float(np.mean(vals))
         q_err = area * float(np.std(vals, ddof=1)) / math.sqrt(n_samples)
-        n_eff = n_samples
 
     if q <= 0.0:
         return Estimate(0.0, q_err ** (1.0 / p) if q_err > 0 else 0.0)
@@ -369,40 +402,3 @@ def sphere_norm(alpha: Covector, cfg: SphereNormConfig = SphereNormConfig()) -> 
     # delta method: d(q^{1/p})/dq = q^{1/p - 1} / p
     err = q_err * value / (p * q)
     return Estimate(value, err)
-
-
-_TOP_NORM_CACHE = {}
-
-
-def _unit_top_norm(n, cfg):
-    key = (n, cfg.p, cfg.method, cfg.nodes_or_samples, cfg.seed)
-    if key not in _TOP_NORM_CACHE:
-        unit = Covector.basis(n, tuple(range(1, n + 1)))
-        if cfg.method == "product-quadrature" and n > 3:
-            raise ArgumentError(
-                f"product quadrature unsupported for n = {n}; use monte-carlo"
-            )
-        q = (
-            _sphere_power_integral_quadrature(unit, cfg.p, cfg.nodes_or_samples)
-            if cfg.method == "product-quadrature"
-            else None
-        )
-        if q is None:
-            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-            g = rng.standard_normal((cfg.nodes_or_samples, n, n))
-            g /= np.linalg.norm(g, axis=2, keepdims=True)
-            vals = np.abs(unit.evaluate_batch(g)) ** cfg.p
-            area = unit_sphere_area(n) ** n
-            q = area * float(np.mean(vals))
-            q_err = area * float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
-        else:
-            q_half = _sphere_power_integral_quadrature(
-                unit, cfg.p, max(2, cfg.nodes_or_samples // 2)
-            )
-            q_err = abs(q - q_half)
-            if cfg.p != 2.0 * round(cfg.p / 2.0):
-                q_err *= 10.0
-        value = q ** (1.0 / cfg.p)
-        err = q_err * value / (cfg.p * q) if q > 0 else 0.0
-        _TOP_NORM_CACHE[key] = Estimate(value, err)
-    return _TOP_NORM_CACHE[key]

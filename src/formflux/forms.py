@@ -19,7 +19,13 @@ import numpy as np
 
 from .errors import ArgumentError, UnsupportedOperationError
 from .estimates import SeminormEstimate
-from .exterior import Covector, _batch_det, sort_with_sign, sphere_quadrature
+from .exterior import (
+    Covector,
+    contract_minors,
+    minor_dets,
+    sort_with_sign,
+    sphere_power_integrals,
+)
 
 __all__ = [
     "Polynomial",
@@ -278,18 +284,6 @@ class FormField:
 
     __call__ = evaluate
 
-    def apply_batch(self, pts, vectors):
-        """omega_{pts[i]}(vectors[i, 0], ..., vectors[i, k-1]) for each row i."""
-        coeffs = self.coefficients_batch(pts)
-        if self.degree == 0:
-            return coeffs[:, 0] if self.indices else np.zeros(len(pts))
-        vectors = np.asarray(vectors, dtype=float)
-        out = np.zeros(len(pts))
-        for col, idx in enumerate(self.indices):
-            cols = [i - 1 for i in idx]
-            out += coeffs[:, col] * _batch_det(vectors[:, :, cols])
-        return out
-
     def euclidean_norm_batch(self, pts):
         coeffs = self.coefficients_batch(pts)
         if coeffs.shape[1] == 0:
@@ -383,9 +377,8 @@ class FormField:
                 raise ArgumentError(
                     f"simplex coordinates must have {self.degree} columns"
                 )
-            pts = base + s @ edges
-            vs = np.broadcast_to(edges, (len(pts),) + edges.shape)
-            return self.apply_batch(pts, vs)
+            coeffs = self.coefficients_batch(base + s @ edges)
+            return contract_minors(coeffs, minor_dets(self.indices, edges[np.newaxis]))
 
         return field
 
@@ -394,14 +387,6 @@ class FormField:
             f"FormField(n={self.dimension}, k={self.degree}, "
             f"backend={self.backend!r}, indices={self.indices})"
         )
-
-
-def pullback_affine(omega, base, edges):
-    return omega.pullback_affine(base, edges)
-
-
-def exterior_derivative(omega):
-    return omega.exterior_derivative()
 
 
 # ---------------------------------------------------------------------------
@@ -585,9 +570,8 @@ def lp_norm(omega, domain, p, config=None):
 def lp_sphere_norm(omega, domain, p, config=None):
     """(int_Omega |omega_x|_{S,p}^p dx)^{1/p}: sphere norm composed with L^p.
 
-    The sphere integral reuses one fixed quadrature rule for every sample
-    point, so the pointwise power integral is a matrix product against the
-    precomputed basis determinants.
+    The pointwise power integrals come from sphere_power_integrals, one
+    coefficient row per sample point.
     """
     if p < 1:
         raise ArgumentError("p must be >= 1")
@@ -597,9 +581,17 @@ def lp_sphere_norm(omega, domain, p, config=None):
     if k == 0:
         vals = np.abs(omega.coefficients_batch(pts)[:, 0]) ** p
         rel_sphere = 0.0
+    elif n > 3:
+        raise UnsupportedOperationError(
+            "sphere-product quadrature is limited to n <= 3"
+        )
+    elif not omega.indices:
+        vals, rel_sphere = np.zeros(len(pts)), 0.0
     else:
-        vals, rel_sphere = _sphere_power_batch(omega, pts, p,
-                                               config.sphere_nodes)
+        vals, rel = sphere_power_integrals(
+            omega.coefficients_batch(pts), omega.indices, n, p, config.sphere_nodes
+        )
+        rel_sphere = float(np.max(rel))
     value, err, power, power_err = _power_mean_estimate(
         vals, p, domain.volume(), extra_rel_error=rel_sphere
     )
@@ -613,52 +605,6 @@ def lp_sphere_norm(omega, domain, p, config=None):
         config={"kind": "lp_sphere_norm", "p": p, "samples": config.samples,
                 "seed": config.seed, "sphere_nodes": config.sphere_nodes},
     )
-
-
-def _sphere_power_batch(omega, pts, p, nodes):
-    """int |omega_x(v_1..v_k)|^p over the sphere product, for each x in pts.
-
-    Returns the per-point power integrals and a relative quadrature error
-    bound taken from a half-resolution rule.
-    """
-    n, k = omega.dimension, omega.degree
-    if n > 3:
-        raise UnsupportedOperationError(
-            "sphere-product quadrature is limited to n <= 3"
-        )
-    if not omega.indices:
-        return np.zeros(len(pts)), 0.0
-
-    def run(m):
-        sp, sw = sphere_quadrature(n, m)
-        npts = len(sp)
-        combos = np.stack(
-            np.unravel_index(np.arange(npts**k), (npts,) * k), axis=1
-        )
-        vs = sp[combos]  # (C, k, n)
-        w = np.prod(sw[combos], axis=1)
-        design = np.stack(
-            [
-                _batch_det(vs[:, :, [i - 1 for i in idx]])
-                for idx in omega.indices
-            ],
-            axis=1,
-        )  # (C, m_indices)
-        coeffs = omega.coefficients_batch(pts)  # (N, m_indices)
-        out = np.empty(len(pts))
-        chunk = max(1, (1 << 24) // max(1, len(vs)))
-        for lo in range(0, len(pts), chunk):
-            block = coeffs[lo : lo + chunk] @ design.T  # (chunk, C)
-            out[lo : lo + chunk] = np.abs(block) ** p @ w
-        return out
-
-    full = run(nodes)
-    half = run(max(2, nodes // 2))
-    denom = np.maximum(np.abs(full), 1e-300)
-    rel = float(np.max(np.abs(full - half) / denom))
-    if p != 2.0 * round(p / 2.0):
-        rel *= 10.0
-    return full, rel
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError
-from .exterior import _batch_det
+from .exterior import _batch_det, minor_dets
 from .forms import Polynomial
 
 __all__ = [
@@ -263,10 +263,7 @@ def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False)
         len(base), len(P), -1
     )
     det_source = edges if unit_vectors is None else unit_vectors
-    dets = np.empty((len(base), len(omega.indices)))
-    for col, idx in enumerate(omega.indices):
-        cols = [i - 1 for i in idx]
-        dets[:, col] = _batch_det(det_source[:, :, cols])
+    dets = minor_dets(omega.indices, det_source)
     integrand = np.einsum("nqm,nm->nq", coeffs, dets)
     out = integrand @ W
     if not with_mass:

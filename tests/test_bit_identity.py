@@ -7,6 +7,7 @@ the straightforward numpy expressions kept here as references:
   polynomials      sum_terms c * prod(pts ** powers, axis=1)
   convolution      omega(pts[:, None, :] - ys[None]) @ weights, per chunk
   face route       one face at a time, signed sum in face order, snap guard
+  minor contraction  sum of coefficient * det over the basis indices, in order
 
 Single-tuple evaluation is a batch of one, so it must also give the bits of
 the same tuple evaluated inside a larger batch wherever the base computes
@@ -28,8 +29,15 @@ from formflux.alexander_spanier import (
     UserMultifunction,
 )
 from formflux.domains import AxisBox, Ball
-from formflux.exterior import _batch_det
-from formflux.forms import FormField, Mollifier, Polynomial, mollify
+from formflux.exterior import Covector, SphereNormConfig, _batch_det, sphere_norm
+from formflux.forms import (
+    FormField,
+    LpEstimatorConfig,
+    Mollifier,
+    Polynomial,
+    lp_sphere_norm,
+    mollify,
+)
 from formflux.simplex import default_rule, edge_integrals, integrate_form
 
 PROPERTY = settings(max_examples=60, deadline=2000)
@@ -102,13 +110,19 @@ def _rough_component(shift):
 
 
 @st.composite
+def basis_indices(draw, n, k):
+    """A non-empty subset of the degree-k basis indices of R^n."""
+    return [
+        idx for idx in combinations(range(1, n + 1), k) if draw(st.booleans())
+    ] or [tuple(range(1, k + 1))]
+
+
+@st.composite
 def integration_cases(draw):
     k = draw(st.integers(1, 3))
     n = draw(st.integers(k, 3))
     smooth = draw(st.booleans())
-    indices = [
-        idx for idx in combinations(range(1, n + 1), k) if draw(st.booleans())
-    ] or [tuple(range(1, k + 1))]
+    indices = draw(basis_indices(n, k))
     if smooth:
         omega = FormField.from_polynomials(
             n, k, {idx: draw(sparse_polynomials(n, max_degree=5)) for idx in indices}
@@ -247,9 +261,7 @@ def reference_face_route(dF, x0, vs, rs):
 def face_route_cases(draw):
     k = draw(st.integers(0, 1))
     n = draw(st.integers(max(k, 1), 3))
-    indices = [
-        idx for idx in combinations(range(1, n + 1), k) if draw(st.booleans())
-    ] or [tuple(range(1, k + 1))]
+    indices = draw(basis_indices(n, k))
     if draw(st.booleans()):
         omega = FormField.from_callables(
             n, k, {idx: _rough_component(0.5 * i) for i, idx in enumerate(indices)}
@@ -328,3 +340,82 @@ def test_single_tuple_matches_its_batch_row(case):
     singles = np.array([G.evaluate(t) for t in tuples])
     assert np.array_equal(singles, batch)
     assert np.array_equal(G.evaluate_batch(tuples[:1]), batch[:1])
+
+
+# Covector.evaluate_batch and FormField.apply_batch before the shared minor
+# table: one determinant and one added term per basis index, in order.
+def reference_covector(alpha, vs):
+    out = np.zeros(len(vs))
+    for idx, c in alpha.coeffs.items():
+        out += c * _batch_det(vs[:, :, [i - 1 for i in idx]])
+    return out
+
+
+def reference_pullback(omega, base, edges, s):
+    pts = base + s @ edges
+    coeffs = omega.coefficients_batch(pts)
+    vectors = np.broadcast_to(edges, (len(pts),) + edges.shape)
+    out = np.zeros(len(pts))
+    for col, idx in enumerate(omega.indices):
+        out += coeffs[:, col] * _batch_det(vectors[:, :, [i - 1 for i in idx]])
+    return out
+
+
+@st.composite
+def minor_cases(draw):
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k, 3))
+    indices = draw(basis_indices(n, k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(1, 12))
+    return n, k, indices, rng, rows
+
+
+@PROPERTY
+@given(minor_cases())
+def test_covector_evaluation_matches_loop_reference(case):
+    n, k, indices, rng, rows = case
+    alpha = Covector(n, k, {idx: rng.normal() for idx in indices})
+    vs = rng.normal(size=(rows, k, n))
+    assert np.array_equal(alpha.evaluate_batch(vs), reference_covector(alpha, vs))
+
+
+@PROPERTY
+@given(minor_cases())
+def test_pullback_field_matches_loop_reference(case):
+    n, k, indices, rng, rows = case
+    omega = FormField.from_polynomials(n, k, {
+        idx: {tuple(rng.integers(0, 3, n)): rng.normal() for _ in range(3)}
+        for idx in indices
+    })
+    base, edges = rng.normal(size=n), rng.normal(size=(k, n))
+    s = rng.dirichlet(np.ones(k + 1), size=rows)[:, 1:]
+    assert np.array_equal(
+        omega.pullback_affine(base, edges)(s), reference_pullback(omega, base, edges, s)
+    )
+
+
+@st.composite
+def constant_form_cases(draw):
+    n = draw(st.integers(2, 3))
+    k = draw(st.integers(1, n))
+    indices = draw(basis_indices(n, k))
+    magnitudes = st.floats(0.1, 4.0) | st.floats(-4.0, -0.1)
+    omega = FormField.constant_form(n, {idx: draw(magnitudes) for idx in indices})
+    # the M^k grid stays at or below 32,768 combinations
+    nodes = draw(st.integers(4, 16) if n == 2 else st.integers(3, 6 if k == 1 else 4))
+    return omega, draw(st.sampled_from([1.5, 2.0, 3.0])), nodes
+
+
+@settings(max_examples=30, deadline=2000)
+@given(constant_form_cases())
+def test_lp_sphere_norm_power_is_the_pointwise_sphere_norm(case):
+    omega, p, nodes = case
+    n = omega.dimension
+    box = AxisBox(np.zeros(n), np.ones(n))
+    config = LpEstimatorConfig(samples=2, sphere_nodes=nodes)
+    est = lp_sphere_norm(omega, box, p, config)
+    pointwise = sphere_norm(
+        omega.evaluate(np.zeros(n)), SphereNormConfig(p=p, nodes_or_samples=nodes)
+    )
+    assert abs(est.power_value - pointwise.value**p) <= 1e-12 * pointwise.value**p

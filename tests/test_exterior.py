@@ -9,10 +9,12 @@ Frozen reference values are exact integrals computed by hand:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from formflux import exterior
 from formflux.errors import ArgumentError
 from formflux.exterior import (
     Covector,
@@ -20,6 +22,7 @@ from formflux.exterior import (
     euclidean_norm,
     sort_with_sign,
     sphere_norm,
+    sphere_power_integrals,
     sphere_quadrature,
     unit_sphere_area,
     wedge,
@@ -230,3 +233,24 @@ def test_sphere_norm_error_estimate_brackets_truth():
     # int_0^{2pi} |cos|^3 = 8/3
     exact = (8.0 / 3.0) ** (1.0 / 3.0)
     assert abs(est.value - exact) <= max(est.error, 1e-9)
+
+
+def _traced_sphere_powers(coeffs, indices):
+    tracemalloc.start()
+    try:
+        values, _ = sphere_power_integrals(coeffs, indices, 3, 3.0, 12)
+        return values, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sphere_power_memory_follows_the_grid_chunk(monkeypatch):
+    # 288 nodes on S^2, so 82,944 combinations: one chunk at the default
+    # size, 21 chunks of 4,096
+    coeffs = np.random.default_rng(5).normal(size=(3, 3))
+    indices = [(1, 2), (1, 3), (2, 3)]
+    one_chunk, one_peak = _traced_sphere_powers(coeffs, indices)
+    monkeypatch.setattr(exterior, "_GRID_CHUNK", 4096)
+    chunked, chunked_peak = _traced_sphere_powers(coeffs, indices)
+    assert np.allclose(chunked, one_chunk, rtol=1e-13, atol=0.0)
+    assert chunked_peak < 0.1 * one_peak
