@@ -27,6 +27,7 @@ times the face magnitude are floored to zero.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -48,9 +49,21 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=32)
+def _face_index(m):
+    """Row i lists the points of face i of an m-tuple: all but point i."""
+    keep = np.array([[j for j in range(m) if j != i] for i in range(m)], dtype=np.intp)
+    keep.flags.writeable = False
+    return keep
+
+
 def _faces(tuples):
-    """Face i of each m-tuple omits point i: (N, m, n) -> (m, N, m-1, n)."""
-    return np.stack([np.delete(tuples, i, axis=1) for i in range(tuples.shape[1])])
+    """Face i of each m-tuple omits point i: (N, m, n) -> (m, N, m-1, n).
+
+    One gather, returned as a transposed view: face i is strided over the
+    tuples.
+    """
+    return np.take(tuples, _face_index(tuples.shape[1]), axis=1).swapaxes(0, 1)
 
 
 def _alternating_sum(face_values):

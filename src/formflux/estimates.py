@@ -20,10 +20,6 @@ class Estimate:
         if self.error < 0:
             raise ValueError("error must be >= 0")
 
-    def agrees_with(self, other_value, n_sigma=3.0, rel_slack=0.0):
-        tol = n_sigma * self.error + rel_slack * abs(other_value)
-        return abs(self.value - other_value) <= tol
-
 
 @dataclass(frozen=True)
 class SeminormEstimate:

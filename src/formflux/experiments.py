@@ -331,8 +331,10 @@ def dd_zero_residual(F: Multifunction, points):
     """
     ddF = DifferentialMultifunction(DifferentialMultifunction(F))
     value = abs(ddF.evaluate(points))
-    pairs = combinations(range(len(points)), 2)
-    faces = np.stack([np.delete(points, pair, axis=0) for pair in pairs])
+    m = len(points)
+    keep = [[t for t in range(m) if t not in pair]
+            for pair in combinations(range(m), 2)]
+    faces = np.take(points, np.array(keep, dtype=np.intp), axis=0)
     return value, 2.0 * float(np.sum(np.abs(F.evaluate_batch(faces))))
 
 

@@ -241,8 +241,10 @@ class FormField:
 
         The callables receive an (N, n) float array in an unspecified memory
         order; the pullback and the mollifier convolution pass column-major
-        views.  For reproducible bits, compute each row on its own (numpy
-        elementwise operations do; a matrix product may not).
+        views of a buffer they reuse for the next node block, so a callable
+        must not keep its argument or cache results on its identity.  For
+        reproducible bits, compute each row on its own (numpy elementwise
+        operations do; a matrix product may not).
         """
         backend = "analytic" if smooth else "rough"
         if backend == "rough":
@@ -364,7 +366,10 @@ class FormField:
         an (M, k) array of simplex coordinates.
         """
         base = np.asarray(base, dtype=float)
-        edges = np.atleast_2d(np.asarray(edges, dtype=float))
+        edges = np.asarray(edges, dtype=float)
+        if edges.shape == (0,):  # no edges, not one empty edge as atleast_2d reads it
+            edges = edges.reshape(0, self.dimension)
+        edges = np.atleast_2d(edges)
         if edges.shape != (self.degree, self.dimension):
             raise ArgumentError(
                 f"need {self.degree} edges of dimension {self.dimension}, "
@@ -387,6 +392,20 @@ class FormField:
             f"FormField(n={self.dimension}, k={self.degree}, "
             f"backend={self.backend!r}, indices={self.indices})"
         )
+
+
+# ---------------------------------------------------------------------------
+# node blocks
+
+# Quadrature nodes evaluated per block by the pullback (simplex.edge_integrals)
+# and the mollifier convolution: a block's node positions and coefficient
+# temporaries stay within a few MB, whatever the batch size.
+_NODE_BLOCK = 1 << 15
+
+
+def _block_rows(nodes):
+    """Rows per node block when each row carries `nodes` quadrature nodes."""
+    return max(1, _NODE_BLOCK // max(1, nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -482,21 +501,28 @@ def mollify(omega, eta, quadrature_nodes=None):
     def convolve(idx, weights, pts):
         """sum_q omega_idx(pts - y_q) weights[q], chunk points at a time.
 
-        The shifted nodes are built one coordinate at a time into an
-        (n, chunk, nodes) buffer; the component reads its column-major
-        (chunk * nodes, n) view.  The chunk rule fixes the row count of
-        each vals @ weights, which decides its bits.
+        The chunk rule fixes the row count of each vals @ weights, which
+        decides its bits.  A chunk's values are filled one node block at a
+        time: the shifted nodes x - y_q of a block are built one coordinate
+        at a time into a reused (n, rows, nodes) buffer, and the component
+        reads its column-major (rows * nodes, n) view.
         """
         pts = np.asarray(pts, dtype=float)
         out = np.empty((len(pts),) + weights.shape[1:])
-        buf = np.empty(n * min(chunk, len(pts)) * nodes)
+        rows = _block_rows(nodes)
+        vals = np.empty((min(chunk, len(pts)), nodes))
+        buf = np.empty(n * min(rows, len(pts)) * nodes)
         for lo in range(0, len(pts), chunk):
             block = pts[lo : lo + chunk]
-            shifted = buf[: n * len(block) * nodes].reshape(n, len(block), nodes)
-            for c in range(n):
-                np.subtract.outer(block[:, c], ys[:, c], out=shifted[c])
-            vals = _component_values(omega, idx, shifted.reshape(n, -1).T)
-            out[lo : lo + chunk] = vals.reshape(-1, nodes) @ weights
+            for sub in range(0, len(block), rows):
+                part = block[sub : sub + rows]
+                shifted = buf[: n * len(part) * nodes].reshape(n, len(part), nodes)
+                for c in range(n):
+                    np.subtract.outer(part[:, c], ys[:, c], out=shifted[c])
+                vals[sub : sub + len(part)] = _component_values(
+                    omega, idx, shifted.reshape(n, -1).T
+                ).reshape(-1, nodes)
+            out[lo : lo + chunk] = vals[: len(block)] @ weights
         return out
 
     comps = {idx: functools.partial(convolve, idx, ws) for idx in omega.indices}

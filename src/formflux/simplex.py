@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ArgumentError
 from .exterior import _batch_det, minor_dets
-from .forms import Polynomial
+from .forms import Polynomial, _block_rows
 
 __all__ = [
     "SimplexTuple",
@@ -239,6 +239,12 @@ def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False)
     determinant part uses it instead of edges (the radii having been
     factored out analytically).  With with_mass, also returns the quadrature
     mass sum_q |w_q| |integrand_q|.
+
+    The nodes are evaluated one block of rows at a time (forms._NODE_BLOCK
+    nodes), so the positions and coefficients never exist for the whole
+    batch; only the (N, Q) integrand does.  Its products with the weights
+    run once over the full batch, since a BLAS product's bits depend on
+    how its rows are split.
     """
     n = omega.dimension
     k = omega.degree
@@ -249,26 +255,32 @@ def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False)
             return (out, np.zeros(len(base))) if with_mass else out
         out = omega.coefficients_batch(base)[:, 0]
         return (out, np.abs(out)) if with_mass else out
-    # pos[c] = sum_j outer(edges[:, j, c], P[:, j]) + base[:, c], summed
-    # in order j = 0, 1, ... without fused multiply-adds: the same bits
-    # as einsum("qk,nkd->nqd", P, edges) plus base.  Coordinate-major,
-    # so the coefficients read the column-major (N * Q, n) view.
-    pos = np.empty((n, len(base), len(P)))
-    for c in range(n):
-        np.multiply.outer(edges[:, 0, c], P[:, 0], out=pos[c])
-        for j in range(1, k):
-            pos[c] += np.multiply.outer(edges[:, j, c], P[:, j])
-        pos[c] += base[:, c, np.newaxis]
-    coeffs = omega.coefficients_batch(pos.reshape(n, -1).T).reshape(
-        len(base), len(P), -1
-    )
+    N, Q = len(base), len(P)
     det_source = edges if unit_vectors is None else unit_vectors
     dets = minor_dets(omega.indices, det_source)
-    integrand = np.einsum("nqm,nm->nq", coeffs, dets)
+    integrand = np.empty((N, Q))
+    rows = _block_rows(Q)
+    buf = np.empty(n * min(rows, N) * Q)
+    for lo in range(0, N, rows):
+        hi = min(lo + rows, N)
+        # pos[c] = sum_j outer(edges[:, j, c], P[:, j]) + base[:, c], summed
+        # in order j = 0, 1, ... without fused multiply-adds: the same bits
+        # as einsum("qk,nkd->nqd", P, edges) plus base.  Coordinate-major,
+        # so the coefficients read the column-major (rows * Q, n) view.
+        pos = buf[: n * (hi - lo) * Q].reshape(n, hi - lo, Q)
+        for c in range(n):
+            np.multiply.outer(edges[lo:hi, 0, c], P[:, 0], out=pos[c])
+            for j in range(1, k):
+                pos[c] += np.multiply.outer(edges[lo:hi, j, c], P[:, j])
+            pos[c] += base[lo:hi, c, np.newaxis]
+        coeffs = omega.coefficients_batch(pos.reshape(n, -1).T).reshape(
+            hi - lo, Q, -1
+        )
+        np.einsum("nqm,nm->nq", coeffs, dets[lo:hi], out=integrand[lo:hi])
     out = integrand @ W
     if not with_mass:
         return out
-    return out, np.abs(integrand) @ np.abs(W)
+    return out, np.abs(integrand, out=integrand) @ np.abs(W)
 
 
 def integrate_scalar(rho, simplex, rule=None):

@@ -2,7 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from formflux.alexander_spanier import (
@@ -354,8 +354,14 @@ def test_dd_vanishes_relative_to_second_faces(case):
     assert value <= 1e-12 * scale
 
 
+def _subnormal_case():
+    rng = np.random.default_rng(1)
+    return _user(2, 1, rng.normal(size=2)), rng
+
+
 @PROPERTY
 @given(multifunction_cases(), st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+@example(_subnormal_case(), 0.0, 5e-324)
 def test_differential_is_linear_on_random_multifunctions(case, a, b):
     F, rng = case
     G = _user(F.dimension, F.degree, rng.normal(size=F.dimension))
@@ -368,4 +374,9 @@ def test_differential_is_linear_on_random_multifunctions(case, a, b):
         np.abs(a * F.evaluate_batch(f)) + np.abs(b * G.evaluate_batch(f))
         for f in faces
     )
-    assert np.all(np.abs(lhs - (a * dF + b * dG)) <= 1e-12 * scale)
+    # Rounding model fl(x op y) = (x op y)(1 + d) + e.  The scale bounds the
+    # relative part; the absolute part, |e| <= smallest_subnormal / 2 from
+    # underflow, comes with each product: two per face on the left (a F and
+    # b G), two on the right, (m + 1) smallest_subnormal in all.
+    tiny = (F.degree + 3) * np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(lhs - (a * dF + b * dG)) <= 1e-12 * scale + tiny)

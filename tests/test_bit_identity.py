@@ -3,7 +3,7 @@
 The kernels are restructured for speed but must return the same bits as
 the straightforward numpy expressions kept here as references:
 
-  node positions   base + einsum("qk,nkd->nqd", P, edges)
+  node positions   base + einsum("qk,nkd->nqd", P, edges), all rows at once
   polynomials      sum_terms c * prod(pts ** powers, axis=1)
   convolution      omega(pts[:, None, :] - ys[None]) @ weights, per chunk
   face route       one face at a time, signed sum in face order, snap guard
@@ -11,17 +11,20 @@ the straightforward numpy expressions kept here as references:
 
 Single-tuple evaluation is a batch of one, so it must also give the bits of
 the same tuple evaluated inside a larger batch wherever the base computes
-row by row.
+row by row.  Likewise the pullback and the convolution evaluate their nodes
+in blocks of forms._NODE_BLOCK, and no block size may move a bit.
 """
 
 from functools import lru_cache
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from formflux import forms
 from formflux.alexander_spanier import (
     CoboundaryMultifunction,
     DifferentialMultifunction,
@@ -61,7 +64,7 @@ def reference_coefficients(omega, pts):
     return out
 
 
-def reference_edge_integrals(F, base, edges, unit_vectors=None):
+def reference_edge_integrals(F, base, edges, unit_vectors=None, with_mass=False):
     n = F.dimension
     P, W = F.rule.points, F.rule.weights
     disp = np.einsum("qk,nkd->nqd", P, edges)
@@ -71,7 +74,10 @@ def reference_edge_integrals(F, base, edges, unit_vectors=None):
     dets = np.empty((len(base), len(F.omega.indices)))
     for col, idx in enumerate(F.omega.indices):
         dets[:, col] = _batch_det(det_source[:, :, [i - 1 for i in idx]])
-    return np.einsum("nqm,nm->nq", coeffs, dets) @ W
+    integrand = np.einsum("nqm,nm->nq", coeffs, dets)
+    if with_mass:
+        return integrand @ W, np.abs(integrand) @ np.abs(W)
+    return integrand @ W
 
 
 coordinates = st.floats(-4.0, 4.0, allow_nan=False, width=64)
@@ -161,6 +167,40 @@ def test_scaled_integration_matches_einsum_reference(case):
     assert np.array_equal(F.evaluate_scaled_batch(x0, vs, rs), expected)
 
 
+def _node_block(rows, nodes):
+    """Patch the node block to `rows` rows of `nodes` nodes, or to a single
+    node (one row per block) when rows is 0."""
+    return mock.patch.object(forms, "_NODE_BLOCK", max(1, rows * nodes))
+
+
+# rows per block: 1 node, and 1, 2 or 4 rows, which leave a partial last
+# block on batches of 3, 5 and 6 rows
+block_rows = st.sampled_from([0, 1, 2, 4])
+
+
+@PROPERTY
+@given(integration_cases(), block_rows)
+def test_pullback_node_blocks_keep_the_bits(case, rows):
+    F, x0, vs, rs = case
+    edges = rs[..., np.newaxis] * vs
+    with _node_block(rows, len(F.rule.weights)):
+        plain = edge_integrals(F.omega, F.rule, x0, vs)
+        scaled = edge_integrals(F.omega, F.rule, x0, edges, unit_vectors=vs)
+        plain_mass = edge_integrals(F.omega, F.rule, x0, vs, with_mass=True)
+        scaled_mass = edge_integrals(
+            F.omega, F.rule, x0, edges, unit_vectors=vs, with_mass=True
+        )
+    want_plain = reference_edge_integrals(F, x0, vs, with_mass=True)
+    want_scaled = reference_edge_integrals(
+        F, x0, edges, unit_vectors=vs, with_mass=True
+    )
+    assert np.array_equal(plain, want_plain[0])
+    assert np.array_equal(scaled, want_scaled[0])
+    for got, want in ((plain_mass, want_plain), (scaled_mass, want_scaled)):
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
 # mollify before the coordinate-major layout: row-major shifted nodes, whose
 # polynomial values test_polynomial_batch_matches_reference ties to the plain
 # formula.  The chunk rule stays: the row count of each vals @ weights
@@ -218,20 +258,42 @@ def _across_case(n, gradient):
     return FormField.from_polynomials(n, 0, {(): poly}), eta, pts, gradient
 
 
+def _mollified_closure(omega, eta, gradient):
+    """The rule and the closure of mollify(omega, eta) for its value or its
+    gradient."""
+    smooth = mollify(omega, eta)
+    if gradient:
+        return eta.gradient_rule() + (smooth.partials[()],)
+    return eta.convolution_rule() + (smooth.components[()],)
+
+
 @settings(max_examples=24, deadline=5000)
 @given(mollifier_cases())
 @example(_across_case(2, gradient=True))
 def test_mollified_closures_match_broadcast_reference(case):
     omega, eta, pts, gradient = case
-    smooth = mollify(omega, eta)
-    if gradient:
-        ys, weights = eta.gradient_rule()
-        closure = smooth.partials[()]
-    else:
-        ys, weights = eta.convolution_rule()
-        closure = smooth.components[()]
+    ys, weights, closure = _mollified_closure(omega, eta, gradient)
     expected = reference_convolution(omega, (), ys, weights, pts)
     assert np.array_equal(closure(pts), expected)
+
+
+@st.composite
+def blocked_mollifier_cases(draw):
+    """A mollifier case and rows per node block; a batch across a chunk
+    boundary gets 997-row blocks, which leave a partial block in each chunk."""
+    case = draw(mollifier_cases())
+    return case, draw(block_rows if len(case[2]) <= 8 else st.just(997))
+
+
+@settings(max_examples=24, deadline=5000)
+@given(blocked_mollifier_cases())
+@example((_across_case(2, gradient=False), 997))
+def test_convolution_node_blocks_keep_the_bits(blocked):
+    (omega, eta, pts, gradient), rows = blocked
+    ys, weights, closure = _mollified_closure(omega, eta, gradient)
+    with _node_block(rows, len(ys)):
+        got = closure(pts)
+    assert np.array_equal(got, reference_convolution(omega, (), ys, weights, pts))
 
 
 # CoboundaryMultifunction's face route written out plainly: each face

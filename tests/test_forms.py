@@ -153,6 +153,15 @@ def test_pullback_edge_count_mismatch():
         x1_dx2().pullback_affine([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
 
 
+def test_pullback_of_a_function_takes_an_empty_edge_list():
+    # a 0-form pulls back to its value at the base point
+    f = FormField.from_polynomials(2, 0, {(): {(1, 0): 2.0, (0, 2): 1.0}})
+    field = f.pullback_affine([0.5, -1.5], [])
+    assert field(np.zeros((3, 0))).tolist() == [3.25] * 3
+    with pytest.raises(ArgumentError):
+        x1_dx2().pullback_affine([0.0, 0.0], [])
+
+
 def test_mollifier_profile_properties():
     eta = Mollifier(2, 0.1)
     ys, ws = eta.convolution_rule()

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from formflux.forms import FormField, Polynomial
 from formflux.simplex import (
     SimplexTuple,
     default_rule,
+    edge_integrals,
     grundmann_moller_rule,
     gram_jacobian,
     integrate_form,
@@ -199,3 +201,23 @@ def test_form_rule_mismatch_raises():
         integrate_form(w, [[0.0, 0.0], [1.0, 0.0]], grundmann_moller_rule(2))
     with pytest.raises(ArgumentError):
         integrate_form(w, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+def test_pullback_memory_is_the_integrand_and_one_node_block():
+    # 2048 segments on the 1024-node rough rule: 2^21 nodes, a 16 MiB
+    # integrand.  Positions and coefficients exist one node block at a time.
+    rng = np.random.default_rng(3)
+    omega = FormField.from_callables(2, 1, {
+        (1,): lambda p: np.sign(p[:, 0] - 0.1),
+        (2,): lambda p: np.sin(3.0 * p[:, 1]),
+    })
+    base = rng.uniform(-1.0, 1.0, size=(2048, 2))
+    edges = rng.normal(size=(2048, 1, 2))
+    tracemalloc.start()
+    try:
+        edge_integrals(omega, default_rule(1, smooth=False), base, edges,
+                       with_mass=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2048 * 1024 * 8
