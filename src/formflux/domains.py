@@ -177,10 +177,16 @@ class Domain:
         while got < count:
             batch = max(4 * (count - got), 4096)
             pts = rng.uniform(lo, hi, size=(batch, self.dimension))
-            keep = pts[self.contains_batch(pts)]
-            take = min(len(keep), count - got)
-            out[got : got + take] = keep[:take]
-            got += take
+            # draw the whole batch (the stream must not depend on acceptance),
+            # but test it 4096 rows at a time only until count points are in
+            for sub in range(0, batch, 4096):
+                part = pts[sub : sub + 4096]
+                keep = part[self.contains_batch(part)]
+                take = min(len(keep), count - got)
+                out[got : got + take] = keep[:take]
+                got += take
+                if got == count:
+                    break
             attempts += batch
             if attempts >= _MIN_ATTEMPTS and got / attempts < _REJECTION_FLOOR:
                 raise InefficiencyError(

@@ -200,15 +200,19 @@ def minor_dets(indices, vectors):
     return out
 
 
-def contract_minors(coeffs, dets):
+def contract_minors(coeffs, dets, out=None):
     """sum_m coeffs[..., m] * dets[..., m], added in order m = 0, 1, ...
 
-    The one ordered sum behind covector evaluation and the pullback field;
-    coeffs and dets broadcast against each other.
+    The one ordered sum behind covector evaluation, the pullback field and
+    the pullback kernel; coeffs and dets broadcast against each other.  A
+    given out is zero-filled and receives the sum.
     """
-    out = np.zeros(np.broadcast_shapes(np.shape(coeffs), dets.shape)[:-1])
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(coeffs), dets.shape)[:-1])
+    out.fill(0.0)
+    product = np.empty_like(out)
     for col in range(dets.shape[-1]):
-        out += coeffs[..., col] * dets[..., col]
+        out += np.multiply(coeffs[..., col], dets[..., col], out=product)
     return out
 
 

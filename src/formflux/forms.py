@@ -67,35 +67,25 @@ class Polynomial:
         return cls(dimension, {tuple(powers): 1.0})
 
     def evaluate_batch(self, pts):
-        """Values at pts (N, dimension).
+        """Values at pts (N, dimension): sum over terms of c * monomial.
 
-        The same bits as sum_terms c * prod(pts ** powers, axis=1) on
-        row-major pts, without building pts ** powers for every term.  Zero
-        exponents are skipped and exponent 1 uses the column itself, both
-        exact; each higher power is computed once per call.  numpy squares
-        instead of calling pow when an exponent of 2 reaches its power loop
-        with stride 0, which pts ** powers does only in dimension 1, so
-        elsewhere the exponent goes in as a full-length array.
+        A monomial is the left-to-right product of its powers x_j^e (zero
+        exponents skipped), and x_j^e = x_j^(e-1) * x_j is built once per
+        coordinate up to its top exponent.  No pow: products are correctly
+        rounded, while numpy's pow gives bits that depend on the host.
         """
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dimension:
             raise ArgumentError(f"expected points of shape (N, {self.dimension})")
-        n_pts = pts.shape[0]
-        powers_of = {}
-
-        def power(j, e):
-            if e == 1:
-                return pts[:, j]
-            if (j, e) not in powers_of:
-                exponent = (
-                    float(e) if self.dimension == 1 else np.full(n_pts, float(e))
-                )
-                powers_of[j, e] = pts[:, j] ** exponent
-            return powers_of[j, e]
-
-        out = np.zeros(n_pts)
+        powers_of = []  # powers_of[j][e] = x_j^e for 1 <= e <= top exponent
+        for j, top in enumerate(map(max, zip(*self.terms))):
+            ladder = [None, pts[:, j]]
+            for _ in range(1, top):
+                ladder.append(ladder[-1] * pts[:, j])
+            powers_of.append(ladder)
+        out = np.zeros(pts.shape[0])
         for powers, c in self.terms.items():
-            factors = [power(j, e) for j, e in enumerate(powers) if e]
+            factors = [powers_of[j][e] for j, e in enumerate(powers) if e]
             out += c * functools.reduce(np.multiply, factors) if factors else c
         return out
 
@@ -259,11 +249,11 @@ class FormField:
     # -- evaluation ----------------------------------------------------------
 
     def coefficients_batch(self, pts):
-        """Coefficient values at pts (N, n), ordered by self.indices -> (N, m)."""
+        """Column-major coefficient values (N, m) at pts (N, n), by self.indices."""
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dimension:
             raise ArgumentError(f"expected points of shape (N, {self.dimension})")
-        out = np.empty((pts.shape[0], len(self.indices)))
+        out = np.empty((len(self.indices), pts.shape[0])).T
         for col, idx in enumerate(self.indices):
             comp = self.components[idx]
             if isinstance(comp, Polynomial):
@@ -287,10 +277,7 @@ class FormField:
     __call__ = evaluate
 
     def euclidean_norm_batch(self, pts):
-        coeffs = self.coefficients_batch(pts)
-        if coeffs.shape[1] == 0:
-            return np.zeros(len(pts))
-        return np.sqrt(np.sum(coeffs**2, axis=1))
+        return np.sqrt(np.sum(self.coefficients_batch(pts) ** 2, axis=1))
 
     def is_constant(self):
         return self.backend == "polynomial" and all(

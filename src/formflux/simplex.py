@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError
-from .exterior import _batch_det, minor_dets
+from .exterior import _batch_det, contract_minors, minor_dets
 from .forms import Polynomial, _block_rows
 
 __all__ = [
@@ -264,9 +264,9 @@ def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False)
     for lo in range(0, N, rows):
         hi = min(lo + rows, N)
         # pos[c] = sum_j outer(edges[:, j, c], P[:, j]) + base[:, c], summed
-        # in order j = 0, 1, ... without fused multiply-adds: the same bits
-        # as einsum("qk,nkd->nqd", P, edges) plus base.  Coordinate-major,
-        # so the coefficients read the column-major (rows * Q, n) view.
+        # in order j = 0, 1, ... without fused multiply-adds.  Coordinate-
+        # major, so the coefficients read the column-major (rows * Q, n) view
+        # and return column-major (rows * Q, m) values.
         pos = buf[: n * (hi - lo) * Q].reshape(n, hi - lo, Q)
         for c in range(n):
             np.multiply.outer(edges[lo:hi, 0, c], P[:, 0], out=pos[c])
@@ -276,7 +276,7 @@ def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False)
         coeffs = omega.coefficients_batch(pos.reshape(n, -1).T).reshape(
             hi - lo, Q, -1
         )
-        np.einsum("nqm,nm->nq", coeffs, dets[lo:hi], out=integrand[lo:hi])
+        contract_minors(coeffs, dets[lo:hi, np.newaxis], out=integrand[lo:hi])
     out = integrand @ W
     if not with_mass:
         return out

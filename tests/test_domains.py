@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from formflux.domains import (
     Annulus,
     AxisBox,
     Ball,
     ConvexPolytope,
+    Domain,
     SetDifference,
     SlitBox,
     dist_point_to_simplex,
@@ -127,6 +130,73 @@ def test_sample_uniform_inefficient_raises():
     thin = Annulus([0.0, 0.0], 0.99995, 1.0)
     with pytest.raises(InefficiencyError):
         thin.sample_uniform(5000, seed=0)
+
+
+def reference_sample_uniform(domain, count, rng):
+    """Domain.sample_uniform with every candidate of every batch tested."""
+    lo, hi = domain.bounding_box()
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    out = np.empty((count, domain.dimension))
+    got = 0
+    attempts = 0
+    while got < count:
+        batch = max(4 * (count - got), 4096)
+        pts = rng.uniform(lo, hi, size=(batch, domain.dimension))
+        keep = pts[domain.contains_batch(pts)]
+        take = min(len(keep), count - got)
+        out[got : got + take] = keep[:take]
+        got += take
+        attempts += batch
+        if attempts >= 20000 and got / attempts < 1e-3:
+            raise InefficiencyError("", acceptance_ratio=got / attempts, samples=got)
+    return out
+
+
+def _sample_or_error(sample, domain, count, seed):
+    rng = np.random.default_rng(seed)
+    try:
+        result = sample(domain, count, rng)
+    except InefficiencyError as err:
+        result = (err.acceptance_ratio, err.samples)
+    return result, rng.bit_generator.state
+
+
+SAMPLED_DOMAINS = {
+    "box": AxisBox([-1.0, 0.0, 0.5], [1.0, 0.5, 2.0]),
+    "disc": Ball([0.2, -0.1], 0.8),
+    "ball": Ball([0.0, 0.0, 0.0], 1.0),
+    "annulus": ANNULUS,
+    "thin annulus": Annulus([0.0, 0.0], 0.9, 1.0),
+    "hair annulus": Annulus([0.0, 0.0], 0.99995, 1.0),
+}
+
+
+# Candidates are tested 4096 at a time: the counts straddle the first
+# sub-block (1024 fills one batch of 4096 at acceptance 1), several
+# sub-blocks of one batch, and several batches at low acceptance.
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(SAMPLED_DOMAINS)),
+    st.integers(0, 9000),
+    st.integers(0, 2**32 - 1),
+)
+@example("box", 1024, 0)
+@example("box", 1025, 0)
+@example("disc", 3217, 1)
+@example("annulus", 2000, 2)
+@example("thin annulus", 5000, 3)
+@example("hair annulus", 5000, 0)
+def test_sub_block_sampler_matches_reference(name, count, seed):
+    domain = SAMPLED_DOMAINS[name]
+    got, state = _sample_or_error(Domain.sample_uniform, domain, count, seed)
+    want, want_state = _sample_or_error(reference_sample_uniform, domain, count, seed)
+    assert state == want_state
+    assert type(got) is type(want)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
 
 
 def test_dist_lipschitz_along_segments():

@@ -1,5 +1,6 @@
 """Tests for form fields: evaluation, d, pullback, mollify, L^p norms."""
 
+import gc
 import math
 
 import numpy as np
@@ -52,6 +53,20 @@ def test_polynomial_batch_rejects_wrong_point_shape(shape):
     p = Polynomial(2, {(1, 0): 1.0, (0, 2): 3.0})
     with pytest.raises(ArgumentError):
         p.evaluate_batch(np.ones(shape))
+
+
+def test_polynomial_batch_leaves_no_reference_cycle():
+    # the power ladder is a plain loop; a self-referencing helper would leave
+    # one cycle per call for the collector, which the pullback calls per block
+    poly = Polynomial(3, {(3, 0, 1): 2.0, (0, 5, 2): -1.0, (1, 1, 1): 0.5})
+    pts = np.random.default_rng(0).normal(size=(64, 3))
+    gc.collect()
+    gc.disable()
+    try:
+        poly.evaluate_batch(pts)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_evaluate_form():
