@@ -5,7 +5,7 @@ their Alexander-Spanier coboundaries dI_omega, and singular-kernel
 seminorms of multifunctions, estimated by importance-sampled Monte Carlo
 with deterministic sharding.  Theta sweeps extrapolate the theta -> 1
 limits; experiment drivers compare them against closed-form and
-quadrature-oracle targets.
+sphere-norm targets.
 """
 
 from .alexander_spanier import (

@@ -5,13 +5,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+def delta_method_root(power, power_err, p):
+    """(value, err) of power^{1/p}, err by the delta method; (0, 0) when
+    power <= 0."""
+    if power <= 0.0:
+        return 0.0, 0.0
+    value = power ** (1.0 / p)
+    # d(q^{1/p})/dq = q^{1/p - 1} / p
+    return value, power_err * value / (p * power)
+
+
 @dataclass(frozen=True)
 class Estimate:
-    """A numerical value with a conservative error estimate.
-
-    ``error`` mixes quadrature and statistical contributions; callers that
-    need to distinguish them should look at the producing function.
-    """
+    """A numerical value with its error: 0.0 when the value is exact,
+    otherwise a standard error (see the producing function)."""
 
     value: float
     error: float = 0.0

@@ -160,8 +160,9 @@ class ExperimentReport:
 def _target_power(spec):
     """(target, uncertainty) for the limit of the p-th power of the
     coboundary seminorm: K(p, k+1)^p times the L^p sphere-norm integral of
-    d omega.  Constant d omega uses the deterministic sphere quadrature and
-    the exact volume; otherwise the Monte Carlo spatial integral."""
+    d omega.  Constant d omega uses sphere_norm at one point, exact for
+    decomposable degrees, and the exact volume; otherwise lp_sphere_norm,
+    the closed-form sphere norm under a Monte Carlo spatial integral."""
     if spec.expected_kind == "closed-form":
         return float(spec.expected_value), 0.0
     if spec.expected_kind == "qualitative":

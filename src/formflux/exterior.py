@@ -8,19 +8,29 @@ the directional sphere norm
 
     |alpha|_{S,p}^p = int_{(S^{n-1})^k} |alpha(v_1,...,v_k)|^p dH(v_1)...dH(v_k)
 
-computed by product quadrature (n = 2, 3) or Monte Carlo (any n).
+which is |alpha|_2^p times the constant C(n, k, p) of sphere_power_constant
+when alpha is decomposable (always so for k <= 1 or k >= n - 1, hence for
+every covector in n <= 3), and is estimated by Monte Carlo otherwise.
+
+Why C: a Gaussian n x k matrix G is V diag(|g_i|) with V uniform on
+(S^{n-1})^k and |g_i| ~ chi_n independent of V, so
+E|alpha(G)|^p = E|alpha(V)|^p (E chi_n^p)^k.  By rotation invariance a
+decomposable alpha acts like |alpha|_2 times a top k x k minor, which is a
+k x k Gaussian determinant with E|det|^p = prod_{j=1..k} E chi_j^p
+(Bartlett decomposition).  With E chi_m^p = 2^{p/2} Gamma((m+p)/2) /
+Gamma(m/2) the powers of 2 cancel and the area A_n^k turns the mean into
+the integral.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentError
-from .estimates import Estimate
+from .estimates import Estimate, delta_method_root
 
 __all__ = [
     "Covector",
@@ -28,11 +38,11 @@ __all__ = [
     "wedge",
     "euclidean_norm",
     "sphere_norm",
+    "sphere_power_constant",
+    "decomposable_degree",
     "unit_sphere_area",
-    "sphere_quadrature",
     "minor_dets",
     "contract_minors",
-    "sphere_power_integrals",
 ]
 
 
@@ -241,24 +251,13 @@ def euclidean_norm(alpha: Covector) -> float:
 
 @dataclass(frozen=True)
 class SphereNormConfig:
-    """Configuration for sphere_norm.
-
-    nodes_or_samples is the per-factor node count for product quadrature
-    (per angle for n = 3) and the total sample count for Monte Carlo.
-    """
+    """Configuration for sphere_norm: the exponent p >= 1."""
 
     p: float = 2.0
-    method: str = "product-quadrature"
-    nodes_or_samples: int = 128
-    seed: int = 0
 
     def __post_init__(self):
         if self.p < 1:
             raise ArgumentError("p must be >= 1")
-        if self.nodes_or_samples < 1:
-            raise ArgumentError("nodes_or_samples must be >= 1")
-        if self.method not in ("product-quadrature", "monte-carlo"):
-            raise ArgumentError(f"unknown sphere-norm method {self.method!r}")
 
 
 def unit_sphere_area(n):
@@ -266,143 +265,50 @@ def unit_sphere_area(n):
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def sphere_quadrature(n, nodes):
-    """Quadrature points and weights on S^{n-1}, weights summing to its area.
+def decomposable_degree(n, k):
+    """True when every k-covector on R^n is a wedge of 1-covectors."""
+    return k <= 1 or k >= n - 1
 
-    n = 2: trapezoidal rule on [0, 2pi), spectrally accurate for smooth
-    periodic integrands.  n = 3: product of Gauss-Legendre in cos(theta) and
-    trapezoid in phi.  Other dimensions are not supported by quadrature; use
-    the monte-carlo method instead.
+
+def sphere_power_constant(n, k, p):
+    """C(n, k, p) = |alpha|_{S,p}^p / |alpha|_2^p for decomposable alpha:
+
+        A_n^k prod_{j=1..k} Gamma((j+p)/2) / Gamma(j/2)
+              * (Gamma(n/2) / Gamma((n+p)/2))^k
+
+    with A_n = unit_sphere_area(n).  Computed through lgamma, so that large
+    p does not overflow.
     """
-    if n == 1:
-        pts = np.array([[1.0], [-1.0]])
-        wts = np.array([1.0, 1.0])
-        return pts, wts
-    if n == 2:
-        phi = 2.0 * math.pi * np.arange(nodes) / nodes
-        pts = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-        wts = np.full(nodes, 2.0 * math.pi / nodes)
-        return pts, wts
-    if n == 3:
-        m_polar = nodes
-        m_phi = 2 * nodes
-        u, gl_w = np.polynomial.legendre.leggauss(m_polar)  # u = cos(theta)
-        phi = 2.0 * math.pi * np.arange(m_phi) / m_phi
-        su = np.sqrt(np.maximum(0.0, 1.0 - u**2))
-        pts = np.empty((m_polar * m_phi, 3))
-        wts = np.empty(m_polar * m_phi)
-        idx = 0
-        for i in range(m_polar):
-            block = slice(idx, idx + m_phi)
-            pts[block, 0] = su[i] * np.cos(phi)
-            pts[block, 1] = su[i] * np.sin(phi)
-            pts[block, 2] = u[i]
-            wts[block] = gl_w[i] * (2.0 * math.pi / m_phi)
-            idx += m_phi
-        return pts, wts
-    raise ArgumentError(
-        f"product quadrature on S^{n - 1} is unsupported for n = {n}; "
-        "use method='monte-carlo'"
-    )
+    log_c = k * (math.lgamma(n / 2.0) - math.lgamma((n + p) / 2.0))
+    for j in range(1, k + 1):
+        log_c += math.lgamma((j + p) / 2.0) - math.lgamma(j / 2.0)
+    return unit_sphere_area(n) ** k * math.exp(log_c)
 
 
-# combinations of the sphere grid handled per pass of sphere_power_integrals
-_GRID_CHUNK = 1 << 20
-
-
-def sphere_power_integrals(coeffs, indices, n, p, nodes):
-    """int_{(S^{n-1})^k} |alpha_i(v_1,...,v_k)|^p for each coefficient row.
-
-    coeffs is (N, len(indices)), row i holding the coefficients of alpha_i
-    over the basis indices (non-empty, all of degree k).  Product quadrature
-    on the M^k tensor grid of sphere_quadrature(n, nodes), walked
-    _GRID_CHUNK combinations at a time with at most 1 << 24 rows x
-    combinations per block, so memory is bounded whatever the node count.
-
-    Returns the integrals and their relative error from a half-resolution
-    rule, times 10 for non-even p (|.|^p has a kink at zeros).
-    """
-    k = len(indices[0])
-
-    def integrate(m):
-        pts, wts = sphere_quadrature(n, m)
-        total = len(pts) ** k
-        out = np.zeros(len(coeffs))
-        for lo in range(0, total, _GRID_CHUNK):
-            combo = np.stack(
-                np.unravel_index(
-                    np.arange(lo, min(lo + _GRID_CHUNK, total)), (len(pts),) * k
-                ),
-                axis=1,
-            )
-            add(out, minor_dets(indices, pts[combo]), np.prod(wts[combo], axis=1))
-        return out
-
-    # a function, so that a chunk's tables are freed before the next is built
-    def add(out, dets, w):
-        """out += |coeffs @ dets.T|^p @ w, one block of rows at a time."""
-        rows = max(1, (1 << 24) // len(dets))
-        for r in range(0, len(coeffs), rows):
-            block = coeffs[r : r + rows] @ dets.T
-            np.abs(block, out=block)
-            block **= p
-            out[r : r + rows] += block @ w
-
-    full = integrate(nodes)
-    half = integrate(max(2, nodes // 2))
-    rel = np.abs(full - half) / np.maximum(np.abs(full), 1e-300)
-    if p != 2.0 * round(p / 2.0):
-        rel *= 10.0
-    return full, rel
+# Monte Carlo sample count and seed for non-decomposable degrees
+_MC_SAMPLES = 200_000
+_MC_SEED = 0
 
 
 def sphere_norm(alpha: Covector, cfg: SphereNormConfig = SphereNormConfig()) -> Estimate:
-    """The sphere norm |alpha|_{S,p} with a conservative error estimate.
+    """The sphere norm |alpha|_{S,p} with its error estimate.
 
-    Degree 0 is the scalar absolute value (empty product of sphere
-    integrals).  Degree n reduces by homogeneity to the single top
-    coefficient times the sphere norm of the unit top covector, which is
-    computed (and cached), not assumed.
+    Exact for decomposable degrees (k <= 1 or k >= n - 1, every covector in
+    n <= 3): |alpha|_2 * sphere_power_constant(n, k, p)^{1/p}, error 0.
+    Otherwise (n >= 4, 2 <= k <= n - 2) Monte Carlo over _MC_SAMPLES uniform
+    k-tuples of directions, with a delta-method standard error.
     """
-    n, k = alpha.dimension, alpha.degree
-    if k == 0:
-        return Estimate(abs(alpha.coeffs.get((), 0.0)), 0.0)
-    if k > n or alpha.is_zero():
-        return Estimate(0.0, 0.0)
-    if k == n:
-        c = alpha.coeffs.get(tuple(range(1, n + 1)), 0.0)
-        unit = _unit_top_norm(n, cfg)
-        return Estimate(abs(c) * unit.value, abs(c) * unit.error)
-    return _sphere_norm(alpha, cfg)
-
-
-@functools.lru_cache(maxsize=32)
-def _unit_top_norm(n, cfg):
-    return _sphere_norm(Covector.basis(n, tuple(range(1, n + 1))), cfg)
-
-
-def _sphere_norm(alpha, cfg):
-    """sphere_norm for degrees 1..n, by product quadrature or Monte Carlo."""
     n, k, p = alpha.dimension, alpha.degree, cfg.p
-    if cfg.method == "product-quadrature":
-        coeffs = np.array([list(alpha.coeffs.values())])
-        q, rel = sphere_power_integrals(
-            coeffs, list(alpha.coeffs), n, p, cfg.nodes_or_samples
-        )
-        q, q_err = float(q[0]), float(rel[0] * q[0])
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-        n_samples = cfg.nodes_or_samples
-        g = rng.standard_normal((n_samples, k, n))
-        g /= np.linalg.norm(g, axis=2, keepdims=True)
-        vals = np.abs(alpha.evaluate_batch(g)) ** p
-        area = unit_sphere_area(n) ** k
-        q = area * float(np.mean(vals))
-        q_err = area * float(np.std(vals, ddof=1)) / math.sqrt(n_samples)
-
-    if q <= 0.0:
-        return Estimate(0.0, q_err ** (1.0 / p) if q_err > 0 else 0.0)
-    value = q ** (1.0 / p)
-    # delta method: d(q^{1/p})/dq = q^{1/p - 1} / p
-    err = q_err * value / (p * q)
-    return Estimate(value, err)
+    if alpha.is_zero():
+        return Estimate(0.0, 0.0)
+    if decomposable_degree(n, k):
+        scale = sphere_power_constant(n, k, p) ** (1.0 / p)
+        return Estimate(euclidean_norm(alpha) * scale)
+    rng = np.random.default_rng(np.random.SeedSequence(_MC_SEED))
+    g = rng.standard_normal((_MC_SAMPLES, k, n))
+    g /= np.linalg.norm(g, axis=2, keepdims=True)
+    vals = np.abs(alpha.evaluate_batch(g)) ** p
+    area = unit_sphere_area(n) ** k
+    q = area * float(np.mean(vals))
+    q_err = area * float(np.std(vals, ddof=1)) / math.sqrt(_MC_SAMPLES)
+    return Estimate(*delta_method_root(q, q_err, p))

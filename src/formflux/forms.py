@@ -18,13 +18,14 @@ import math
 import numpy as np
 
 from .errors import ArgumentError, UnsupportedOperationError
-from .estimates import SeminormEstimate
+from .estimates import SeminormEstimate, delta_method_root
 from .exterior import (
     Covector,
     contract_minors,
+    decomposable_degree,
     minor_dets,
     sort_with_sign,
-    sphere_power_integrals,
+    sphere_power_constant,
 )
 
 __all__ = [
@@ -538,24 +539,11 @@ def _component_values(omega, idx, pts):
 class LpEstimatorConfig:
     """Monte Carlo settings for the spatial integral."""
 
-    def __init__(self, samples=20000, seed=0, sphere_nodes=64):
+    def __init__(self, samples=20000, seed=0):
         if samples < 2:
             raise ArgumentError("need at least 2 samples")
         self.samples = int(samples)
         self.seed = int(seed)
-        self.sphere_nodes = int(sphere_nodes)
-
-
-def _power_mean_estimate(values, p, volume, extra_rel_error=0.0):
-    mean = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1)) / math.sqrt(len(values))
-    power = volume * mean
-    power_err = volume * stderr + abs(power) * extra_rel_error * p
-    if power <= 0.0:
-        return 0.0, 0.0, max(power, 0.0), power_err
-    value = power ** (1.0 / p)
-    err = power_err * value / (p * power)
-    return value, err, power, power_err
 
 
 def lp_norm(omega, domain, p, config=None):
@@ -564,14 +552,15 @@ def lp_norm(omega, domain, p, config=None):
         raise ArgumentError("p must be >= 1")
     config = config or LpEstimatorConfig()
     pts = domain.sample_uniform(config.samples, seed=config.seed)
-    norms = omega.euclidean_norm_batch(pts)
-    value, err, power, power_err = _power_mean_estimate(
-        norms**p, p, domain.volume()
-    )
+    values = omega.euclidean_norm_batch(pts) ** p
+    volume = domain.volume()
+    power = volume * float(np.mean(values))
+    power_err = volume * (float(np.std(values, ddof=1)) / math.sqrt(len(values)))
+    value, err = delta_method_root(power, power_err, p)
     return SeminormEstimate(
         value=value,
         stderr=err,
-        power_value=power,
+        power_value=max(power, 0.0),
         power_stderr=power_err,
         samples=config.samples,
         acceptance_ratio=1.0,
@@ -583,41 +572,21 @@ def lp_norm(omega, domain, p, config=None):
 def lp_sphere_norm(omega, domain, p, config=None):
     """(int_Omega |omega_x|_{S,p}^p dx)^{1/p}: sphere norm composed with L^p.
 
-    The pointwise power integrals come from sphere_power_integrals, one
-    coefficient row per sample point.
+    For decomposable degrees (k <= 1 or k >= n - 1) the sphere norm is
+    C(n, k, p)^{1/p} times the coefficient norm at every point
+    (exterior.sphere_power_constant), so this is lp_norm on the same
+    samples, scaled.  Other degrees are not supported.
     """
-    if p < 1:
-        raise ArgumentError("p must be >= 1")
-    config = config or LpEstimatorConfig()
     n, k = omega.dimension, omega.degree
-    pts = domain.sample_uniform(config.samples, seed=config.seed)
-    if k == 0:
-        vals = np.abs(omega.coefficients_batch(pts)[:, 0]) ** p
-        rel_sphere = 0.0
-    elif n > 3:
+    if not decomposable_degree(n, k):
         raise UnsupportedOperationError(
-            "sphere-product quadrature is limited to n <= 3"
+            "lp_sphere_norm needs a decomposable degree (k <= 1 or k >= n - 1), "
+            f"got k = {k} in R^{n}"
         )
-    elif not omega.indices:
-        vals, rel_sphere = np.zeros(len(pts)), 0.0
-    else:
-        vals, rel = sphere_power_integrals(
-            omega.coefficients_batch(pts), omega.indices, n, p, config.sphere_nodes
-        )
-        rel_sphere = float(np.max(rel))
-    value, err, power, power_err = _power_mean_estimate(
-        vals, p, domain.volume(), extra_rel_error=rel_sphere
-    )
-    return SeminormEstimate(
-        value=value,
-        stderr=err,
-        power_value=power,
-        power_stderr=power_err,
-        samples=config.samples,
-        acceptance_ratio=1.0,
-        config={"kind": "lp_sphere_norm", "p": p, "samples": config.samples,
-                "seed": config.seed, "sphere_nodes": config.sphere_nodes},
-    )
+    est = lp_norm(omega, domain, p, config)
+    est = est.scaled(sphere_power_constant(n, k, p) ** (1.0 / p))
+    est.config["kind"] = "lp_sphere_norm"
+    return est
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ import numpy as np
 
 from .alexander_spanier import IntegrationMultifunction, Multifunction
 from .errors import ArgumentError, InefficiencyError
-from .estimates import SeminormEstimate
+from .estimates import SeminormEstimate, delta_method_root
 from .exterior import unit_sphere_area
 from .forms import LpEstimatorConfig, lp_norm
 
@@ -177,16 +177,11 @@ def _config_echo(cfg, k, R):
 
 def _finalize(acc, p, echo, acceptance):
     power, power_stderr = acc.mean_and_stderr()
-    if power <= 0.0:
-        value, stderr = 0.0, 0.0
-        power = max(power, 0.0)
-    else:
-        value = power ** (1.0 / p)
-        stderr = power_stderr * value / (p * power)
+    value, stderr = delta_method_root(power, power_stderr, p)
     return SeminormEstimate(
         value=value,
         stderr=stderr,
-        power_value=power,
+        power_value=max(power, 0.0),
         power_stderr=power_stderr,
         samples=acc.n,
         acceptance_ratio=acceptance,

@@ -380,3 +380,40 @@ def test_differential_is_linear_on_random_multifunctions(case, a, b):
     # b G), two on the right, (m + 1) smallest_subnormal in all.
     tiny = (F.degree + 3) * np.finfo(float).smallest_subnormal
     assert np.all(np.abs(lhs - (a * dF + b * dG)) <= 1e-12 * scale + tiny)
+
+
+@st.composite
+def vertex_swap_cases(draw):
+    """A random polynomial k-form (k = 1, 2, n = 2, 3, integrand degree
+    <= 6, so the degree-7 rule is exact), integration or coboundary, a
+    random tuple and two distinct vertex positions to swap."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 2))
+    omega = FormField.from_polynomials(n, k, {
+        idx: random_dyadic_polynomial(rng, n)
+        for idx in combinations(range(1, n + 1), k)
+    })
+    coboundary = draw(st.booleans())
+    arity = k + 2 if coboundary else k + 1
+    i, j = draw(st.lists(st.integers(0, arity - 1), min_size=2, max_size=2,
+                         unique=True))
+    return omega, coboundary, rng.normal(size=(arity, n)), i, j
+
+
+@settings(max_examples=60, deadline=2000)
+@given(vertex_swap_cases())
+def test_vertex_swap_negates_integration_and_coboundary(case):
+    omega, coboundary, points, i, j = case
+    swapped = points.copy()
+    swapped[[i, j]] = points[[j, i]]
+    # rounding scale: the quadrature mass sum_q |w_q| |integrand_q| of every
+    # simplex integrated, which bounds |value| and cannot cancel
+    if coboundary:
+        F = CoboundaryMultifunction(omega)
+        faces = np.stack([np.delete(points, m, axis=0) for m in range(len(points))])
+    else:
+        F = IntegrationMultifunction(omega)
+        faces = points[np.newaxis]
+    _, mass = IntegrationMultifunction(omega).evaluate_batch_with_mass(faces)
+    assert abs(F.evaluate(swapped) + F.evaluate(points)) <= 1e-12 * mass.sum()

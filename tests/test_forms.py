@@ -262,7 +262,7 @@ def test_lp_norm_zero_form():
 
 
 def test_lp_sphere_norm_constant_forms():
-    cfg = LpEstimatorConfig(samples=4000, seed=2, sphere_nodes=64)
+    cfg = LpEstimatorConfig(samples=4000, seed=2)
     one = lp_sphere_norm(FormField.constant_form(2, {(1,): 1.0}), UNIT_BOX, 2.0, cfg)
     assert one.value == pytest.approx(math.sqrt(math.pi), rel=1e-9)
     top = lp_sphere_norm(
@@ -276,6 +276,17 @@ def test_lp_sphere_norm_zero():
     est = lp_sphere_norm(zero, UNIT_BOX, 2.0,
                          LpEstimatorConfig(samples=200, seed=0))
     assert est.value == 0.0
+
+
+def test_lp_sphere_norm_needs_a_decomposable_degree():
+    box = AxisBox(np.zeros(4), np.ones(4))
+    cfg = LpEstimatorConfig(samples=200, seed=0)
+    one = lp_sphere_norm(FormField.constant_form(4, {(2,): 2.0}), box, 2.0, cfg)
+    # int_{S^3} v1^2 = area(S^3) / 4 = pi^2 / 2
+    assert one.value == pytest.approx(2.0 * math.pi / math.sqrt(2.0), rel=1e-12)
+    assert one.config["kind"] == "lp_sphere_norm"
+    with pytest.raises(UnsupportedOperationError):
+        lp_sphere_norm(FormField.constant_form(4, {(1, 2): 1.0}), box, 2.0, cfg)
 
 
 def test_lp_sphere_over_lp_constant_across_constant_one_forms():
