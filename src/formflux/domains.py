@@ -104,6 +104,18 @@ def _dist_point_to_triangles_2d(x, tris):
     return np.where(inside, 0.0, edge)
 
 
+def _skip_uniform(rng, rows, lo, hi):
+    """Move rng past rng.uniform(lo, hi, size=(rows, len(lo))): by advance
+    where that equals drawing (PCG64 and PCG64DXSM step once per double,
+    unless a uint32 is buffered, which advance drops), else by drawing."""
+    bits = rng.bit_generator
+    stepped = type(bits) in (np.random.PCG64, np.random.PCG64DXSM)
+    if stepped and not bits.state["has_uint32"]:
+        bits.advance(rows * len(lo))
+    else:
+        rng.uniform(lo, hi, size=(rows, len(lo)))
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -161,7 +173,10 @@ class Domain:
         """count i.i.d. uniform points via rejection from the bounding box.
 
         seed may be an integer or a numpy Generator.  Raises
-        InefficiencyError if the acceptance rate falls below 1e-3.
+        InefficiencyError if the acceptance rate falls below 1e-3.  Each
+        round takes max(4 * missing, 4096) candidates from the stream,
+        whatever the acceptance, but draws and tests them 4096 rows at a
+        time only until count points are in, then skips the rest.
         """
         rng = (
             seed
@@ -176,16 +191,15 @@ class Domain:
         attempts = 0
         while got < count:
             batch = max(4 * (count - got), 4096)
-            pts = rng.uniform(lo, hi, size=(batch, self.dimension))
-            # draw the whole batch (the stream must not depend on acceptance),
-            # but test it 4096 rows at a time only until count points are in
             for sub in range(0, batch, 4096):
-                part = pts[sub : sub + 4096]
+                rows = min(4096, batch - sub)
+                part = rng.uniform(lo, hi, size=(rows, self.dimension))
                 keep = part[self.contains_batch(part)]
                 take = min(len(keep), count - got)
                 out[got : got + take] = keep[:take]
                 got += take
                 if got == count:
+                    _skip_uniform(rng, batch - sub - rows, lo, hi)
                     break
             attempts += batch
             if attempts >= _MIN_ATTEMPTS and got / attempts < _REJECTION_FLOOR:

@@ -265,6 +265,20 @@ class FormField:
             out *= self.support.contains_batch(pts)[:, np.newaxis]
         return out
 
+    @functools.cached_property
+    def _reads(self):
+        """The coordinates (0-based, ascending) the coefficients read."""
+        return self._reads_of(self.indices)
+
+    def _reads_of(self, indices):
+        """Coordinates the given components read: those with a nonzero
+        exponent in some term; every one for a callable or a support."""
+        comps = [self.components[idx] for idx in indices]
+        if self.support is None and all(isinstance(c, Polynomial) for c in comps):
+            return tuple(j for j in range(self.dimension)
+                         if any(p[j] for c in comps for p in c.terms))
+        return tuple(range(self.dimension))
+
     def evaluate(self, x) -> Covector:
         """The covector omega_x."""
         x = np.asarray(x, dtype=float)
@@ -493,9 +507,12 @@ def mollify(omega, eta, quadrature_nodes=None):
         decides its bits.  A chunk's values are filled one node block at a
         time: the shifted nodes x - y_q of a block are built one coordinate
         at a time into a reused (n, rows, nodes) buffer, and the component
-        reads its column-major (rows * nodes, n) view.
+        reads its column-major (rows * nodes, n) view.  Only the coordinates
+        the component reads are shifted; the buffer rows of the others are
+        neither written nor read.
         """
         pts = np.asarray(pts, dtype=float)
+        reads = omega._reads_of([idx])
         out = np.empty((len(pts),) + weights.shape[1:])
         rows = _block_rows(nodes)
         vals = np.empty((min(chunk, len(pts)), nodes))
@@ -505,7 +522,7 @@ def mollify(omega, eta, quadrature_nodes=None):
             for sub in range(0, len(block), rows):
                 part = block[sub : sub + rows]
                 shifted = buf[: n * len(part) * nodes].reshape(n, len(part), nodes)
-                for c in range(n):
+                for c in reads:
                     np.subtract.outer(part[:, c], ys[:, c], out=shifted[c])
                 vals[sub : sub + len(part)] = _component_values(
                     omega, idx, shifted.reshape(n, -1).T

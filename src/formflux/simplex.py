@@ -244,7 +244,10 @@ def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False)
     nodes), so the positions and coefficients never exist for the whole
     batch; only the (N, Q) integrand does.  Its products with the weights
     run once over the full batch, since a BLAS product's bits depend on
-    how its rows are split.
+    how its rows are split.  Positions are built only for the coordinates
+    the coefficients read (FormField._reads).  Constant coefficients read
+    none: they are evaluated once, and each row's contraction is broadcast
+    across its Q nodes, with the bits of contracting every node.
     """
     n = omega.dimension
     k = omega.degree
@@ -260,15 +263,20 @@ def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False)
     dets = minor_dets(omega.indices, det_source)
     integrand = np.empty((N, Q))
     rows = _block_rows(Q)
-    buf = np.empty(n * min(rows, N) * Q)
+    reads = omega._reads
+    const = None if reads else omega.coefficients_batch(np.zeros((1, n)))
+    buf = np.empty(n * min(rows, N) * Q if reads else 0)
     for lo in range(0, N, rows):
         hi = min(lo + rows, N)
+        if const is not None:  # one contraction per row, broadcast to its nodes
+            integrand[lo:hi] = contract_minors(const, dets[lo:hi, np.newaxis])
+            continue
         # pos[c] = sum_j outer(edges[:, j, c], P[:, j]) + base[:, c], summed
-        # in order j = 0, 1, ... without fused multiply-adds.  Coordinate-
-        # major, so the coefficients read the column-major (rows * Q, n) view
-        # and return column-major (rows * Q, m) values.
+        # in order j = 0, 1, ... without fused multiply-adds, for each read c.
+        # Coordinate-major, so the coefficients read the column-major
+        # (rows * Q, n) view and return column-major (rows * Q, m) values.
         pos = buf[: n * (hi - lo) * Q].reshape(n, hi - lo, Q)
-        for c in range(n):
+        for c in reads:
             np.multiply.outer(edges[lo:hi, 0, c], P[:, 0], out=pos[c])
             for j in range(1, k):
                 pos[c] += np.multiply.outer(edges[lo:hi, j, c], P[:, j])

@@ -17,9 +17,12 @@ the same tuple evaluated inside a larger batch wherever the base computes
 row by row.  Likewise the pullback and the convolution evaluate their nodes
 in blocks of forms._NODE_BLOCK, and no block size may move a bit.  Nor may
 the memory layout: coefficient arrays are column-major, and the points
-may come in either order.
+may come in either order.  Nor may the read set: the kernels build only the
+coordinates a form reads, and contract a constant form once per row, while
+the references build every coordinate of every node.
 """
 
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations
 from unittest import mock
@@ -47,7 +50,12 @@ from formflux.forms import (
     lp_sphere_norm,
     mollify,
 )
-from formflux.simplex import default_rule, edge_integrals, integrate_form
+from formflux.simplex import (
+    default_rule,
+    edge_integrals,
+    integrate_form,
+    monte_carlo_rule,
+)
 
 PROPERTY = settings(max_examples=60, deadline=2000)
 
@@ -73,6 +81,8 @@ def reference_coefficients(omega, pts):
             out[:, col] = reference_polynomial(comp, pts)
         else:
             out[:, col] = np.asarray(comp(pts), dtype=float)
+    if omega.support is not None:
+        out *= omega.support.contains_batch(pts)[:, np.newaxis]
     return out
 
 
@@ -109,15 +119,42 @@ coefficients = st.floats(-8.0, 8.0, allow_nan=False, width=64)
 
 
 @st.composite
-def sparse_polynomials(draw, dimension, max_degree=7):
+def sparse_polynomials(draw, dimension, max_degree=7, skip=None):
+    """Up to 6 terms; no factor of x_{skip + 1} when skip is given."""
     terms = {}
     for _ in range(draw(st.integers(0, 6))):
         total = draw(st.integers(0, max_degree))
         powers = [0] * dimension
         for _ in range(total):
-            powers[draw(st.integers(0, dimension - 1))] += 1
+            j = draw(st.integers(0, dimension - 1))
+            if j != skip:
+                powers[j] += 1
         terms[tuple(powers)] = draw(coefficients)
     return Polynomial(dimension, terms)
+
+
+# The node kernels build only the coordinates a form reads (FormField._reads),
+# so the polynomial forms come in four kinds: any; constant, which reads no
+# coordinate; one whose components all skip the same coordinate; and one
+# truncated by a support, which reads every coordinate.
+polynomial_kinds = st.sampled_from(["any", "constant", "skip", "truncated"])
+
+
+def supports(n):
+    return st.sampled_from(
+        [Ball(np.full(n, 0.1), 0.7), AxisBox(np.full(n, -0.4), np.full(n, 0.6))]
+    )
+
+
+@st.composite
+def polynomial_forms(draw, n, k, indices, kind, max_degree=5):
+    skip = draw(st.integers(0, n - 1)) if kind == "skip" else None
+    degree = 0 if kind == "constant" else max_degree
+    omega = FormField.from_polynomials(n, k, {
+        idx: draw(sparse_polynomials(n, max_degree=degree, skip=skip))
+        for idx in indices
+    })
+    return omega.with_support(draw(supports(n))) if kind == "truncated" else omega
 
 
 @st.composite
@@ -206,9 +243,7 @@ def integration_cases(draw):
     # one form in ten has no components (m = 0), whose integrals are zeros
     indices = draw(basis_indices(n, k)) if draw(st.integers(0, 9)) else []
     if smooth:
-        omega = FormField.from_polynomials(
-            n, k, {idx: draw(sparse_polynomials(n, max_degree=5)) for idx in indices}
-        )
+        omega = draw(polynomial_forms(n, k, indices, draw(polynomial_kinds)))
     else:
         omega = FormField.from_callables(
             n, k, {idx: _rough_component(0.5 * i) for i, idx in enumerate(indices)}
@@ -316,18 +351,11 @@ def mollifier_cases(draw):
     # polynomial (the chunk split does not depend on the component).
     chunk = (1 << 22) // len(eta.convolution_rule()[0])
     across = draw(st.sampled_from([False] * 9 + [True]))
-    kind = "polynomial" if across else draw(
-        st.sampled_from(["polynomial", "rough", "truncated"])
-    )
+    kind = "any" if across else draw(st.sampled_from(["rough"]) | polynomial_kinds)
     if kind == "rough":
         omega = FormField.from_callables(n, 0, {(): _rough_component(0.3)})
     else:
-        poly = draw(sparse_polynomials(n, max_degree=1 if across else 5))
-        omega = FormField.from_polynomials(n, 0, {(): poly})
-    if kind == "truncated":
-        omega = omega.with_support(draw(st.sampled_from(
-            [Ball(np.full(n, 0.1), 0.7), AxisBox(np.full(n, -0.4), np.full(n, 0.6))]
-        )))
+        omega = draw(polynomial_forms(n, 0, [()], kind, max_degree=1 if across else 5))
     rows = draw(st.integers(chunk - 2, chunk + 3) if across else st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pts = rng.uniform(-1.2, 1.2, size=(rows, n))
@@ -382,6 +410,57 @@ def test_convolution_node_blocks_keep_the_bits(blocked):
     assert np.array_equal(got, reference_convolution(omega, (), ys, weights, pts))
 
 
+def test_read_sets():
+    x1_dx2 = FormField.from_polynomials(2, 1, {(2,): {(1, 0): 1.0}})
+    assert x1_dx2._reads == (0,)
+    assert FormField.constant_form(3, {(1, 2): 2.0, (2, 3): -1.0})._reads == ()
+    assert FormField.from_polynomials(3, 2, {})._reads == ()
+    rough = FormField.from_callables(3, 1, {(2,): _rough_component(0.0)})
+    assert rough._reads == (0, 1, 2)
+    assert x1_dx2.with_support(Ball(np.zeros(2), 1.0))._reads == (0, 1)
+    constant = FormField.constant_form(2, {(1,): 3.0})
+    assert constant.with_support(AxisBox(np.zeros(2), np.ones(2)))._reads == (0, 1)
+    mixed = FormField.from_polynomials(3, 1, {(1,): {(0, 2, 0): 1.0}, (3,): 2.0})
+    assert mixed._reads == (1,)
+    assert mixed._reads_of([(3,)]) == ()
+
+
+def test_each_convolution_shifts_what_its_component_reads():
+    """Components reading different coordinates (x2, x1 x3, none) keep the
+    bits of the all-coordinate reference, value and gradient."""
+    omega = FormField.from_polynomials(3, 1, {
+        (1,): {(0, 2, 0): 1.5}, (2,): {(1, 0, 1): -0.5}, (3,): 2.0,
+    })
+    eta = _mollifier(3)
+    smooth = mollify(omega, eta)
+    pts = np.random.default_rng(3).uniform(-1.2, 1.2, size=(5, 3))
+    ys, ws = eta.convolution_rule()
+    _, grad_ws = eta.gradient_rule()
+    for idx in omega.indices:
+        for closure, weights in ((smooth.components[idx], ws),
+                                 (smooth.partials[idx], grad_ws)):
+            expected = reference_convolution(omega, idx, ys, weights, pts)
+            assert np.array_equal(closure(pts), expected)
+
+
+def test_constant_pullback_memory_is_the_integrand():
+    """A constant 2-form at N x Q = 2^21 nodes allocates its (N, Q)
+    integrand and little else: no node positions, no per-node coefficients."""
+    rule = monte_carlo_rule(2, samples=32)
+    rows = (1 << 21) // 32
+    omega = FormField.constant_form(3, {(1, 2): 1.0, (1, 3): -2.0, (2, 3): 0.5})
+    rng = np.random.default_rng(0)
+    base, edges = rng.normal(size=(rows, 3)), rng.normal(size=(rows, 2, 3))
+    for with_mass in (False, True):
+        tracemalloc.start()
+        try:
+            edge_integrals(omega, rule, base, edges, with_mass=with_mass)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * rows * 32 * 8
+
+
 # CoboundaryMultifunction's face route written out plainly: each face
 # integrated on its own, the signed face values added in face order, the
 # snap guard against the summed mass, then the division by the radii.
@@ -417,9 +496,7 @@ def face_route_cases(draw):
     else:
         omega = FormField.from_polynomials(
             n, k, {idx: draw(sparse_polynomials(n, max_degree=5)) for idx in indices}
-        ).with_support(draw(st.sampled_from(
-            [Ball(np.full(n, 0.1), 0.7), AxisBox(np.full(n, -0.4), np.full(n, 0.6))]
-        )))
+        ).with_support(draw(supports(n)))
     # the estimator's tuple shape: unit directions, radii up to 1, and one
     # radius in five at 0, 1e-300 or 1e-12
     rows = draw(st.integers(1, 12))

@@ -153,8 +153,8 @@ def reference_sample_uniform(domain, count, rng):
     return out
 
 
-def _sample_or_error(sample, domain, count, seed):
-    rng = np.random.default_rng(seed)
+def _sample_or_error(sample, domain, count, seed, generator=np.random.default_rng):
+    rng = generator(seed)
     try:
         result = sample(domain, count, rng)
     except InefficiencyError as err:
@@ -197,6 +197,122 @@ def test_sub_block_sampler_matches_reference(name, count, seed):
         assert got == want
     else:
         assert np.array_equal(got, want)
+
+
+def _buffered_pcg64(seed):
+    """A PCG64 generator holding a buffered uint32 (a float32 draw leaves
+    the other half of its 64-bit step), which advance would drop."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rng.random(dtype=np.float32)
+    assert rng.bit_generator.state["has_uint32"]
+    return rng
+
+
+# Only PCG64 and PCG64DXSM without a buffered uint32 skip the untested
+# candidates by advance; the others draw them, and every one must end in
+# the state of the whole-batch reference.
+GENERATORS = {
+    "philox": lambda seed: np.random.Generator(np.random.Philox(seed)),
+    "sfc64": lambda seed: np.random.Generator(np.random.SFC64(seed)),
+    "pcg64 with a buffered uint32": _buffered_pcg64,
+    "pcg64dxsm": lambda seed: np.random.Generator(np.random.PCG64DXSM(seed)),
+}
+
+
+@pytest.mark.parametrize("generator", sorted(GENERATORS))
+@pytest.mark.parametrize(
+    "name, count, seed",
+    [("box", 1025, 0), ("disc", 3217, 1), ("annulus", 2000, 2),
+     ("thin annulus", 5000, 3), ("hair annulus", 5000, 0)],
+)
+def test_sub_block_sampler_matches_reference_on_other_generators(
+    generator, name, count, seed
+):
+    domain = SAMPLED_DOMAINS[name]
+    make = GENERATORS[generator]
+    got, state = _sample_or_error(Domain.sample_uniform, domain, count, seed, make)
+    want, want_state = _sample_or_error(
+        reference_sample_uniform, domain, count, seed, make
+    )
+    np.testing.assert_equal(state, want_state)  # Philox keeps arrays
+    assert type(got) is type(want)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
+
+
+# Domain invariants as properties, over the sampled shapes plus a polytope,
+# a slit box and a set difference.
+PROPERTY_DOMAINS = dict(
+    SAMPLED_DOMAINS,
+    **{
+        "triangle": TRIANGLE,
+        "slit box": SlitBox([0.0, 0.0], [1.0, 1.0], [0.25, 0.5], [0.75, 0.5], 0.1),
+        "box minus disc": SetDifference(UNIT_BOX, Ball([0.5, 0.5], 0.2)),
+    },
+)
+DOMAIN_PROPERTY = settings(max_examples=30, deadline=5000)
+property_domains = st.sampled_from(sorted(PROPERTY_DOMAINS))
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _box(domain):
+    lo, hi = domain.bounding_box()
+    return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+
+
+@DOMAIN_PROPERTY
+@given(property_domains, st.integers(1, 3000), seeds)
+def test_samples_lie_in_the_domain_and_its_bounding_box(name, count, seed):
+    domain = PROPERTY_DOMAINS[name]
+    lo, hi = _box(domain)
+    try:
+        pts = domain.sample_uniform(count, seed=seed)
+    except InefficiencyError:
+        # only a shape that fills under 1e-3 of its box may be refused
+        assert domain.volume() < 1e-3 * np.prod(hi - lo)
+        return
+    assert pts.shape == (count, domain.dimension)
+    assert domain.contains_batch(pts).all()
+    assert np.all((pts >= lo) & (pts <= hi))
+
+
+@DOMAIN_PROPERTY
+@given(property_domains, seeds)
+def test_membership_is_exactly_positive_boundary_distance(name, seed):
+    domain = PROPERTY_DOMAINS[name]
+    lo, hi = _box(domain)
+    rng = np.random.default_rng(seed)
+    pad = 0.25 * (hi - lo)
+    pts = rng.uniform(lo - pad, hi + pad, size=(512, domain.dimension))
+    # half the points on a 1/16 lattice, which puts some on the walls
+    lattice = rng.random(len(pts)) < 0.5
+    pts[lattice] = np.round(16.0 * pts[lattice]) / 16.0
+    assert np.array_equal(
+        domain.contains_batch(pts), domain.dist_to_boundary_batch(pts) > 0.0
+    )
+
+
+# A statistical check: derandomized, so a run fails only if the code does.
+@settings(DOMAIN_PROPERTY, derandomize=True)
+@given(property_domains, seeds)
+def test_monte_carlo_volume_is_within_four_sigma(name, seed):
+    domain = PROPERTY_DOMAINS[name]
+    lo, hi = _box(domain)
+    box = float(np.prod(hi - lo))
+    p = domain.volume() / box
+    # at least 100 expected hits, so that the hit count is near normal
+    m = max(40000, math.ceil(100.0 / p))
+    rng = np.random.default_rng(seed)
+    hits = sum(
+        int(np.count_nonzero(domain.contains_batch(
+            rng.uniform(lo, hi, size=(min(1 << 16, m - i), domain.dimension))
+        )))
+        for i in range(0, m, 1 << 16)
+    )
+    sigma = box * math.sqrt(p * (1.0 - p) / m)
+    assert abs(box * hits / m - domain.volume()) <= 4.0 * sigma
 
 
 def test_dist_lipschitz_along_segments():
