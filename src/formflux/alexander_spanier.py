@@ -32,6 +32,7 @@ import math
 
 import numpy as np
 
+from .domains import row_product
 from .errors import ArgumentError
 from .forms import FormField
 from .simplex import default_rule, edge_integrals, integrate_form
@@ -85,7 +86,7 @@ def _scaled_tuples(x0, vs, rs):
 def _over_radii(values, rs):
     """values / prod_i r_i; quotients made non-finite by zero radii are 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = values / np.prod(np.asarray(rs, dtype=float), axis=1)
+        out = values / row_product(np.asarray(rs, dtype=float))
     return np.where(np.isfinite(out), out, 0.0)
 
 

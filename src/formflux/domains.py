@@ -8,6 +8,19 @@ Convex shapes additionally support shrink (the eps-inset).
 Shapes: ball, axis box, convex polytope (normalized halfspaces), annulus,
 slit box (box minus a thickened axis-aligned segment), and set difference
 of two convex shapes.
+
+Points are rows of n coordinates, n = 2 or 3 in practice, and numpy's
+inner loop over such a row runs 2-3 elements long.  So the membership and
+distance predicates of the ball, box, annulus, slit box and set difference
+(with a ball or box hole) work on whole coordinate columns, through
+`row_norm`, and the box draw `uniform_box` scales one column at a time.
+They return the bits of the row-wise numpy code they replace:
+elementwise operations are exact, and numpy sums fewer than 8 entries of
+a row in order.  From 8 coordinates on numpy sums pairwise and its
+unrolled min orders signed zeros its own way, so such rows go back to
+numpy's reductions.  `ConvexPolytope` keeps its margins `pts @ normals.T`,
+one BLAS call whose bits depend on the BLAS kernel; a column-wise sum
+would move them.
 """
 
 from __future__ import annotations
@@ -41,6 +54,79 @@ def unit_ball_volume(n):
 
 
 # ---------------------------------------------------------------------------
+# row arithmetic one coordinate column at a time
+
+# numpy sums this many or more entries of a row pairwise, fewer in order
+_PAIRWISE = 8
+
+
+def _ordered_sum(terms):
+    """terms[0] + terms[1] + ... left to right; the bits of numpy's sum over
+    a row that holds them, in order below _PAIRWISE terms and over a
+    row-major stack of them from there on."""
+    if len(terms) >= _PAIRWISE:
+        return np.sum(np.stack(np.broadcast_arrays(*terms), axis=-1), axis=-1)
+    total = terms[0] if len(terms) == 1 else terms[0] + terms[1]
+    for term in terms[2:]:
+        total += term
+    return total
+
+
+def _column_norm(cols):
+    """Euclidean norms of the rows whose coordinate columns are cols."""
+    return np.sqrt(_ordered_sum([c * c for c in cols]))
+
+
+def row_norm(x, center=None):
+    """The Euclidean norms of the rows of x - center, with the bits of
+    numpy's linalg.norm over the last axis, one coordinate column at a
+    time; rows of _PAIRWISE or more coordinates go to numpy."""
+    x = np.asarray(x)
+    n = x.shape[-1]
+    if not 0 < n < _PAIRWISE:
+        return np.linalg.norm(x if center is None else x - center, axis=-1)
+    if center is None:
+        return _column_norm([x[..., j] for j in range(n)])
+    return _column_norm([x[..., j] - center[j] for j in range(n)])
+
+
+def normalize_rows(x):
+    """Divide each row of x by its row_norm, in place, column by column."""
+    norms = row_norm(x)
+    for j in range(x.shape[-1]):
+        x[..., j] /= norms
+    return x
+
+
+def row_all(mask):
+    """np.all(mask, axis=-1) for a boolean mask, one column at a time."""
+    out = np.ones(mask.shape[:-1], dtype=bool)
+    for j in range(mask.shape[-1]):
+        out &= mask[..., j]
+    return out
+
+
+def row_product(x):
+    """np.prod(x, axis=-1), bit for bit: numpy multiplies a row in order."""
+    out = np.ones(x.shape[:-1])
+    for j in range(x.shape[-1]):
+        out *= x[..., j]
+    return out
+
+
+def uniform_box(rng, lo, hi, rows):
+    """rng.uniform(lo, hi, size=(rows, len(lo))), bit for bit and leaving
+    rng in the same state: numpy draws lo + (hi - lo) * U with U from
+    rng.random() in row-major order; this scales each column in place."""
+    out = rng.random((rows, len(lo)))
+    for j in range(len(lo)):
+        col = out[:, j]
+        col *= hi[j] - lo[j]
+        col += lo[j]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # small exact geometry helpers
 
 
@@ -49,13 +135,13 @@ def _dist_point_to_segments(x, a, b):
     x = np.asarray(x, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    d = b - a
-    denom = np.sum(d * d, axis=-1)
-    num = np.sum((x - a) * d, axis=-1)
+    cols = range(x.shape[-1])
+    d = [b[..., j] - a[..., j] for j in cols]
+    denom = _ordered_sum([dj * dj for dj in d])
+    num = _ordered_sum([(x[..., j] - a[..., j]) * d[j] for j in cols])
     t = np.where(denom > 0, num / np.where(denom > 0, denom, 1.0), 0.0)
     t = np.clip(t, 0.0, 1.0)
-    proj = a + t[..., np.newaxis] * d
-    return np.linalg.norm(x - proj, axis=-1)
+    return _column_norm([x[..., j] - (a[..., j] + t * d[j]) for j in cols])
 
 
 def dist_point_to_simplex(x, vertices):
@@ -113,7 +199,17 @@ def _skip_uniform(rng, rows, lo, hi):
     if stepped and not bits.state["has_uint32"]:
         bits.advance(rows * len(lo))
     else:
-        rng.uniform(lo, hi, size=(rows, len(lo)))
+        uniform_box(rng, lo, hi, rows)
+
+
+def _generator(count, seed):
+    """The generator a sampler draws count points from: seed itself, or a
+    fresh one seeded from the integer."""
+    if count < 0:
+        raise ArgumentError(f"cannot sample {count} points")
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(np.random.SeedSequence(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +274,7 @@ class Domain:
         whatever the acceptance, but draws and tests them 4096 rows at a
         time only until count points are in, then skips the rest.
         """
-        rng = (
-            seed
-            if isinstance(seed, np.random.Generator)
-            else np.random.default_rng(np.random.SeedSequence(seed))
-        )
+        rng = _generator(count, seed)
         lo, hi = self.bounding_box()
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
@@ -193,7 +285,7 @@ class Domain:
             batch = max(4 * (count - got), 4096)
             for sub in range(0, batch, 4096):
                 rows = min(4096, batch - sub)
-                part = rng.uniform(lo, hi, size=(rows, self.dimension))
+                part = uniform_box(rng, lo, hi, rows)
                 keep = part[self.contains_batch(part)]
                 take = min(len(keep), count - got)
                 out[got : got + take] = keep[:take]
@@ -237,12 +329,10 @@ class Ball(Domain):
         self.dimension = len(self.center)
 
     def contains_batch(self, pts):
-        return np.linalg.norm(pts - self.center, axis=-1) < self.radius
+        return row_norm(pts, self.center) < self.radius
 
     def dist_to_boundary_batch(self, pts):
-        return np.maximum(
-            0.0, self.radius - np.linalg.norm(pts - self.center, axis=-1)
-        )
+        return np.maximum(0.0, self.radius - row_norm(pts, self.center))
 
     def volume(self):
         return unit_ball_volume(self.dimension) * self.radius**self.dimension
@@ -276,11 +366,24 @@ class AxisBox(Domain):
         self.dimension = len(self.lo)
 
     def contains_batch(self, pts):
-        return np.all((pts > self.lo) & (pts < self.hi), axis=-1)
+        pts = np.asarray(pts)
+        out = np.ones(pts.shape[:-1], dtype=bool)
+        for j, (lo, hi) in enumerate(zip(self.lo, self.hi)):
+            out &= pts[..., j] > lo
+            out &= pts[..., j] < hi
+        return out
 
     def dist_to_boundary_batch(self, pts):
-        margins = np.minimum(pts - self.lo, self.hi - pts)
-        return np.maximum(0.0, np.min(margins, axis=-1))
+        pts = np.asarray(pts)
+        if self.dimension >= _PAIRWISE:
+            # numpy's unrolled min picks between -0.0 and 0.0 its own way
+            margins = np.minimum(pts - self.lo, self.hi - pts)
+            return np.maximum(0.0, np.min(margins, axis=-1))
+        out = None
+        for j, (lo, hi) in enumerate(zip(self.lo, self.hi)):
+            margin = np.minimum(pts[..., j] - lo, hi - pts[..., j])
+            out = margin if out is None else np.minimum(out, margin, out=out)
+        return np.maximum(0.0, out, out=out)
 
     def volume(self):
         return float(np.prod(self.hi - self.lo))
@@ -299,12 +402,7 @@ class AxisBox(Domain):
 
     def sample_uniform(self, count, seed=0):
         # a box is its own bounding box, skip the rejection loop
-        rng = (
-            seed
-            if isinstance(seed, np.random.Generator)
-            else np.random.default_rng(np.random.SeedSequence(seed))
-        )
-        return rng.uniform(self.lo, self.hi, size=(count, self.dimension))
+        return uniform_box(_generator(count, seed), self.lo, self.hi, count)
 
     def _params(self):
         return {"lo": self.lo.tolist(), "hi": self.hi.tolist()}
@@ -326,7 +424,7 @@ class ConvexPolytope(Domain):
         b = np.asarray(offsets, dtype=float)
         if a.ndim != 2 or b.shape != (a.shape[0],):
             raise ArgumentError("need (m, n) normals and (m,) offsets")
-        norms = np.linalg.norm(a, axis=1)
+        norms = row_norm(a)
         if np.any(norms <= 0):
             raise ArgumentError("zero normal vector")
         # leave rows that are already unit length untouched so that
@@ -413,11 +511,11 @@ class Annulus(Domain):
         self.dimension = len(self.center)
 
     def contains_batch(self, pts):
-        r = np.linalg.norm(pts - self.center, axis=-1)
+        r = row_norm(pts, self.center)
         return (r > self.r_in) & (r < self.r_out)
 
     def dist_to_boundary_batch(self, pts):
-        r = np.linalg.norm(pts - self.center, axis=-1)
+        r = row_norm(pts, self.center)
         return np.maximum(0.0, np.minimum(r - self.r_in, self.r_out - r))
 
     def volume(self):
@@ -586,12 +684,13 @@ class SetDifference(Domain):
         """Distance from pts to the closed inner set (0 inside it)."""
         inner = self.inner
         if isinstance(inner, Ball):
-            return np.maximum(
-                0.0, np.linalg.norm(pts - inner.center, axis=-1) - inner.radius
-            )
+            return np.maximum(0.0, row_norm(pts, inner.center) - inner.radius)
         if isinstance(inner, AxisBox):
-            gap = np.maximum(inner.lo - pts, 0.0) + np.maximum(pts - inner.hi, 0.0)
-            return np.linalg.norm(gap, axis=-1)
+            pts = np.asarray(pts)
+            return _column_norm([
+                np.maximum(lo - pts[..., j], 0.0) + np.maximum(pts[..., j] - hi, 0.0)
+                for j, (lo, hi) in enumerate(zip(inner.lo, inner.hi))
+            ])
         verts = _convex_vertices(inner)
         from scipy.spatial import Delaunay
 

@@ -24,7 +24,7 @@ from .alexander_spanier import (
     UserMultifunction,
     stokes_residual,
 )
-from .domains import Annulus, AxisBox, domain_from_json
+from .domains import Annulus, AxisBox, domain_from_json, normalize_rows
 from .errors import ArgumentError
 from .exterior import SphereNormConfig, sphere_norm
 from .forms import (
@@ -274,8 +274,7 @@ def _random_form(rng, dimension, degree, max_total_degree=3):
 
 
 def _points_in_unit_ball(rng, count, dimension):
-    x = rng.standard_normal((count, dimension))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    x = normalize_rows(rng.standard_normal((count, dimension)))
     radii = rng.random(count) ** (1.0 / dimension)
     return x * radii[:, np.newaxis]
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domains import normalize_rows
 from .errors import ArgumentError
 from .estimates import Estimate, delta_method_root
 
@@ -305,8 +306,7 @@ def sphere_norm(alpha: Covector, cfg: SphereNormConfig = SphereNormConfig()) -> 
         scale = sphere_power_constant(n, k, p) ** (1.0 / p)
         return Estimate(euclidean_norm(alpha) * scale)
     rng = np.random.default_rng(np.random.SeedSequence(_MC_SEED))
-    g = rng.standard_normal((_MC_SAMPLES, k, n))
-    g /= np.linalg.norm(g, axis=2, keepdims=True)
+    g = normalize_rows(rng.standard_normal((_MC_SAMPLES, k, n)))
     vals = np.abs(alpha.evaluate_batch(g)) ** p
     area = unit_sphere_area(n) ** k
     q = area * float(np.mean(vals))

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .alexander_spanier import IntegrationMultifunction, Multifunction
+from .domains import normalize_rows, row_all
 from .errors import ArgumentError, InefficiencyError
 from .estimates import SeminormEstimate, delta_method_root
 from .exterior import unit_sphere_area
@@ -104,6 +105,8 @@ class SeminormConfig:
                 raise ArgumentError("cone variants need c > 0")
         if self.k is not None and self.k < 0:
             raise ArgumentError("k must be >= 0")
+        if self.chunk < 1:
+            raise ArgumentError("chunk must be >= 1")
 
     def with_theta(self, theta, stream=None):
         return replace(
@@ -235,21 +238,23 @@ def _estimate(F, domain, cfg, split_radius=None):
                 if split_radius is not None:
                     channels[1].add(np.zeros_like(w))
                 continue
-            vs = rng.standard_normal((m, k, n))
-            vs /= np.linalg.norm(vs, axis=2, keepdims=True)
+            vs = normalize_rows(rng.standard_normal((m, k, n)))
             u = rng.random((m, k))
             if cone:
                 reach = cfg.c * domain.dist_to_boundary_batch(x0)
                 r_eff = np.minimum(reach, R) if capped else reach
             else:
                 r_eff = np.full(m, R)
-            rs = r_eff[:, np.newaxis] * u ** (1.0 / a)
-            pts = x0[:, np.newaxis, :] + rs[..., np.newaxis] * vs
-            inside = (
-                domain.contains_batch(pts.reshape(-1, n))
-                .reshape(m, k)
-                .all(axis=1)
-            )
+            rs = u ** (1.0 / a)
+            # x_i = x0 + r_i v_i one coordinate column at a time: the same
+            # products and sums as x0[:, None, :] + rs[..., None] * vs
+            pts = np.empty((m, k, n))
+            for i in range(k):
+                rs[:, i] *= r_eff
+                for c in range(n):
+                    np.multiply(rs[:, i], vs[:, i, c], out=pts[:, i, c])
+                    pts[:, i, c] += x0[:, c]
+            inside = row_all(domain.contains_batch(pts.reshape(-1, n)).reshape(m, k))
             accepted += int(np.count_nonzero(inside))
             g = F.evaluate_scaled_batch(x0, vs, rs)
             w = (
@@ -262,7 +267,7 @@ def _estimate(F, domain, cfg, split_radius=None):
             if split_radius is None:
                 channels[0].add(w)
             else:
-                near = (rs <= split_radius).all(axis=1)
+                near = row_all(rs <= split_radius)
                 w_near = np.where(near, w, 0.0)
                 channels[0].add(w_near)
                 channels[1].add(w - w_near)

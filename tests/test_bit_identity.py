@@ -20,14 +20,21 @@ the memory layout: coefficient arrays are column-major, and the points
 may come in either order.  Nor may the read set: the kernels build only the
 coordinates a form reads, and contract a constant form once per row, while
 the references build every coordinate of every node.
+
+The sampler's row arithmetic works one coordinate column at a time: its
+row norm, row all and row product give the bits of numpy's reductions over
+the last axis in any layout, and the estimator builds the same tuple
+points, directions and radii as the row-major code it replaced, kept here.
 """
 
+import math
 import tracemalloc
 from functools import lru_cache
 from itertools import combinations
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -39,8 +46,24 @@ from formflux.alexander_spanier import (
     IntegrationMultifunction,
     UserMultifunction,
 )
-from formflux.domains import AxisBox, Ball
-from formflux.exterior import Covector, SphereNormConfig, _batch_det, sphere_norm
+from formflux import seminorms
+from formflux.domains import (
+    Annulus,
+    AxisBox,
+    Ball,
+    ConvexPolytope,
+    normalize_rows,
+    row_all,
+    row_norm,
+    row_product,
+)
+from formflux.exterior import (
+    Covector,
+    SphereNormConfig,
+    _batch_det,
+    sphere_norm,
+    unit_sphere_area,
+)
 from formflux.forms import (
     FormField,
     LpEstimatorConfig,
@@ -50,6 +73,7 @@ from formflux.forms import (
     lp_sphere_norm,
     mollify,
 )
+from formflux.seminorms import SeminormConfig
 from formflux.simplex import (
     default_rule,
     edge_integrals,
@@ -640,3 +664,234 @@ def test_lp_sphere_norm_power_is_the_pointwise_sphere_norm(case):
     est = lp_sphere_norm(omega, box, p, config)
     pointwise = sphere_norm(omega.evaluate(np.zeros(n)), SphereNormConfig(p=p))
     assert abs(est.power_value - pointwise.value**p) <= 1e-12 * pointwise.value**p
+
+
+# -- row arithmetic one coordinate column at a time -------------------------
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (
+        got.shape == want.shape
+        and got.dtype == want.dtype
+        and np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+    )
+
+
+def in_layout(x, layout):
+    """x itself (row-major), its column-major copy, or a view of every
+    second entry of a wider array."""
+    if layout == "C":
+        return np.ascontiguousarray(x)
+    if layout == "F":
+        return np.asfortranarray(x)
+    wide = np.zeros(x.shape[:-1] + (2 * x.shape[-1],), dtype=x.dtype)
+    wide[..., ::2] = x
+    return wide[..., ::2]
+
+
+@st.composite
+def row_arrays(draw, dtype=np.float64):
+    """(rows, n) or (rows, k, n) arrays, n = 1..10, in any layout.  Floats
+    are mantissas in [-2, 2], random or drawn, scaled by one power of two
+    from the subnormal range to 1e300, so that a row's sum rounds; or any
+    finite floats."""
+    n = draw(st.integers(1, 10))
+    shape = draw(st.sampled_from([(), (1,), (2,), (3,)]))
+    shape = (draw(st.integers(1, 30)),) + shape + (n,)
+    kind = "bool" if dtype is bool else draw(st.sampled_from(["random", "drawn", "any"]))
+    if kind == "bool":
+        x = draw(hnp.arrays(bool, shape))
+    elif kind != "any":
+        if kind == "random":
+            mantissas = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(
+                -2.0, 2.0, shape
+            )
+        else:
+            mantissas = draw(
+                hnp.arrays(np.float64, shape, elements=st.floats(-2.0, 2.0))
+            )
+        x = np.ldexp(mantissas, draw(st.integers(-1074, 996)))
+    else:
+        x = draw(hnp.arrays(np.float64, shape, elements=st.floats(
+            -1e300, 1e300, allow_nan=False, allow_infinity=False
+        )))
+    return in_layout(x, draw(st.sampled_from(["C", "F", "strided"])))
+
+
+ROWS = settings(max_examples=200, deadline=2000)
+
+
+@ROWS
+@given(row_arrays(), st.booleans())
+def test_row_norm_is_numpys_row_norm(x, centred):
+    center = x[0].reshape(-1, x.shape[-1])[0][::-1].copy() if centred else None
+    with np.errstate(all="ignore"):
+        got = row_norm(x, center)
+        want = np.linalg.norm(x if center is None else x - center, axis=-1)
+    assert same_bits(got, want)
+
+
+@ROWS
+@given(row_arrays())
+def test_normalize_rows_is_division_by_numpys_norm(x):
+    with np.errstate(all="ignore"):
+        want = x / np.linalg.norm(x, axis=-1, keepdims=True)
+        got = normalize_rows(x.copy(order="K"))
+    assert same_bits(got, want)
+
+
+@ROWS
+@given(row_arrays(dtype=bool))
+def test_row_all_is_numpys_all(mask):
+    assert same_bits(row_all(mask), np.all(mask, axis=-1))
+
+
+@ROWS
+@given(row_arrays())
+def test_row_product_is_numpys_product(x):
+    with np.errstate(all="ignore"):
+        assert same_bits(row_product(x), np.prod(x, axis=-1))
+
+
+def parent_estimate(F, domain, cfg, split_radius=None):
+    """seminorms._estimate with row-major tuple arithmetic, the reference."""
+    k, R = seminorms._resolve(F, domain, cfg)
+    n = domain.dimension
+    p = cfg.p
+    a = p * (1.0 - cfg.theta)
+    sphere_area = unit_sphere_area(n)
+    volume = domain.volume()
+    cone = cfg.variant in ("cone", "ball-cone")
+    capped = cfg.variant in ("full", "ball", "ball-cone")
+    channels = [seminorms._Accumulator()]
+    if split_radius is not None:
+        channels.append(seminorms._Accumulator())
+    accepted = 0
+    total = 0
+    base = cfg.samples // cfg.shards
+    counts = [
+        base + (1 if s < cfg.samples % cfg.shards else 0)
+        for s in range(cfg.shards)
+    ]
+    for shard, count in enumerate(counts):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(cfg.seed, spawn_key=(cfg.stream, shard))
+        )
+        done = 0
+        while done < count:
+            m = min(cfg.chunk, count - done)
+            done += m
+            total += m
+            x0 = domain.sample_uniform(m, seed=rng)
+            if k == 0:
+                vals = F.evaluate_scaled_batch(
+                    x0, np.zeros((m, 0, n)), np.zeros((m, 0))
+                )
+                w = volume * np.abs(vals) ** p
+                accepted += m
+                channels[0].add(w)
+                if split_radius is not None:
+                    channels[1].add(np.zeros_like(w))
+                continue
+            vs = rng.standard_normal((m, k, n))
+            vs /= np.linalg.norm(vs, axis=2, keepdims=True)
+            u = rng.random((m, k))
+            if cone:
+                reach = cfg.c * domain.dist_to_boundary_batch(x0)
+                r_eff = np.minimum(reach, R) if capped else reach
+            else:
+                r_eff = np.full(m, R)
+            rs = r_eff[:, np.newaxis] * u ** (1.0 / a)
+            pts = x0[:, np.newaxis, :] + rs[..., np.newaxis] * vs
+            inside = (
+                domain.contains_batch(pts.reshape(-1, n))
+                .reshape(m, k)
+                .all(axis=1)
+            )
+            accepted += int(np.count_nonzero(inside))
+            g = F.evaluate_scaled_batch(x0, vs, rs)
+            w = (
+                volume
+                * (sphere_area / p) ** k
+                * r_eff**(a * k)
+                * np.abs(g) ** p
+                * inside
+            )
+            if split_radius is None:
+                channels[0].add(w)
+            else:
+                near = (rs <= split_radius).all(axis=1)
+                w_near = np.where(near, w, 0.0)
+                channels[0].add(w_near)
+                channels[1].add(w - w_near)
+    echo = seminorms._config_echo(cfg, k, R)
+    return [seminorms._finalize(acc, p, echo, accepted / total) for acc in channels]
+
+
+class Recorder:
+    """A domain or multifunction that keeps a copy of every tuple point it
+    tests and every (x0, vs, rs) it evaluates."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.seen = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def contains_batch(self, pts):
+        self.seen.append(pts.copy())
+        return self.inner.contains_batch(pts)
+
+    def evaluate_scaled_batch(self, x0, vs, rs):
+        self.seen.extend(np.array(a, copy=True) for a in (x0, vs, rs))
+        return self.inner.evaluate_scaled_batch(x0, vs, rs)
+
+
+SQUARE = AxisBox([0.0, 0.0], [1.0, 1.0])
+ESTIMATE_CASES = {
+    "annulus cone": (Annulus([0.0, 0.0], 0.5, 1.0), dict(variant="cone", c=0.5)),
+    "square ball": (SQUARE, dict(variant="ball", R=0.3)),
+    "square full": (SQUARE, dict(variant="full")),
+    "polytope ball-cone": (
+        ConvexPolytope([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 0.0, 1.0]),
+        dict(variant="ball-cone", R=0.4, c=0.8),
+    ),
+}
+
+
+def _multifunction(k):
+    """Degree k in the plane: k = 0, 1 through the generic quotient by the
+    radii, k = 2 through the Stokes route of dI_omega."""
+    if k == 2:
+        omega = FormField.from_polynomials(2, 1, {(2,): {(1, 0): 1.0}})
+        return CoboundaryMultifunction(omega)
+    return UserMultifunction(
+        2, k, None,
+        lambda t: np.sin(3.0 * t[:, 0, 0]) + t[:, -1, 1] * t[:, 0, 1] - t[:, -1, 0],
+    )
+
+
+@pytest.mark.parametrize("case", sorted(ESTIMATE_CASES))
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("split", [False, True])
+@settings(max_examples=5, deadline=10000)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_estimate_keeps_the_row_major_bits(case, k, split, seed):
+    domain, variant = ESTIMATE_CASES[case]
+    cfg = SeminormConfig(theta=0.95, samples=3001, seed=seed, shards=2, chunk=700,
+                         **variant)
+    split_radius = 0.05 if split else None
+    runs = []
+    for estimate in (seminorms._estimate, parent_estimate):
+        D, F = Recorder(domain), Recorder(_multifunction(k))
+        runs.append((estimate(F, D, cfg, split_radius), D.seen, F.seen))
+    (got, got_pts, got_args), (want, want_pts, want_args) = runs
+    assert len(got_pts) == len(want_pts) and len(got_args) == len(want_args)
+    assert all(same_bits(g, w) for g, w in zip(got_pts + got_args, want_pts + want_args))
+    for g, w in zip(got, want):
+        assert (g.value, g.stderr, g.power_value, g.power_stderr, g.samples,
+                g.acceptance_ratio) == (w.value, w.stderr, w.power_value,
+                                        w.power_stderr, w.samples, w.acceptance_ratio)
+        assert math.isfinite(g.value)

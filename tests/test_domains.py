@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from formflux.domains import (
     Annulus,
@@ -15,6 +16,7 @@ from formflux.domains import (
     Domain,
     SetDifference,
     SlitBox,
+    _dist_point_to_segments,
     dist_point_to_simplex,
     domain_from_json,
     unit_ball_volume,
@@ -444,3 +446,190 @@ def test_membership_inside_bounding_box():
         pts = d.sample_uniform(300, seed=8)
         lo, hi = d.bounding_box()
         assert np.all(pts >= lo) and np.all(pts <= hi)
+
+
+def test_negative_sample_count_is_an_argument_error():
+    for domain in (UNIT_BOX, ANNULUS):
+        with pytest.raises(ArgumentError):
+            domain.sample_uniform(-3, seed=0)
+        assert domain.sample_uniform(0, seed=0).shape == (0, 2)
+
+
+def test_predicates_take_nested_lists():
+    pts = [[0.5, 0.5], [0.1, 0.2], [2.0, 0.0]]
+    for domain in (UNIT_BOX, UNIT_BALL, ANNULUS, TRIANGLE,
+                   SetDifference(UNIT_BOX, AxisBox([0.4, 0.4], [0.6, 0.6]))):
+        arr = np.array(pts)
+        assert np.array_equal(domain.contains_batch(pts), domain.contains_batch(arr))
+        assert np.array_equal(
+            domain.dist_to_boundary_batch(pts), domain.dist_to_boundary_batch(arr)
+        )
+
+
+# -- the column-wise predicates against the row-major code they replaced ----
+
+
+def old_segments(x, a, b):
+    x = np.asarray(x, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    d = b - a
+    denom = np.sum(d * d, axis=-1)
+    num = np.sum((x - a) * d, axis=-1)
+    t = np.where(denom > 0, num / np.where(denom > 0, denom, 1.0), 0.0)
+    t = np.clip(t, 0.0, 1.0)
+    proj = a + t[..., np.newaxis] * d
+    return np.linalg.norm(x - proj, axis=-1)
+
+
+def old_dist_to_inner(inner, pts):
+    if isinstance(inner, Ball):
+        return np.maximum(
+            0.0, np.linalg.norm(pts - inner.center, axis=-1) - inner.radius
+        )
+    gap = np.maximum(inner.lo - pts, 0.0) + np.maximum(pts - inner.hi, 0.0)
+    return np.linalg.norm(gap, axis=-1)
+
+
+def old_contains(domain, pts):
+    if isinstance(domain, Ball):
+        return np.linalg.norm(pts - domain.center, axis=-1) < domain.radius
+    if isinstance(domain, AxisBox):
+        return np.all((pts > domain.lo) & (pts < domain.hi), axis=-1)
+    if isinstance(domain, Annulus):
+        r = np.linalg.norm(pts - domain.center, axis=-1)
+        return (r > domain.r_in) & (r < domain.r_out)
+    if isinstance(domain, SlitBox):
+        seg = old_segments(pts, domain.seg_start, domain.seg_end)
+        return old_contains(domain.box, pts) & (seg > domain.delta)
+    return old_contains(domain.outer, pts) & (old_dist_to_inner(domain.inner, pts) > 0)
+
+
+def old_dist(domain, pts):
+    if isinstance(domain, Ball):
+        return np.maximum(
+            0.0, domain.radius - np.linalg.norm(pts - domain.center, axis=-1)
+        )
+    if isinstance(domain, AxisBox):
+        margins = np.minimum(pts - domain.lo, domain.hi - pts)
+        return np.maximum(0.0, np.min(margins, axis=-1))
+    if isinstance(domain, Annulus):
+        r = np.linalg.norm(pts - domain.center, axis=-1)
+        return np.maximum(0.0, np.minimum(r - domain.r_in, domain.r_out - r))
+    if isinstance(domain, SlitBox):
+        inner = old_segments(pts, domain.seg_start, domain.seg_end) - domain.delta
+        return np.maximum(0.0, np.minimum(old_dist(domain.box, pts), inner))
+    d = np.minimum(old_dist(domain.outer, pts), old_dist_to_inner(domain.inner, pts))
+    return np.maximum(0.0, d)
+
+
+def shapes(n):
+    """Each column-wise shape in R^n (a slit box from n = 2), all in the
+    box [-0.3, 1.3]^n."""
+    half = np.full(n, 0.5)
+    box = AxisBox(np.zeros(n), np.ones(n))
+    out = {
+        "ball": Ball(half, 0.5),
+        "box": AxisBox(np.linspace(-0.3, 0.0, n), np.linspace(1.0, 1.3, n)),
+        "annulus": Annulus(half, 0.25, 0.5),
+        "box minus ball": SetDifference(box, Ball(half, 0.2)),
+        "box minus box": SetDifference(box, AxisBox(half - 0.25, half + 0.125)),
+    }
+    if n >= 2:
+        ends = [np.concatenate([[t], half[1:]]) for t in (0.25, 0.75)]
+        out["slit box"] = SlitBox(np.zeros(n), np.ones(n), *ends, 0.1)
+        out["wall slit box"] = SlitBox(
+            np.zeros(n), np.ones(n), np.concatenate([[0.0], half[1:]]), ends[1]
+        )
+    return out
+
+
+def bits(x):
+    return np.ascontiguousarray(x).tobytes()
+
+
+def in_layout(pts, layout):
+    if layout == "F":
+        return np.asfortranarray(pts)
+    if layout == "strided":
+        wide = np.zeros((len(pts), 2 * pts.shape[1]))
+        wide[:, ::2] = pts
+        return wide[:, ::2]
+    return pts
+
+
+# Row-major points in n = 1..10; column-major and strided ones below 8
+# coordinates, where numpy sums a row in order whatever the layout.
+@settings(max_examples=150, deadline=5000)
+@given(
+    st.integers(1, 10),
+    st.sampled_from(["ball", "box", "annulus", "box minus ball", "box minus box",
+                     "slit box", "wall slit box"]),
+    st.sampled_from(["C", "F", "strided"]),
+    seeds,
+)
+def test_column_wise_predicates_keep_the_row_major_bits(n, name, layout, seed):
+    domain = shapes(n).get(name)
+    if domain is None or (n >= 8 and layout != "C"):
+        return
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-0.3, 1.3, size=(300, n))
+    # a third on a 1/8 lattice, so some sit on walls and centres; a few -0.0
+    lattice = rng.random(len(pts)) < 1.0 / 3.0
+    pts[lattice] = np.round(8.0 * pts[lattice]) / 8.0
+    pts[pts == 0.0] = rng.choice([0.0, -0.0], size=int(np.sum(pts == 0.0)))
+    want_in, want_dist = old_contains(domain, pts), old_dist(domain, pts)
+    pts = in_layout(pts, layout)
+    assert np.array_equal(domain.contains_batch(pts), want_in)
+    assert bits(domain.dist_to_boundary_batch(pts)) == bits(want_dist)
+
+
+@settings(max_examples=150, deadline=5000)
+@given(
+    st.integers(1, 10),
+    st.booleans(),
+    hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.just(3)),
+               elements=st.floats(-4.0, 4.0)),
+    seeds,
+)
+def test_segment_distance_keeps_the_row_major_bits(n, batch_point, pick, seed):
+    """Both batchings: many points against one segment (the slit box) and
+    one point against many segments (the annulus hull check)."""
+    rng = np.random.default_rng(seed)
+    x, a, b = (rng.uniform(-1.0, 1.0, size=(len(pick), n)) for _ in range(3))
+    x[:, 0], a[:, 0], b[:, 0] = pick.T  # hypothesis's corner values
+    b[::3] = a[::3]  # degenerate segments
+    if batch_point:
+        a, b = a[0], b[0]
+    else:
+        x = x[0]
+    assert bits(_dist_point_to_segments(x, a, b)) == bits(old_segments(x, a, b))
+
+
+SAMPLE_GENERATORS = {
+    "pcg64": np.random.PCG64,
+    "pcg64dxsm": np.random.PCG64DXSM,
+    "philox": np.random.Philox,
+    "sfc64": np.random.SFC64,
+}
+
+
+@settings(max_examples=100, deadline=5000)
+@given(
+    st.sampled_from(sorted(SAMPLE_GENERATORS)),
+    seeds,
+    st.integers(0, 5000),
+    st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(1e-6, 1e6)),
+             min_size=1, max_size=4),
+)
+def test_box_sample_is_numpys_uniform_draw(generator, seed, count, sides):
+    lo = np.array([s[0] for s in sides])
+    hi = lo + np.array([s[1] for s in sides])
+    box = AxisBox(lo, hi)
+    got_rng, want_rng = (
+        np.random.Generator(SAMPLE_GENERATORS[generator](seed)) for _ in range(2)
+    )
+    got = box.sample_uniform(count, seed=got_rng)
+    want = want_rng.uniform(lo, hi, size=(count, len(lo)))
+    assert bits(got) == bits(want)
+    np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)

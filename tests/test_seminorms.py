@@ -334,6 +334,18 @@ def test_config_validation():
         SeminormConfig(variant="ball-cone", R=1.0)
     with pytest.raises(ArgumentError):
         SeminormConfig(shards=0)
+    # chunk = 0 would make the sampler loop forever, and a negative chunk
+    # reached numpy as a negative array size
+    with pytest.raises(ArgumentError):
+        SeminormConfig(chunk=0)
+    with pytest.raises(ArgumentError):
+        SeminormConfig(chunk=-3)
+
+
+def test_chunk_of_one_estimates():
+    F = IntegrationMultifunction(form_dx1())
+    cfg = SeminormConfig(samples=4, shards=2, chunk=1)
+    assert fixed_theta_seminorm(F, UNIT_SQUARE, cfg).samples == 4
 
 
 def test_k_mismatch_and_dimension_mismatch_raise():
