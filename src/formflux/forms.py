@@ -160,9 +160,6 @@ class Polynomial:
     def is_constant(self):
         return all(sum(p) == 0 for p in self.terms)
 
-    def degree(self):
-        return max((sum(p) for p in self.terms), default=0)
-
     def __repr__(self):
         return f"Polynomial({self.dimension}, {self.terms})"
 
@@ -256,14 +253,17 @@ class FormField:
             raise ArgumentError(f"expected points of shape (N, {self.dimension})")
         out = np.empty((len(self.indices), pts.shape[0])).T
         for col, idx in enumerate(self.indices):
-            comp = self.components[idx]
-            if isinstance(comp, Polynomial):
-                out[:, col] = comp.evaluate_batch(pts)
-            else:
-                out[:, col] = np.asarray(comp(pts), dtype=float)
+            out[:, col] = self._component_batch(idx, pts)
         if self.support is not None:
             out *= self.support.contains_batch(pts)[:, np.newaxis]
         return out
+
+    def _component_batch(self, idx, pts):
+        """Values (N,) of the component idx at pts (N, n), support ignored."""
+        comp = self.components[idx]
+        if isinstance(comp, Polynomial):
+            return comp.evaluate_batch(pts)
+        return np.asarray(comp(pts), dtype=float)
 
     @functools.cached_property
     def _reads(self):
@@ -423,11 +423,12 @@ class Mollifier:
     """
 
     def __init__(self, dimension, radius, nodes=48):
-        if radius <= 0:
-            raise ArgumentError("mollifier radius must be positive")
         self.dimension = int(dimension)
         self.radius = float(radius)
         self.nodes = int(nodes)
+        if self.dimension < 1 or self.nodes < 1 or not 0 < self.radius < math.inf:
+            raise ArgumentError("mollifier needs dimension, nodes >= 1 and a finite "
+                                f"radius > 0, got {dimension}, {nodes}, {radius}")
         self._ys, self._wraw = self._grid(self.nodes)
         raw = self._bump(self._ys)
         self._mass_raw = float(np.sum(self._wraw * raw))
@@ -444,14 +445,10 @@ class Mollifier:
 
     def _grid(self, m):
         x, w = np.polynomial.legendre.leggauss(m)
-        x = x * self.radius
-        w = w * self.radius
+        x, w = x * self.radius, w * self.radius
         grids = np.meshgrid(*([x] * self.dimension), indexing="ij")
         ys = np.stack([g.reshape(-1) for g in grids], axis=1)
-        ws = np.prod(
-            np.stack(np.meshgrid(*([w] * self.dimension), indexing="ij"), axis=0),
-            axis=0,
-        ).reshape(-1)
+        ws = functools.reduce(np.multiply.outer, [w] * self.dimension).reshape(-1)
         keep = np.linalg.norm(ys, axis=1) < self.radius
         return ys[keep], ws[keep]
 
@@ -500,53 +497,66 @@ def mollify(omega, eta, quadrature_nodes=None):
     n, nodes = omega.dimension, len(ys)
     chunk = max(1, (1 << 22) // max(1, nodes))
 
-    def convolve(idx, weights, pts):
+    def convolve(idx, reads, shifts, index, weights, pts):
         """sum_q omega_idx(pts - y_q) weights[q], chunk points at a time.
 
-        The chunk rule fixes the row count of each vals @ weights, which
-        decides its bits.  A chunk's values are filled one node block at a
-        time: the shifted nodes x - y_q of a block are built one coordinate
-        at a time into a reused (n, rows, nodes) buffer, and the component
-        reads its column-major (rows * nodes, n) view.  Only the coordinates
-        the component reads are shifted; the buffer rows of the others are
-        neither written nor read.
+        The component is evaluated only at x - s for the m distinct rows s
+        of the nodes on the coordinates it reads (`shifts`, _distinct_shifts),
+        one node block of m shifts at a time: built one read coordinate at a
+        time into a reused (n, rows, m) buffer, whose column-major
+        (rows * m, n) view the component reads.  np.take gathers a block's
+        values into the chunk's (rows, nodes) `vals` by `index`, in place
+        with mode="clip"; the default "raise" writes through a temporary.
+        With index None the shifts are the nodes, in order.  The chunk rule
+        fixes the row count of each vals @ weights, which decides its bits.
         """
         pts = np.asarray(pts, dtype=float)
-        reads = omega._reads_of([idx])
+        if pts.ndim != 2 or pts.shape[1] != n:
+            raise ArgumentError(f"expected points of shape (N, {n})")
+        m = len(shifts)
         out = np.empty((len(pts),) + weights.shape[1:])
-        rows = _block_rows(nodes)
+        rows = _block_rows(m)
         vals = np.empty((min(chunk, len(pts)), nodes))
-        buf = np.empty(n * min(rows, len(pts)) * nodes)
+        buf = np.empty(n * min(rows, len(pts)) * m)
         for lo in range(0, len(pts), chunk):
             block = pts[lo : lo + chunk]
             for sub in range(0, len(block), rows):
                 part = block[sub : sub + rows]
-                shifted = buf[: n * len(part) * nodes].reshape(n, len(part), nodes)
+                shifted = buf[: n * len(part) * m].reshape(n, len(part), m)
                 for c in reads:
-                    np.subtract.outer(part[:, c], ys[:, c], out=shifted[c])
-                vals[sub : sub + len(part)] = _component_values(
-                    omega, idx, shifted.reshape(n, -1).T
-                ).reshape(-1, nodes)
+                    np.subtract.outer(part[:, c], shifts[:, c], out=shifted[c])
+                at = shifted.reshape(n, -1).T
+                u = omega._component_batch(idx, at)
+                if omega.support is not None:
+                    u = u * omega.support.contains_batch(at)
+                if index is None:
+                    vals[sub : sub + len(part)] = u.reshape(-1, m)
+                else:
+                    np.take(u.reshape(-1, m), index, axis=1, mode="clip",
+                            out=vals[sub : sub + len(part)])
             out[lo : lo + chunk] = vals[: len(block)] @ weights
         return out
 
-    comps = {idx: functools.partial(convolve, idx, ws) for idx in omega.indices}
-    partials = {
-        idx: functools.partial(convolve, idx, grad_ws) for idx in omega.indices
-    }
+    comps, partials = {}, {}
+    for idx in omega.indices:
+        reads = omega._reads_of([idx])
+        rule = (idx, reads, *_distinct_shifts(ys, reads))
+        comps[idx] = functools.partial(convolve, *rule, ws)
+        partials[idx] = functools.partial(convolve, *rule, grad_ws)
     return FormField(omega.dimension, omega.degree, comps, "analytic",
                      partials=partials)
 
 
-def _component_values(omega, idx, pts):
-    comp = omega.components[idx]
-    if isinstance(comp, Polynomial):
-        vals = comp.evaluate_batch(pts)
-    else:
-        vals = np.asarray(comp(pts), dtype=float)
-    if omega.support is not None:
-        vals = vals * omega.support.contains_batch(pts)
-    return vals
+def _distinct_shifts(ys, reads):
+    """The nodes ys at their distinct rows on the coordinates `reads`, and
+    the row of each node; (ys, None) when every node is distinct.  Rows are
+    told apart by their bits, so 0.0 and -0.0 differ."""
+    bits = np.ascontiguousarray(ys[:, list(reads)]).view(np.uint64)
+    _, first, index = np.unique(bits, axis=0, return_index=True,
+                                return_inverse=True)
+    if len(first) == len(ys):
+        return ys, None
+    return ys[first], index.reshape(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -228,23 +228,13 @@ def _estimate(F, domain, cfg, split_radius=None):
             done += m
             total += m
             x0 = domain.sample_uniform(m, seed=rng)
-            if k == 0:
-                vals = F.evaluate_scaled_batch(
-                    x0, np.zeros((m, 0, n)), np.zeros((m, 0))
-                )
-                w = volume * np.abs(vals) ** p
-                accepted += m
-                channels[0].add(w)
-                if split_radius is not None:
-                    channels[1].add(np.zeros_like(w))
-                continue
             vs = normalize_rows(rng.standard_normal((m, k, n)))
             u = rng.random((m, k))
-            if cone:
+            if cone and k:
                 reach = cfg.c * domain.dist_to_boundary_batch(x0)
                 r_eff = np.minimum(reach, R) if capped else reach
-            else:
-                r_eff = np.full(m, R)
+            else:  # with k = 0 no radius is drawn, and r_eff**0 = 1 for any R
+                r_eff = np.full(m, R if k else 1.0)
             rs = u ** (1.0 / a)
             # x_i = x0 + r_i v_i one coordinate column at a time: the same
             # products and sums as x0[:, None, :] + rs[..., None] * vs

@@ -18,8 +18,9 @@ row by row.  Likewise the pullback and the convolution evaluate their nodes
 in blocks of forms._NODE_BLOCK, and no block size may move a bit.  Nor may
 the memory layout: coefficient arrays are column-major, and the points
 may come in either order.  Nor may the read set: the kernels build only the
-coordinates a form reads, and contract a constant form once per row, while
-the references build every coordinate of every node.
+coordinates a form reads, contract a constant form once per row, and
+convolve by evaluating each distinct shift once and gathering, while the
+references build and evaluate every coordinate of every node.
 
 The sampler's row arithmetic works one coordinate column at a time: its
 row norm, row all and row product give the bits of numpy's reductions over
@@ -314,7 +315,10 @@ def test_scaled_integration_matches_ordered_reference(case):
 
 def _node_block(rows, nodes):
     """Patch the node block to `rows` rows of `nodes` nodes, or to a single
-    node (one row per block) when rows is 0."""
+    node (one row per block) when rows is 0.  The convolution counts a
+    block's nodes in distinct shifts, so a component it evaluates at m of
+    its `nodes` nodes gets rows * nodes // m rows per block; rows = 0 still
+    gives one row per block."""
     return mock.patch.object(forms, "_NODE_BLOCK", max(1, rows * nodes))
 
 
@@ -362,22 +366,37 @@ def reference_convolution(omega, idx, ys, weights, pts):
 
 
 @lru_cache(maxsize=None)
-def _mollifier(n):
-    return Mollifier(n, 0.25, nodes={1: 24, 2: 40, 3: 24}[n])
+def _mollifier(n, odd=False):
+    """Gauss nodes per axis: the even counts, or odd ones, which put a node
+    at 0.0 on each axis."""
+    return Mollifier(n, 0.25, nodes={1: (24, 25), 2: (40, 41), 3: (24, 27)}[n][odd])
 
 
 @st.composite
 def mollifier_cases(draw):
-    n = draw(st.integers(1, 3))
-    eta = _mollifier(n)
+    """The convolution evaluates each distinct shift once and gathers; the
+    kinds cover every read set: rough callables, with or without a support,
+    read every coordinate (no gather); "last" reads only x_n in R^3, so its
+    gather is not a run of equal values; and the polynomial kinds."""
     # One case in ten spans a chunk boundary.  That takes about 4M shifted
     # nodes whatever n is, so it uses the cheapest component: a linear
     # polynomial (the chunk split does not depend on the component).
-    chunk = (1 << 22) // len(eta.convolution_rule()[0])
     across = draw(st.sampled_from([False] * 9 + [True]))
-    kind = "any" if across else draw(st.sampled_from(["rough"]) | polynomial_kinds)
-    if kind == "rough":
-        omega = FormField.from_callables(n, 0, {(): _rough_component(0.3)})
+    kind = "any" if across else draw(
+        st.sampled_from(["rough", "supported rough", "last"]) | polynomial_kinds
+    )
+    n = 3 if kind == "last" else draw(st.integers(1, 3))
+    eta = _mollifier(n, draw(st.booleans()))
+    chunk = (1 << 22) // len(eta.convolution_rule()[0])
+    if kind in ("rough", "supported rough"):
+        support = draw(supports(n)) if kind == "supported rough" else None
+        omega = FormField.from_callables(n, 0, {(): _rough_component(0.3)},
+                                         support=support)
+    elif kind == "last":
+        powers = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+        omega = FormField.from_polynomials(n, 0, {(): {
+            (0, 0, e): draw(coefficients.filter(bool)) for e in powers
+        }})
     else:
         omega = draw(polynomial_forms(n, 0, [()], kind, max_degree=1 if across else 5))
     rows = draw(st.integers(chunk - 2, chunk + 3) if across else st.integers(1, 8))
@@ -784,16 +803,6 @@ def parent_estimate(F, domain, cfg, split_radius=None):
             done += m
             total += m
             x0 = domain.sample_uniform(m, seed=rng)
-            if k == 0:
-                vals = F.evaluate_scaled_batch(
-                    x0, np.zeros((m, 0, n)), np.zeros((m, 0))
-                )
-                w = volume * np.abs(vals) ** p
-                accepted += m
-                channels[0].add(w)
-                if split_radius is not None:
-                    channels[1].add(np.zeros_like(w))
-                continue
             vs = rng.standard_normal((m, k, n))
             vs /= np.linalg.norm(vs, axis=2, keepdims=True)
             u = rng.random((m, k))

@@ -239,6 +239,52 @@ def test_mollified_rough_form_has_derivative():
     assert d.degree == 2
 
 
+@pytest.mark.parametrize("args", [
+    pytest.param((2, 0.05, 0), id="no nodes"),
+    pytest.param((2, 0.05, -3), id="negative nodes"),
+    pytest.param((0, 0.05), id="dimension 0"),
+    pytest.param((2, math.nan), id="nan radius"),
+    pytest.param((2, math.inf), id="infinite radius"),
+    pytest.param((2, 0.0), id="zero radius"),
+])
+def test_mollifier_rejects_bad_arguments(args):
+    with pytest.raises(ArgumentError, match="finite radius > 0"):
+        Mollifier(*args)
+
+
+@pytest.mark.parametrize("pts", [np.zeros((3, 3)), np.zeros(2), np.zeros((1, 2, 2))])
+@pytest.mark.parametrize("part", ["components", "partials"])
+def test_convolution_closures_need_an_n_column_batch(pts, part):
+    closure = getattr(mollify(x1_dx2(), Mollifier(2, 0.05)), part)[(2,)]
+    with pytest.raises(ArgumentError):
+        closure(pts)
+
+
+@pytest.mark.parametrize("case,per_point", [
+    ("x1 dx2", 48), ("constant", 1), ("supported", 1200),
+])
+@pytest.mark.parametrize("part", ["components", "partials"])
+def test_convolution_evaluates_each_distinct_shift_once(monkeypatch, case,
+                                                        per_point, part):
+    """x1 - y_q1 takes 48 values over the 1,200 nodes of Mollifier(2, 0.05):
+    x1 dx2 is evaluated at 48 shifts per point, a constant at one, and a
+    supported form, which reads every coordinate, at every node."""
+    omega = {
+        "x1 dx2": x1_dx2(),
+        "constant": FormField.constant_form(2, {(2,): 3.0}),
+        "supported": x1_dx2().with_support(UNIT_BOX),
+    }[case]
+    eta = Mollifier(2, 0.05)
+    assert len(eta.convolution_rule()[0]) == 1200
+    closure = getattr(mollify(omega, eta), part)[(2,)]
+    rows = []
+    evaluate = Polynomial.evaluate_batch
+    monkeypatch.setattr(Polynomial, "evaluate_batch",
+                        lambda poly, pts: rows.append(len(pts)) or evaluate(poly, pts))
+    closure(np.random.default_rng(0).uniform(0.0, 1.0, size=(7, 2)))
+    assert sum(rows) == 7 * per_point
+
+
 def test_lp_norm_constant_form():
     est = lp_norm(
         FormField.constant_form(2, {(1,): 1.0}), UNIT_BOX, 2.0,
