@@ -160,6 +160,9 @@ class Polynomial:
     def is_constant(self):
         return all(sum(p) == 0 for p in self.terms)
 
+    def degree(self):
+        return max((sum(p) for p in self.terms), default=0)
+
     def __repr__(self):
         return f"Polynomial({self.dimension}, {self.terms})"
 
@@ -445,10 +448,14 @@ class Mollifier:
 
     def _grid(self, m):
         x, w = np.polynomial.legendre.leggauss(m)
-        x, w = x * self.radius, w * self.radius
+        x = x * self.radius
+        w = w * self.radius
         grids = np.meshgrid(*([x] * self.dimension), indexing="ij")
         ys = np.stack([g.reshape(-1) for g in grids], axis=1)
-        ws = functools.reduce(np.multiply.outer, [w] * self.dimension).reshape(-1)
+        ws = np.prod(
+            np.stack(np.meshgrid(*([w] * self.dimension), indexing="ij"), axis=0),
+            axis=0,
+        ).reshape(-1)
         keep = np.linalg.norm(ys, axis=1) < self.radius
         return ys[keep], ws[keep]
 
@@ -500,15 +507,14 @@ def mollify(omega, eta, quadrature_nodes=None):
     def convolve(idx, reads, shifts, index, weights, pts):
         """sum_q omega_idx(pts - y_q) weights[q], chunk points at a time.
 
-        The component is evaluated only at x - s for the m distinct rows s
-        of the nodes on the coordinates it reads (`shifts`, _distinct_shifts),
-        one node block of m shifts at a time: built one read coordinate at a
-        time into a reused (n, rows, m) buffer, whose column-major
-        (rows * m, n) view the component reads.  np.take gathers a block's
-        values into the chunk's (rows, nodes) `vals` by `index`, in place
-        with mode="clip"; the default "raise" writes through a temporary.
-        With index None the shifts are the nodes, in order.  The chunk rule
-        fixes the row count of each vals @ weights, which decides its bits.
+        The component is evaluated only at x - s for the m distinct rows s of
+        the nodes on the coordinates it reads (`shifts`, _distinct_shifts), one
+        node block of m shifts at a time: built one read coordinate at a time
+        into a reused (n, rows, m) buffer, whose column-major (rows * m, n)
+        view the component reads.  np.take gathers a block's values into the
+        chunk's (rows, nodes) `vals` by `index`, in place with mode="clip"; the
+        default "raise" writes through a temporary.  The chunk rule fixes the
+        row count of each vals @ weights, which decides its bits.
         """
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != n:
@@ -529,11 +535,8 @@ def mollify(omega, eta, quadrature_nodes=None):
                 u = omega._component_batch(idx, at)
                 if omega.support is not None:
                     u = u * omega.support.contains_batch(at)
-                if index is None:
-                    vals[sub : sub + len(part)] = u.reshape(-1, m)
-                else:
-                    np.take(u.reshape(-1, m), index, axis=1, mode="clip",
-                            out=vals[sub : sub + len(part)])
+                np.take(u.reshape(-1, m), index, axis=1, mode="clip",
+                        out=vals[sub : sub + len(part)])
             out[lo : lo + chunk] = vals[: len(block)] @ weights
         return out
 
@@ -549,13 +552,10 @@ def mollify(omega, eta, quadrature_nodes=None):
 
 def _distinct_shifts(ys, reads):
     """The nodes ys at their distinct rows on the coordinates `reads`, and
-    the row of each node; (ys, None) when every node is distinct.  Rows are
-    told apart by their bits, so 0.0 and -0.0 differ."""
+    the row of each node.  Rows are told apart by their bits, so 0.0 and
+    -0.0 differ."""
     bits = np.ascontiguousarray(ys[:, list(reads)]).view(np.uint64)
-    _, first, index = np.unique(bits, axis=0, return_index=True,
-                                return_inverse=True)
-    if len(first) == len(ys):
-        return ys, None
+    _, first, index = np.unique(bits, axis=0, return_index=True, return_inverse=True)
     return ys[first], index.reshape(-1)
 
 

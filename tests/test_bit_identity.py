@@ -376,8 +376,9 @@ def _mollifier(n, odd=False):
 def mollifier_cases(draw):
     """The convolution evaluates each distinct shift once and gathers; the
     kinds cover every read set: rough callables, with or without a support,
-    read every coordinate (no gather); "last" reads only x_n in R^3, so its
-    gather is not a run of equal values; and the polynomial kinds."""
+    read every coordinate (every node distinct, so the gather only reorders);
+    "last" reads only x_n in R^3, so its gather is not a run of equal values;
+    and the polynomial kinds."""
     # One case in ten spans a chunk boundary.  That takes about 4M shifted
     # nodes whatever n is, so it uses the cheapest component: a linear
     # polynomial (the chunk split does not depend on the component).
