@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 
 import numpy as np
 
@@ -159,9 +160,6 @@ class Polynomial:
 
     def is_constant(self):
         return all(sum(p) == 0 for p in self.terms)
-
-    def degree(self):
-        return max((sum(p) for p in self.terms), default=0)
 
     def __repr__(self):
         return f"Polynomial({self.dimension}, {self.terms})"
@@ -413,6 +411,45 @@ def _block_rows(nodes):
     return max(1, _NODE_BLOCK // max(1, nodes))
 
 
+def _blas_threads():
+    """The threads OpenBLAS starts with: the first positive count among
+    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS, capped by
+    the CPUs this process may run on.  Read once, at import."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        count = os.environ.get(var, "")
+        if count.isdigit() and int(count) > 0:
+            return min(int(count), cpus)
+    return cpus
+
+
+# GEMV computes a row of a @ w with its 4-row kernel unless the row is among
+# the last (rows mod 4) of its thread's share, and threads share rows evenly.
+_ROW_MULTIPLE = 4 * _blas_threads()
+
+
+def _padded_rows(rows):
+    return rows + (-rows % _ROW_MULTIPLE)
+
+
+def row_dot(a, w):
+    """a @ w with the bits of a 4-row GEMV in every row, whatever the batch.
+
+    a is (rows, Q) with contiguous rows, zero-padded to a multiple of
+    _ROW_MULTIPLE rows (a copy, unless the caller allocated the padding).
+    A (Q, c) right-hand side runs one column at a time: GEMM blocks its sums
+    by the batch.  tests/test_bit_identity.py checks the premise; should a
+    BLAS break it, the fallback is the ordered row sum (a * w).sum(1).
+    """
+    rows, padded = len(a), _padded_rows(len(a))
+    if padded != rows:
+        a = np.concatenate([a, np.zeros((padded - rows, a.shape[1]))])
+    if w.ndim == 1:
+        return (a @ w)[:rows]
+    return np.stack([(a @ np.ascontiguousarray(col))[:rows] for col in w.T], axis=1)
+
+
 # ---------------------------------------------------------------------------
 # mollification
 
@@ -513,8 +550,9 @@ def mollify(omega, eta, quadrature_nodes=None):
         into a reused (n, rows, m) buffer, whose column-major (rows * m, n)
         view the component reads.  np.take gathers a block's values into the
         chunk's (rows, nodes) `vals` by `index`, in place with mode="clip"; the
-        default "raise" writes through a temporary.  The chunk rule fixes the
-        row count of each vals @ weights, which decides its bits.
+        default "raise" writes through a temporary.  `vals` carries the zero
+        rows that row_dot pads with, so each point's bits are the same in any
+        batch.
         """
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != n:
@@ -522,10 +560,12 @@ def mollify(omega, eta, quadrature_nodes=None):
         m = len(shifts)
         out = np.empty((len(pts),) + weights.shape[1:])
         rows = _block_rows(m)
-        vals = np.empty((min(chunk, len(pts)), nodes))
+        vals = np.empty((_padded_rows(min(chunk, len(pts))), nodes))
         buf = np.empty(n * min(rows, len(pts)) * m)
         for lo in range(0, len(pts), chunk):
             block = pts[lo : lo + chunk]
+            padded = _padded_rows(len(block))
+            vals[len(block) : padded] = 0.0
             for sub in range(0, len(block), rows):
                 part = block[sub : sub + rows]
                 shifted = buf[: n * len(part) * m].reshape(n, len(part), m)
@@ -537,7 +577,7 @@ def mollify(omega, eta, quadrature_nodes=None):
                     u = u * omega.support.contains_batch(at)
                 np.take(u.reshape(-1, m), index, axis=1, mode="clip",
                         out=vals[sub : sub + len(part)])
-            out[lo : lo + chunk] = vals[: len(block)] @ weights
+            out[lo : lo + chunk] = row_dot(vals[:padded], weights)[: len(block)]
         return out
 
     comps, partials = {}, {}

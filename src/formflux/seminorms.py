@@ -245,15 +245,14 @@ def _estimate(F, domain, cfg, split_radius=None):
                     np.multiply(rs[:, i], vs[:, i, c], out=pts[:, i, c])
                     pts[:, i, c] += x0[:, c]
             inside = row_all(domain.contains_batch(pts.reshape(-1, n)).reshape(m, k))
-            accepted += int(np.count_nonzero(inside))
-            g = F.evaluate_scaled_batch(x0, vs, rs)
-            w = (
-                volume
-                * (sphere_area / p) ** k
-                * r_eff**(a * k)
-                * np.abs(g) ** p
-                * inside
+            # F sees only the accepted tuples; a rejected one weighs 0
+            keep = np.flatnonzero(inside)
+            accepted += len(keep)
+            g = np.zeros(m)
+            g[keep] = F.evaluate_scaled_batch(
+                x0.take(keep, axis=0), vs.take(keep, axis=0), rs.take(keep, axis=0)
             )
+            w = volume * (sphere_area / p) ** k * r_eff**(a * k) * np.abs(g) ** p
             if split_radius is None:
                 channels[0].add(w)
             else:
@@ -278,7 +277,9 @@ def fixed_theta_seminorm(F: Multifunction, domain, cfg: SeminormConfig):
     """The importance-sampled fixed-theta seminorm of F over the domain.
 
     Returns a SeminormEstimate; the p-th power mean is the unbiased
-    quantity, the value is its p-th root with a delta-method error.
+    quantity, the value is its p-th root with a delta-method error.  F is
+    evaluated only on the tuples whose points all lie in the domain; the
+    others weigh 0.
     """
     return _estimate(F, domain, cfg)[0]
 

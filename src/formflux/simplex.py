@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ArgumentError
 from .exterior import _batch_det, contract_minors, minor_dets
-from .forms import Polynomial, _block_rows
+from .forms import Polynomial, _block_rows, _padded_rows, row_dot
 
 __all__ = [
     "SimplexTuple",
@@ -242,12 +242,13 @@ def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False)
 
     The nodes are evaluated one block of rows at a time (forms._NODE_BLOCK
     nodes), so the positions and coefficients never exist for the whole
-    batch; only the (N, Q) integrand does.  Its products with the weights
-    run once over the full batch, since a BLAS product's bits depend on
-    how its rows are split.  Positions are built only for the coordinates
-    the coefficients read (FormField._reads).  Constant coefficients read
-    none: they are evaluated once, and each row's contraction is broadcast
-    across its Q nodes, with the bits of contracting every node.
+    batch; only the (N, Q) integrand does, allocated with the zero rows
+    that forms.row_dot pads with.  Every step computes row by row, so a
+    simplex gets the same bits in any batch.  Positions are built only for
+    the coordinates the coefficients read (FormField._reads).  Constant
+    coefficients read none: they are evaluated once, and each row's
+    contraction is broadcast across its Q nodes, with the bits of
+    contracting every node.
     """
     n = omega.dimension
     k = omega.degree
@@ -261,7 +262,8 @@ def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False)
     N, Q = len(base), len(P)
     det_source = edges if unit_vectors is None else unit_vectors
     dets = minor_dets(omega.indices, det_source)
-    integrand = np.empty((N, Q))
+    integrand = np.empty((_padded_rows(N), Q))
+    integrand[N:] = 0.0
     rows = _block_rows(Q)
     reads = omega._reads
     const = None if reads else omega.coefficients_batch(np.zeros((1, n)))
@@ -285,10 +287,10 @@ def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False)
             hi - lo, Q, -1
         )
         contract_minors(coeffs, dets[lo:hi, np.newaxis], out=integrand[lo:hi])
-    out = integrand @ W
+    out = row_dot(integrand, W)[:N]
     if not with_mass:
         return out
-    return out, np.abs(integrand, out=integrand) @ np.abs(W)
+    return out, row_dot(np.abs(integrand, out=integrand), np.abs(W))[:N]
 
 
 def integrate_scalar(rho, simplex, rule=None):

@@ -6,7 +6,9 @@ the straightforward numpy expressions kept here as references:
   node positions     base + einsum("qk,nkd->nqd", P, edges), all rows at once
   polynomials        sum_terms c * x_1^e_1 * x_2^e_2 * ..., each power x^e
                      and each monomial multiplied out left to right, no pow
-  convolution        omega(pts[:, None, :] - ys[None]) @ weights, per chunk
+  convolution        omega(pts[:, None, :] - ys[None]) @ weights
+  row reductions     each row of A @ w as in a 4-row GEMV, zero-padded; a
+                     matrix w one column at a time (forms.row_dot)
   face route         one face at a time, signed sum in face order, snap guard
   minor contraction  zeros, then coefficient * det added per basis index, in
                      order; with at most two indices also the bits of
@@ -14,10 +16,11 @@ the straightforward numpy expressions kept here as references:
 
 Single-tuple evaluation is a batch of one, so it must also give the bits of
 the same tuple evaluated inside a larger batch wherever the base computes
-row by row.  Likewise the pullback and the convolution evaluate their nodes
-in blocks of forms._NODE_BLOCK, and no block size may move a bit.  Nor may
-the memory layout: coefficient arrays are column-major, and the points
-may come in either order.  Nor may the read set: the kernels build only the
+row by row.  The pullback and the convolution do, so any split of a batch
+gives the same bits, and the estimator evaluates only the accepted tuples.
+Likewise they evaluate their nodes in blocks of forms._NODE_BLOCK, and no
+block size may move a bit.  Nor may the memory layout: coefficient arrays
+are column-major, and the points may come in either order.  Nor may the read set: the kernels build only the
 coordinates a form reads, contract a constant form once per row, and
 convolve by evaluating each distinct shift once and gathering, while the
 references build and evaluate every coordinate of every node.
@@ -73,6 +76,7 @@ from formflux.forms import (
     lp_norm,
     lp_sphere_norm,
     mollify,
+    row_dot,
 )
 from formflux.seminorms import SeminormConfig
 from formflux.simplex import (
@@ -122,6 +126,23 @@ def einsum_contraction(coeffs, dets):
     return np.einsum("nqm,nm->nq", coeffs, dets)
 
 
+def four_row_product(a, w):
+    """a @ w, each row computed by GEMV in a zero-padded batch of 4 rows,
+    and a matrix w one column at a time.  4 rows stay far below the size
+    at which OpenBLAS's GEMV goes multi-threaded (about 460k entries), so
+    one thread computes them whatever the thread count."""
+    if w.ndim == 2:
+        return np.stack([four_row_product(a, np.ascontiguousarray(c)) for c in w.T],
+                        axis=1)
+    out = np.empty(len(a))
+    for lo in range(0, len(a), 4):
+        rows = a[lo : lo + 4]
+        block = np.zeros((4, a.shape[1]))
+        block[: len(rows)] = rows
+        out[lo : lo + 4] = (block @ w)[: len(rows)]
+    return out
+
+
 def reference_edge_integrals(F, base, edges, unit_vectors=None, with_mass=False,
                              contraction=ordered_contraction):
     n = F.dimension
@@ -135,8 +156,9 @@ def reference_edge_integrals(F, base, edges, unit_vectors=None, with_mass=False,
         dets[:, col] = _batch_det(det_source[:, :, [i - 1 for i in idx]])
     integrand = contraction(coeffs, dets)
     if with_mass:
-        return integrand @ W, np.abs(integrand) @ np.abs(W)
-    return integrand @ W
+        return (four_row_product(integrand, W),
+                four_row_product(np.abs(integrand), np.abs(W)))
+    return four_row_product(integrand, W)
 
 
 coordinates = st.floats(-4.0, 4.0, allow_nan=False, width=64)
@@ -352,8 +374,8 @@ def test_pullback_node_blocks_keep_the_bits(case, rows):
 
 # mollify before the coordinate-major layout: row-major shifted nodes, whose
 # polynomial values test_polynomial_batch_matches_reference ties to the plain
-# formula.  The chunk rule stays: the row count of each vals @ weights
-# decides its bits.
+# formula.  Chunks of 2^22 shifted nodes only bound the memory: every row is
+# reduced as in a 4-row GEMV.
 def reference_convolution(omega, idx, ys, weights, pts):
     out = np.zeros((len(pts),) + weights.shape[1:])
     chunk = max(1, (1 << 22) // max(1, len(ys)))
@@ -361,7 +383,7 @@ def reference_convolution(omega, idx, ys, weights, pts):
         shifted = pts[lo : lo + chunk, np.newaxis, :] - ys[np.newaxis, :, :]
         flat = shifted.reshape(-1, omega.dimension)
         vals = omega.coefficients_batch(flat)[:, omega.indices.index(idx)]
-        out[lo : lo + chunk] = vals.reshape(-1, len(ys)) @ weights
+        out[lo : lo + chunk] = four_row_product(vals.reshape(-1, len(ys)), weights)
     return out
 
 
@@ -452,6 +474,124 @@ def test_convolution_node_blocks_keep_the_bits(blocked):
     with _node_block(rows, len(ys)):
         got = closure(pts)
     assert np.array_equal(got, reference_convolution(omega, (), ys, weights, pts))
+
+
+@st.composite
+def batch_cuts(draw, rows):
+    """Boundaries [0, ..., rows] of a split into up to 5 batches, some of
+    them perhaps empty."""
+    return [0, *sorted(draw(st.lists(st.integers(0, rows), max_size=4))), rows]
+
+
+def in_batches(f, cuts, *arrays):
+    """f applied to the rows [cuts[i], cuts[i + 1]) of the arrays, batch by
+    batch, the results stacked."""
+    return np.concatenate([f(*(x[lo:hi] for x in arrays))
+                           for lo, hi in zip(cuts, cuts[1:])])
+
+
+def _row_dot_case(rows, nodes, strided, columns, cuts, seed):
+    """A (rows, nodes) matrix, contiguous or every second row of a wider one,
+    a right-hand side of `columns` columns (0 for a vector), and batch
+    boundaries."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(((1 + strided) * rows, nodes))[:: 1 + strided]
+    w = rng.standard_normal((nodes, columns) if columns else nodes)
+    return a, w, cuts
+
+
+@st.composite
+def row_dot_cases(draw):
+    rows = draw(st.integers(1, 100))
+    return _row_dot_case(
+        rows, draw(st.integers(1, 1200)), draw(st.booleans()),
+        draw(st.sampled_from([0, 2])), draw(batch_cuts(rows)),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+# OpenBLAS's GEMV goes multi-threaded from about 460k entries, when more than
+# one thread is available: so do 401 and 416 rows of 1,200 nodes.  16 rows
+# are a whole padded batch with one or two threads, so strided rows reach
+# GEMV without a copy.
+@settings(max_examples=150, deadline=5000)
+@given(row_dot_cases())
+@example(_row_dot_case(401, 1200, False, 0, [0, 3, 50, 51, 401], 0))
+@example(_row_dot_case(416, 1200, True, 2, [0, 8, 24, 88, 400, 416], 1))
+@example(_row_dot_case(16, 1023, True, 0, [0, 8, 16], 2))
+def test_row_dot_bits_do_not_depend_on_the_batch(case):
+    """Every row of row_dot has the bits of a 4-row GEMV, in any batch at
+    any offset.  If a BLAS breaks this premise, row_dot must fall back to
+    the ordered row sum (a * w).sum(1)."""
+    a, w, cuts = case
+    want = four_row_product(a, w)
+    assert same_bits(row_dot(a, w), want), "GEMV row bits depend on the batch"
+    assert same_bits(in_batches(lambda x: row_dot(x, w), cuts, a), want), (
+        "GEMV row bits depend on the batch split"
+    )
+
+
+def _split_integration_case(F, rows, seed, cuts):
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-2.0, 2.0, (rows, F.dimension))
+    vs = rng.uniform(-2.0, 2.0, (rows, F.degree, F.dimension))
+    rs = rng.uniform(0.0, 2.0, (rows, F.degree))
+    return F, x0, vs, rs, cuts
+
+
+@st.composite
+def split_integration_cases(draw):
+    """An integration case of up to 60 tuples drawn from a seed, and the
+    boundaries of a split of them."""
+    rows = draw(st.integers(1, 60))
+    return _split_integration_case(
+        draw(integration_cases())[0], rows, draw(st.integers(0, 2**32 - 1)),
+        draw(batch_cuts(rows)),
+    )
+
+
+# 458 segments of the 1024-node rule take the threaded GEMV
+@PROPERTY
+@given(split_integration_cases())
+@example(_split_integration_case(
+    IntegrationMultifunction(FormField.from_callables(
+        2, 1, {(1,): _rough_component(0.0), (2,): _rough_component(0.5)}
+    )), 458, 0, [0, 1, 230, 457, 458],
+))
+def test_edge_integrals_keep_their_bits_in_any_split(case):
+    F, x0, vs, rs, cuts = case
+
+    def integrals(x0, vs, rs):
+        scaled = edge_integrals(F.omega, F.rule, x0, rs[..., np.newaxis] * vs,
+                                unit_vectors=vs, with_mass=True)
+        return np.stack([*scaled, edge_integrals(F.omega, F.rule, x0, vs)], axis=1)
+
+    assert same_bits(in_batches(integrals, cuts, x0, vs, rs), integrals(x0, vs, rs))
+
+
+@st.composite
+def split_mollifier_cases(draw):
+    """A polynomial 1-form in the plane, up to 40 points drawn from a seed,
+    and the boundaries of a split of them."""
+    omega = draw(polynomial_forms(2, 1, [(1,), (2,)], draw(polynomial_kinds)))
+    rows = draw(st.integers(1, 40))
+    return omega, rows, draw(st.integers(0, 2**32 - 1)), draw(batch_cuts(rows))
+
+
+# 563 points of the 840-node rule take the threaded GEMV
+@settings(max_examples=24, deadline=5000)
+@given(split_mollifier_cases())
+@example((FormField.from_polynomials(2, 1, {(1,): {(0, 2): 1.5}, (2,): {(1, 1): -0.5}}),
+          563, 0, [0, 5, 200, 397, 563]))
+def test_mollified_coefficients_keep_their_bits_in_any_split(case):
+    """A mollified 1-form's coefficients and those of its d, whose partials
+    reduce against a two-column gradient rule."""
+    omega, rows, seed, cuts = case
+    smooth = mollify(omega, _mollifier(2))
+    pts = np.random.default_rng(seed).uniform(-1.2, 1.2, size=(rows, 2))
+    for field in (smooth, smooth.exterior_derivative()):
+        assert same_bits(in_batches(field.coefficients_batch, cuts, pts),
+                         field.coefficients_batch(pts))
 
 
 def test_read_sets():
@@ -775,7 +915,9 @@ def test_row_product_is_numpys_product(x):
 
 
 def parent_estimate(F, domain, cfg, split_radius=None):
-    """seminorms._estimate with row-major tuple arithmetic, the reference."""
+    """seminorms._estimate with row-major tuple arithmetic, the reference.
+    F evaluates the accepted tuples only, picked by a boolean mask, and a
+    rejected tuple's g is 0."""
     k, R = seminorms._resolve(F, domain, cfg)
     n = domain.dimension
     p = cfg.p
@@ -820,7 +962,8 @@ def parent_estimate(F, domain, cfg, split_radius=None):
                 .all(axis=1)
             )
             accepted += int(np.count_nonzero(inside))
-            g = F.evaluate_scaled_batch(x0, vs, rs)
+            g = np.zeros(m)
+            g[inside] = F.evaluate_scaled_batch(x0[inside], vs[inside], rs[inside])
             w = (
                 volume
                 * (sphere_area / p) ** k

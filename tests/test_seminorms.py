@@ -317,6 +317,26 @@ def test_inefficiency_error_on_hopeless_indicator():
     assert info.value.acceptance_ratio < 1e-4
 
 
+def test_rejected_tuples_are_never_evaluated():
+    """A tuple with a point outside the domain weighs 0 and is not handed to
+    F.  This F's value outside is so large that |g|^p overflows to inf, and
+    inf * 0 would make the estimate NaN.  (An inf value would not show it:
+    the generic scaled evaluation turns non-finite quotients into 0.)"""
+    outside_seen = []
+
+    def batch(t):
+        inside = UNIT_SQUARE.contains_batch(t.reshape(-1, 2)).reshape(len(t), -1)
+        outside_seen.append(int(np.count_nonzero(~inside.all(axis=1))))
+        return np.where(inside.all(axis=1), t[:, 1, 0] - t[:, 0, 0], 1e300)
+
+    F = UserMultifunction(2, 1, None, batch)
+    cfg = SeminormConfig(p=2.0, theta=0.9, samples=2000, seed=1, variant="full")
+    est = fixed_theta_seminorm(F, UNIT_SQUARE, cfg)
+    assert est.acceptance_ratio < 0.9
+    assert sum(outside_seen) == 0
+    assert math.isfinite(est.value) and math.isfinite(est.stderr)
+
+
 def test_config_validation():
     with pytest.raises(ArgumentError):
         SeminormConfig(p=0.5)
