@@ -2,10 +2,9 @@
 
 The package builds simplicial integration functions I_omega of k-forms,
 their Alexander-Spanier coboundaries dI_omega, and singular-kernel
-seminorms of multifunctions, estimated by importance-sampled Monte Carlo
-with deterministic sharding.  Theta sweeps extrapolate the theta -> 1
-limits; experiment drivers compare them against closed-form and
-sphere-norm targets.
+seminorms of multifunctions, estimated by seeded, importance-sampled Monte
+Carlo.  Theta sweeps extrapolate the theta -> 1 limits; experiment drivers
+compare them against closed-form and sphere-norm targets.
 """
 
 from .alexander_spanier import (

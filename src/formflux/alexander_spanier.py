@@ -43,7 +43,6 @@ __all__ = [
     "IntegrationMultifunction",
     "CoboundaryMultifunction",
     "DifferentialMultifunction",
-    "integration_multifunction",
     "as_differential",
     "stokes_residual",
     "StokesResult",
@@ -265,8 +264,7 @@ class CoboundaryMultifunction(DifferentialMultifunction):
     pass through.
     """
 
-    def __init__(self, omega: FormField, face_rule=None, volume_rule=None,
-                 snap_tol=None):
+    def __init__(self, omega: FormField, face_rule=None):
         super().__init__(IntegrationMultifunction(omega, face_rule))
         self.omega = omega
         self.face_rule = self.base.rule
@@ -275,23 +273,21 @@ class CoboundaryMultifunction(DifferentialMultifunction):
         if self.stokes_route:
             self._volume = IntegrationMultifunction(
                 omega.exterior_derivative(),
-                volume_rule or default_rule(omega.degree + 1, smooth=smooth),
+                default_rule(omega.degree + 1, smooth=smooth),
             )
         else:
             self._volume = None
-        if snap_tol is None:
-            nodes = len(self.face_rule.weights)
-            if omega.degree == 0:
-                # faces are point evaluations: only rounding error
-                snap_tol = 1e-13
-            elif self.face_rule.kind == "stratified":
-                # jump error <= (few jumps) * sup|f| / nodes, surely
-                snap_tol = 64.0 / nodes
-            elif self.face_rule.kind == "monte-carlo":
-                snap_tol = 12.0 / math.sqrt(nodes)
-            else:
-                snap_tol = 1e-10
-        self.snap_tol = float(snap_tol)
+        nodes = len(self.face_rule.weights)
+        if omega.degree == 0:
+            # faces are point evaluations: only rounding error
+            self.snap_tol = 1e-13
+        elif self.face_rule.kind == "stratified":
+            # jump error <= (few jumps) * sup|f| / nodes, surely
+            self.snap_tol = 64.0 / nodes
+        elif self.face_rule.kind == "monte-carlo":
+            self.snap_tol = 12.0 / math.sqrt(nodes)
+        else:
+            self.snap_tol = 1e-10
 
     def evaluate_scaled_batch(self, x0, vs, rs):
         if self.stokes_route:
@@ -306,10 +302,6 @@ class CoboundaryMultifunction(DifferentialMultifunction):
         total = _alternating_sum(vals)
         total = np.where(np.abs(total) < self.snap_tol * mass, 0.0, total)
         return _over_radii(total, rs)
-
-
-def integration_multifunction(omega, rule=None):
-    return IntegrationMultifunction(omega, rule)
 
 
 def as_differential(F: Multifunction) -> Multifunction:

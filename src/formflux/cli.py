@@ -87,11 +87,8 @@ def _seminorm_config(args, seed, theta=0.9, stream=0):
         theta=theta,
         samples=args.samples,
         seed=seed,
-        shards=args.shards,
         stream=stream,
     )
-    if args.k is not None:
-        kwargs["k"] = args.k
     if args.R is not None:
         kwargs["R"] = args.R
     if args.c is not None:
@@ -236,7 +233,6 @@ def build_parser():
     est.add_argument("--R", type=float, default=None)
     est.add_argument("--c", type=float, default=None)
     est.add_argument("--samples", type=int, default=100000)
-    est.add_argument("--shards", type=int, default=4)
     est.add_argument("--seed", type=int, default=None)
     est.add_argument("--out", default=None, help="directory for CSV/SVG")
 

@@ -36,7 +36,7 @@ class SeminormEstimate:
     ``stderr`` its delta-method standard error.  ``power_value`` and
     ``power_stderr`` are the p-th power mean and its standard error; theta
     sweeps extrapolate on the power scale.  ``config`` echoes the estimator
-    configuration, including the shard count, so that a result is fully
+    configuration, seed and stream included, so that a result is fully
     reproducible from the record alone.
     """
 

@@ -3,15 +3,14 @@
 Each driver returns an ExperimentReport carrying the measured quantity,
 the target with its own uncertainty, the pass/fail verdict, the estimate
 rows for CSV output, and enough configuration echo to reproduce the run
-bit for bit at a fixed shard count.  Pass/fail always combines three
-statistical standard errors with the declared systematic tolerance; no
-bare float comparisons.
+bit for bit.  Pass/fail always combines three statistical standard errors
+with the declared systematic tolerance; no bare float comparisons.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import combinations
 
 import numpy as np
@@ -104,7 +103,6 @@ class ExperimentSpec:
                 "seed": cfg.seed,
                 "R": cfg.R,
                 "c": cfg.c,
-                "shards": cfg.shards,
             },
             "thetas": list(self.thetas),
             "expected": {"kind": self.expected_kind, "value": self.expected_value},
@@ -113,7 +111,14 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, data):
-        cfg = SeminormConfig(**data.get("config", {}))
+        """The spec that to_json wrote.  A config key that SeminormConfig
+        lacks, such as the removed shards, is an ArgumentError: dropping it
+        would silently run a different random stream."""
+        config = data.get("config", {})
+        unknown = sorted(set(config) - {f.name for f in fields(SeminormConfig)})
+        if unknown:
+            raise ArgumentError(f"unknown config keys: {', '.join(unknown)}")
+        cfg = SeminormConfig(**config)
         expected = data.get("expected", {"kind": "oracle", "value": None})
         return cls(
             name=data["name"],

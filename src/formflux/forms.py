@@ -489,10 +489,7 @@ class Mollifier:
         w = w * self.radius
         grids = np.meshgrid(*([x] * self.dimension), indexing="ij")
         ys = np.stack([g.reshape(-1) for g in grids], axis=1)
-        ws = np.prod(
-            np.stack(np.meshgrid(*([w] * self.dimension), indexing="ij"), axis=0),
-            axis=0,
-        ).reshape(-1)
+        ws = functools.reduce(np.multiply.outer, [w] * self.dimension).reshape(-1)
         keep = np.linalg.norm(ys, axis=1) < self.radius
         return ys[keep], ws[keep]
 
@@ -508,9 +505,6 @@ class Mollifier:
         y = np.atleast_2d(np.asarray(y, dtype=float))
         return self._bump(y) / self._mass_raw
 
-    def with_nodes(self, nodes):
-        return Mollifier(self.dimension, self.radius, nodes)
-
     def convolution_rule(self):
         """Nodes y_q and weights w_q with sum_q w_q = 1, so that
         (eta * f)(x) ~= sum_q w_q f(x - y_q)."""
@@ -525,7 +519,7 @@ class Mollifier:
         return self._ys, grad
 
 
-def mollify(omega, eta, quadrature_nodes=None):
+def mollify(omega, eta):
     """The convolved form (eta * omega), coefficient-wise.
 
     Returns an analytic-backend field with exact-to-quadrature partials
@@ -534,8 +528,6 @@ def mollify(omega, eta, quadrature_nodes=None):
     """
     if eta.dimension != omega.dimension:
         raise ArgumentError("mollifier and form dimension mismatch")
-    if quadrature_nodes is not None and quadrature_nodes != eta.nodes:
-        eta = eta.with_nodes(quadrature_nodes)
     ys, ws = eta.convolution_rule()
     _, grad_ws = eta.gradient_rule()
     n, nodes = omega.dimension, len(ys)

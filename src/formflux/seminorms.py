@@ -24,8 +24,9 @@ prefactor in closed form).  Multifunctions are evaluated through their
 scaled form F / prod r_i, which stays finite as the radii hit the float
 floor near theta = 1.
 
-Estimates stream over shards with independent child seeds; the result is
-a deterministic function of (config, seed, shard count).
+Samples are split over _STREAMS independently seeded streams, each drawn
+_CHUNK tuples at a time, so the result is a deterministic function of the
+config and its seed.
 """
 
 from __future__ import annotations
@@ -62,29 +63,30 @@ __all__ = [
 DEFAULT_THETAS = (0.9, 0.95, 0.975, 0.99, 0.995)
 MIN_ACCEPTANCE = 1e-4
 VARIANTS = ("full", "ball", "cone", "ball-cone")
+# The sampling layout.  Changing either constant changes every seeded stream,
+# and the batch F sees sets both time and peak memory.
+_STREAMS = 4
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
 class SeminormConfig:
     """Settings for one fixed-theta estimate.
 
-    k is the multifunction degree (arity - 1); None means take it from the
-    multifunction.  R applies to the ball variants, c to the cone variants.
-    stream separates sampling streams that share one seed (theta sweeps use
-    the theta index), so sweep points are independent yet reproducible.
+    The degree k is the multifunction's.  R applies to the ball variants, c
+    to the cone variants.  stream separates sampling streams that share one
+    seed (theta sweeps use the theta index), so sweep points are independent
+    yet reproducible.
     """
 
     p: float = 2.0
-    k: int | None = None
     variant: str = "full"
     theta: float = 0.9
     samples: int = 100000
     seed: int = 0
     R: float | None = None
     c: float | None = None
-    shards: int = 4
     stream: int = 0
-    chunk: int = 1 << 15
 
     def __post_init__(self):
         if self.p < 1:
@@ -93,8 +95,6 @@ class SeminormConfig:
             raise ArgumentError("theta must lie in (0, 1)")
         if self.samples < 2:
             raise ArgumentError("need at least 2 samples")
-        if self.shards < 1 or self.shards > self.samples:
-            raise ArgumentError("shards must be in [1, samples]")
         if self.variant not in VARIANTS:
             raise ArgumentError(f"unknown variant {self.variant!r}")
         if self.variant in ("ball", "ball-cone"):
@@ -103,10 +103,6 @@ class SeminormConfig:
         if self.variant in ("cone", "ball-cone"):
             if self.c is None or self.c <= 0:
                 raise ArgumentError("cone variants need c > 0")
-        if self.k is not None and self.k < 0:
-            raise ArgumentError("k must be >= 0")
-        if self.chunk < 1:
-            raise ArgumentError("chunk must be >= 1")
 
     def with_theta(self, theta, stream=None):
         return replace(
@@ -129,7 +125,7 @@ def epsilon_theta(theta):
 
 
 class _Accumulator:
-    """Streaming sum / sum-of-squares over shards for one weight channel."""
+    """Streaming sum / sum-of-squares over streams for one weight channel."""
 
     __slots__ = ("sw", "sw2", "n")
 
@@ -152,15 +148,8 @@ class _Accumulator:
 def _resolve(F, domain, cfg):
     if F.dimension != domain.dimension:
         raise ArgumentError("multifunction and domain dimensions differ")
-    k = F.degree if cfg.k is None else cfg.k
-    if k != F.degree:
-        raise ArgumentError(
-            f"config k={cfg.k} does not match multifunction degree {F.degree}"
-        )
-    R = cfg.R
-    if cfg.variant == "full":
-        R = domain.diameter()
-    return k, R
+    R = domain.diameter() if cfg.variant == "full" else cfg.R
+    return F.degree, R
 
 
 def _config_echo(cfg, k, R):
@@ -173,7 +162,6 @@ def _config_echo(cfg, k, R):
         "c": cfg.c,
         "samples": cfg.samples,
         "seed": cfg.seed,
-        "shards": cfg.shards,
         "stream": cfg.stream,
     }
 
@@ -211,20 +199,20 @@ def _estimate(F, domain, cfg, split_radius=None):
     accepted = 0
     total = 0
 
-    base = cfg.samples // cfg.shards
+    base = cfg.samples // _STREAMS
     counts = [
-        base + (1 if s < cfg.samples % cfg.shards else 0)
-        for s in range(cfg.shards)
+        base + (1 if s < cfg.samples % _STREAMS else 0)
+        for s in range(_STREAMS)
     ]
-    for shard, count in enumerate(counts):
+    for stream, count in enumerate(counts):
         if count == 0:
             continue
         rng = np.random.default_rng(
-            np.random.SeedSequence(cfg.seed, spawn_key=(cfg.stream, shard))
+            np.random.SeedSequence(cfg.seed, spawn_key=(cfg.stream, stream))
         )
         done = 0
         while done < count:
-            m = min(cfg.chunk, count - done)
+            m = min(_CHUNK, count - done)
             done += m
             total += m
             x0 = domain.sample_uniform(m, seed=rng)

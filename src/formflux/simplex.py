@@ -146,11 +146,7 @@ def monte_carlo_rule(k, samples=1024, seed=0):
         )
     if samples < 1:
         raise ArgumentError("need at least one sample")
-    rng = (
-        seed
-        if isinstance(seed, np.random.Generator)
-        else np.random.default_rng(np.random.SeedSequence(seed))
-    )
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     u = np.sort(rng.random((samples, k)), axis=1)
     pts = np.diff(u, axis=1, prepend=0.0)
     wts = np.full(samples, 1.0 / (math.factorial(k) * samples))
@@ -169,11 +165,7 @@ def stratified_segment_rule(samples=1024, seed=0):
     """
     if samples < 1:
         raise ArgumentError("need at least one sample")
-    rng = (
-        seed
-        if isinstance(seed, np.random.Generator)
-        else np.random.default_rng(np.random.SeedSequence(seed))
-    )
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     pts = ((np.arange(samples) + rng.random(samples)) / samples)[:, np.newaxis]
     wts = np.full(samples, 1.0 / samples)
     return SimplexQuadratureRule("stratified", 1, pts, wts)

@@ -254,7 +254,7 @@ def test_criterion_12_cli_runs_are_byte_identical(tmp_path):
                 sys.executable, "-m", "formflux.cli", "sweep",
                 "--form", str(form_path), "--domain", str(domain_path),
                 "--k", "1", "--samples", "20000", "--seed", "3",
-                "--shards", "4", "--out", str(out_dir),
+                "--out", str(out_dir),
             ],
             capture_output=True,
             check=True,

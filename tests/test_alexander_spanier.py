@@ -11,7 +11,6 @@ from formflux.alexander_spanier import (
     IntegrationMultifunction,
     UserMultifunction,
     as_differential,
-    integration_multifunction,
     stokes_residual,
 )
 from formflux.domains import Ball, SlitBox
@@ -35,13 +34,13 @@ def random_dyadic_polynomial(rng, dimension, max_degree=2):
 
 def test_segment_integral_of_dx1_is_length():
     omega = poly_form(2, 1, {(1,): {(0, 0): 1.0}})
-    F = integration_multifunction(omega)
+    F = IntegrationMultifunction(omega)
     assert F(np.array([[0.0, 0.0], [1.0, 0.0]])) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_degree_zero_integration_is_evaluation():
     f = poly_form(2, 0, {(): {(2, 1): 3.0}})
-    F = integration_multifunction(f)
+    F = IntegrationMultifunction(f)
     assert F.provenance == "integration-of-form"
     x = np.array([[0.5, 2.0]])
     assert F(x) == pytest.approx(3.0 * 0.25 * 2.0, abs=1e-15)
@@ -49,7 +48,7 @@ def test_degree_zero_integration_is_evaluation():
 
 def test_vertical_segment_kills_dx2_coefficient_x1():
     omega = poly_form(2, 1, {(2,): {(1, 0): 1.0}})
-    F = integration_multifunction(omega)
+    F = IntegrationMultifunction(omega)
     val = F(np.array([[0.0, 0.0], [0.0, 1.0]]))
     assert val == pytest.approx(0.0, abs=1e-15)
 
@@ -59,7 +58,7 @@ def test_segment_antisymmetry_under_swap():
     omega = poly_form(
         2, 1, {(1,): {(1, 1): 0.5}, (2,): {(2, 0): -0.75}}
     )
-    F = integration_multifunction(omega)
+    F = IntegrationMultifunction(omega)
     for _ in range(10):
         a, b = rng.normal(size=(2, 2))
         assert F(np.array([a, b])) == pytest.approx(
@@ -69,7 +68,7 @@ def test_segment_antisymmetry_under_swap():
 
 def test_differential_of_point_evaluation():
     f = poly_form(2, 0, {(): {(1, 0): 1.0, (0, 2): 2.0}})
-    dF = as_differential(integration_multifunction(f))
+    dF = as_differential(IntegrationMultifunction(f))
     x = np.array([0.1, 0.2])
     y = np.array([0.7, -0.4])
     expected = (0.7 + 2 * 0.16) - (0.1 + 2 * 0.04)
@@ -78,7 +77,7 @@ def test_differential_of_point_evaluation():
 
 def test_coboundary_of_x1_dx2_on_unit_triangle():
     omega = poly_form(2, 1, {(2,): {(1, 0): 1.0}})
-    dF = as_differential(integration_multifunction(omega))
+    dF = as_differential(IntegrationMultifunction(omega))
     tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     assert dF(tri) == pytest.approx(0.5, abs=1e-13)
     assert dF.provenance == "differential-of"
@@ -104,7 +103,7 @@ def test_double_differential_vanishes_exactly():
 def test_double_differential_of_integration_vanishes():
     rng = np.random.default_rng(13)
     omega = poly_form(2, 1, {(1,): {(0, 1): 1.0}, (2,): {(2, 0): 0.5}})
-    ddF = as_differential(as_differential(integration_multifunction(omega)))
+    ddF = as_differential(as_differential(IntegrationMultifunction(omega)))
     for _ in range(25):
         pts = rng.normal(size=(4, 2))
         assert ddF(pts) == pytest.approx(0.0, abs=1e-13)
@@ -148,7 +147,7 @@ def test_scaled_integration_matches_plain_quotient():
     omega = poly_form(
         3, 2, {(1, 2): {(1, 0, 1): 1.0}, (1, 3): {(0, 2, 0): -0.5}}
     )
-    F = integration_multifunction(omega)
+    F = IntegrationMultifunction(omega)
     N = 40
     x0 = rng.uniform(-1, 1, size=(N, 3))
     vs = rng.normal(size=(N, 2, 3))
@@ -164,7 +163,7 @@ def test_scaled_integration_matches_plain_quotient():
 
 def test_scaled_integration_finite_at_tiny_radii():
     omega = poly_form(2, 1, {(2,): {(1, 0): 1.0}})
-    F = integration_multifunction(omega)
+    F = IntegrationMultifunction(omega)
     x0 = np.array([[0.25, 0.5]])
     vs = np.array([[[0.0, 1.0]]])
     rs = np.array([[1e-300]])

@@ -476,6 +476,37 @@ def test_convolution_node_blocks_keep_the_bits(blocked):
     assert np.array_equal(got, reference_convolution(omega, (), ys, weights, pts))
 
 
+def meshgrid_grid(eta, m):
+    """Mollifier._grid with its tensor weights as np.prod over stacked
+    meshgrids, the reference."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    x = x * eta.radius
+    w = w * eta.radius
+    grids = np.meshgrid(*([x] * eta.dimension), indexing="ij")
+    ys = np.stack([g.reshape(-1) for g in grids], axis=1)
+    ws = np.prod(
+        np.stack(np.meshgrid(*([w] * eta.dimension), indexing="ij"), axis=0),
+        axis=0,
+    ).reshape(-1)
+    keep = np.linalg.norm(ys, axis=1) < eta.radius
+    return ys[keep], ws[keep]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("nodes", [1, 2, 5, 12, 48, 96])
+def test_mollifier_rule_keeps_the_meshgrid_bits(n, nodes):
+    """Every grid the constructor may build, and the rule of each node count
+    that converges; (3, 96) would check its mass on a 192^3 grid."""
+    eta = _mollifier(n)
+    assert all(map(same_bits, eta._grid(nodes), meshgrid_grid(eta, nodes)))
+    if nodes >= 48 and (n, nodes) != (3, 96):
+        eta = Mollifier(n, eta.radius, nodes)
+        ys, ws = meshgrid_grid(eta, nodes)
+        raw = eta._bump(ys)
+        weights = ws * raw / float(np.sum(ws * raw))
+        assert all(map(same_bits, eta.convolution_rule(), (ys, weights)))
+
+
 @st.composite
 def batch_cuts(draw, rows):
     """Boundaries [0, ..., rows] of a split into up to 5 batches, some of
@@ -931,18 +962,19 @@ def parent_estimate(F, domain, cfg, split_radius=None):
         channels.append(seminorms._Accumulator())
     accepted = 0
     total = 0
-    base = cfg.samples // cfg.shards
+    streams = seminorms._STREAMS
+    base = cfg.samples // streams
     counts = [
-        base + (1 if s < cfg.samples % cfg.shards else 0)
-        for s in range(cfg.shards)
+        base + (1 if s < cfg.samples % streams else 0)
+        for s in range(streams)
     ]
-    for shard, count in enumerate(counts):
+    for stream, count in enumerate(counts):
         rng = np.random.default_rng(
-            np.random.SeedSequence(cfg.seed, spawn_key=(cfg.stream, shard))
+            np.random.SeedSequence(cfg.seed, spawn_key=(cfg.stream, stream))
         )
         done = 0
         while done < count:
-            m = min(cfg.chunk, count - done)
+            m = min(seminorms._CHUNK, count - done)
             done += m
             total += m
             x0 = domain.sample_uniform(m, seed=rng)
@@ -1032,14 +1064,15 @@ def _multifunction(k):
 @settings(max_examples=5, deadline=10000)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_estimate_keeps_the_row_major_bits(case, k, split, seed):
+    """700-tuple batches give each stream two draws, the second partial."""
     domain, variant = ESTIMATE_CASES[case]
-    cfg = SeminormConfig(theta=0.95, samples=3001, seed=seed, shards=2, chunk=700,
-                         **variant)
+    cfg = SeminormConfig(theta=0.95, samples=3001, seed=seed, **variant)
     split_radius = 0.05 if split else None
     runs = []
-    for estimate in (seminorms._estimate, parent_estimate):
-        D, F = Recorder(domain), Recorder(_multifunction(k))
-        runs.append((estimate(F, D, cfg, split_radius), D.seen, F.seen))
+    with mock.patch.object(seminorms, "_CHUNK", 700):
+        for estimate in (seminorms._estimate, parent_estimate):
+            D, F = Recorder(domain), Recorder(_multifunction(k))
+            runs.append((estimate(F, D, cfg, split_radius), D.seen, F.seen))
     (got, got_pts, got_args), (want, want_pts, want_args) = runs
     assert len(got_pts) == len(want_pts) and len(got_args) == len(want_args)
     assert all(same_bits(g, w) for g, w in zip(got_pts + got_args, want_pts + want_args))

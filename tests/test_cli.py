@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +79,13 @@ def test_seminorm_rejects_missing_file(fixtures, capsys):
 def test_seminorm_rejects_bad_degree(fixtures, capsys):
     assert main(seminorm_args(fixtures, "--k", "3")) == 2
     assert "--k must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["seminorm", "sweep"])
+def test_removed_shards_flag_is_usage_error(fixtures, capsys, command):
+    args = [command] + seminorm_args(fixtures, "--shards", "4")[1:]
+    assert main(args) == 2
+    assert "--shards" in capsys.readouterr().err
 
 
 def test_seminorm_inefficient_config_exits_3(fixtures, capsys):
@@ -198,6 +207,21 @@ def test_experiment_from_spec_file(tmp_path, capsys):
     assert "square-scalar-qualitative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["shards", "chunk", "k"])
+def test_experiment_spec_with_removed_config_key_is_config_error(tmp_path, capsys,
+                                                                 key):
+    spec = {
+        "name": "x",
+        "form": form_to_json(FormField.constant_form(2, {(1,): 1.0})),
+        "domain": AxisBox([0.0, 0.0], [1.0, 1.0]).to_json(),
+        "config": {"samples": 3000, key: 4},
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["experiment", "--spec", str(path)]) == 2
+    assert f"unknown config keys: {key}" in capsys.readouterr().err
+
+
 def test_experiment_needs_exactly_one_source(capsys, tmp_path):
     assert main(["experiment"]) == 2
     path = tmp_path / "spec.json"
@@ -291,3 +315,32 @@ def test_named_run_bad_env_seed_is_config_error(command, run_seeds,
     monkeypatch.setenv("FORMFLUX_SEED", "soon")
     assert main(command) == 2
     assert run_seeds == []
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_argv(heading):
+    """The arguments of the formflux command in the first sh block after a
+    README heading."""
+    section = README.read_text(encoding="utf-8").split(heading + "\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    argv = shlex.split(block.replace("\\\n", " "))
+    assert argv[0] == "formflux"
+    return argv[1:]
+
+
+@pytest.mark.parametrize("heading, stream", [
+    ("### seminorm: fixed-theta estimates", "out"),
+    ("### sweep: theta grid with extrapolation", "err"),
+])
+def test_readme_examples_reproduce(fixtures, capsys, monkeypatch, heading,
+                                   stream):
+    """The README's seminorm CSV and sweep summary, line for line, from the
+    dx1.json and unit-square.json the fixture writes."""
+    monkeypatch.chdir(fixtures["dir"])
+    monkeypatch.delenv("FORMFLUX_SEED", raising=False)
+    assert main(readme_argv(heading)) == 0
+    lines = getattr(capsys.readouterr(), stream).splitlines()
+    readme_lines = README.read_text(encoding="utf-8").splitlines()
+    assert lines and [line for line in lines if line not in readme_lines] == []

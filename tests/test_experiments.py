@@ -91,6 +91,13 @@ def test_spec_json_round_trip_through_text():
     )
 
 
+def test_spec_json_names_every_unknown_config_key():
+    doc = default_spec("bbm-annulus-cone").to_json()
+    doc["config"].update(shards=4, chunk=700, k=1)
+    with pytest.raises(ArgumentError, match="unknown config keys: chunk, k, shards"):
+        ExperimentSpec.from_json(doc)
+
+
 def test_spec_json_keeps_form_support():
     spec = default_spec("bbm-annulus-full-qualitative")
     back = ExperimentSpec.from_json(json.loads(json.dumps(spec.to_json())))

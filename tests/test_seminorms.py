@@ -93,7 +93,7 @@ def test_zero_multifunction_gives_exact_zero():
 def test_scalar_case_matches_quadrature_oracle_at_theta_099():
     theta = 0.99
     F = CoboundaryMultifunction(scalar_x1())
-    cfg = SeminormConfig(p=2.0, theta=theta, samples=80000, seed=11, shards=4)
+    cfg = SeminormConfig(p=2.0, theta=theta, samples=80000, seed=11)
     est = fixed_theta_seminorm(F, UNIT_SQUARE, cfg)
     oracle = scalar_full_variant_oracle(theta)
     tol = 3.0 * est.power_stderr + 0.05 * oracle
@@ -102,7 +102,7 @@ def test_scalar_case_matches_quadrature_oracle_at_theta_099():
 
 def test_scalar_sweep_extrapolates_to_half_pi():
     F = CoboundaryMultifunction(scalar_x1())
-    cfg = SeminormConfig(p=2.0, samples=60000, seed=5, shards=4)
+    cfg = SeminormConfig(p=2.0, samples=60000, seed=5)
     result = theta_sweep(F, UNIT_SQUARE, cfg)
     assert not result.divergent
     assert result.extrapolated_power == pytest.approx(math.pi / 2.0, rel=0.10)
@@ -114,7 +114,7 @@ def test_scalar_sweep_extrapolates_to_half_pi():
 def test_sweep_of_zero_is_zero():
     F = UserMultifunction(2, 1, lambda p: 0.0,
                           batch_func=lambda t: np.zeros(len(t)))
-    cfg = SeminormConfig(p=2.0, samples=900, seed=2, shards=2)
+    cfg = SeminormConfig(p=2.0, samples=900, seed=2)
     result = theta_sweep(F, UNIT_SQUARE, cfg, thetas=(0.9, 0.95, 0.99))
     assert result.extrapolated_power == 0.0
     assert result.extrapolated_value == 0.0
@@ -156,7 +156,7 @@ def test_sweep_withholds_extrapolation_when_divergent():
             return np.full(len(x0), growth[calls["i"]])
 
     F = Growing(2, 1, lambda p: 0.0, batch_func=batch)
-    cfg = SeminormConfig(p=2.0, samples=400, seed=0, shards=1)
+    cfg = SeminormConfig(p=2.0, samples=400, seed=0)
 
     def run(theta, j):
         calls["i"] = j
@@ -207,7 +207,7 @@ def test_full_variant_equals_ball_at_diameter():
 
 def test_variant_ordering_on_shared_seed():
     F = IntegrationMultifunction(form_dx1())
-    common = dict(p=2.0, theta=0.95, samples=20000, seed=23, shards=2)
+    common = dict(p=2.0, theta=0.95, samples=20000, seed=23)
     full = fixed_theta_seminorm(F, UNIT_SQUARE, SeminormConfig(**common))
     ball = fixed_theta_seminorm(
         F, UNIT_SQUARE, SeminormConfig(variant="ball", R=0.5, **common)
@@ -235,7 +235,7 @@ def test_triangle_inequality_within_error():
     omega2 = FormField.constant_form(2, {(2,): 1.0})
     F = IntegrationMultifunction(omega1)
     G = IntegrationMultifunction(omega2)
-    cfg = SeminormConfig(p=2.0, theta=0.9, samples=20000, seed=31, shards=2)
+    cfg = SeminormConfig(p=2.0, theta=0.9, samples=20000, seed=31)
     both = fixed_theta_seminorm(F + G, UNIT_SQUARE, cfg)
     a = fixed_theta_seminorm(F, UNIT_SQUARE, cfg)
     b = fixed_theta_seminorm(G, UNIT_SQUARE, cfg)
@@ -245,7 +245,7 @@ def test_triangle_inequality_within_error():
 
 def test_determinism_for_fixed_config():
     F = IntegrationMultifunction(form_dx1())
-    cfg = SeminormConfig(p=2.0, theta=0.95, samples=5000, seed=37, shards=3)
+    cfg = SeminormConfig(p=2.0, theta=0.95, samples=5000, seed=37)
     a = fixed_theta_seminorm(F, UNIT_SQUARE, cfg)
     b = fixed_theta_seminorm(F, UNIT_SQUARE, cfg)
     assert a.value == b.value
@@ -352,26 +352,19 @@ def test_config_validation():
         SeminormConfig(variant="cone")
     with pytest.raises(ArgumentError):
         SeminormConfig(variant="ball-cone", R=1.0)
-    with pytest.raises(ArgumentError):
-        SeminormConfig(shards=0)
-    # chunk = 0 would make the sampler loop forever, and a negative chunk
-    # reached numpy as a negative array size
-    with pytest.raises(ArgumentError):
-        SeminormConfig(chunk=0)
-    with pytest.raises(ArgumentError):
-        SeminormConfig(chunk=-3)
 
 
-def test_chunk_of_one_estimates():
+@pytest.mark.parametrize("samples", [2, 3])
+def test_fewer_samples_than_streams_estimate(samples):
+    """Streams left without a tuple are skipped."""
     F = IntegrationMultifunction(form_dx1())
-    cfg = SeminormConfig(samples=4, shards=2, chunk=1)
-    assert fixed_theta_seminorm(F, UNIT_SQUARE, cfg).samples == 4
+    est = fixed_theta_seminorm(F, UNIT_SQUARE, SeminormConfig(samples=samples))
+    assert est.samples == samples
+    assert math.isfinite(est.value) and math.isfinite(est.stderr)
 
 
-def test_k_mismatch_and_dimension_mismatch_raise():
+def test_dimension_mismatch_raises():
     F = IntegrationMultifunction(form_dx1())
-    with pytest.raises(ArgumentError):
-        fixed_theta_seminorm(F, UNIT_SQUARE, SeminormConfig(k=2, samples=100))
     ball3 = Ball(np.zeros(3), 1.0)
     with pytest.raises(ArgumentError):
         fixed_theta_seminorm(F, ball3, SeminormConfig(samples=100))
