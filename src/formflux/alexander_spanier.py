@@ -27,12 +27,11 @@ times the face magnitude are floored to zero.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
-from .domains import row_product
+from .domains import _face_index, row_product
 from .errors import ArgumentError
 from .forms import FormField
 from .simplex import default_rule, edge_integrals, integrate_form
@@ -47,14 +46,6 @@ __all__ = [
     "stokes_residual",
     "StokesResult",
 ]
-
-
-@functools.lru_cache(maxsize=32)
-def _face_index(m):
-    """Row i lists the points of face i of an m-tuple: all but point i."""
-    keep = np.array([[j for j in range(m) if j != i] for i in range(m)], dtype=np.intp)
-    keep.flags.writeable = False
-    return keep
 
 
 def _faces(tuples):

@@ -21,10 +21,17 @@ unrolled min orders signed zeros its own way, so such rows go back to
 numpy's reductions.  `ConvexPolytope` keeps its margins `pts @ normals.T`,
 one BLAS call whose bits depend on the BLAS kernel; a column-wise sum
 would move them.
+
+Distances to simplices go through one batched kernel, `_dist_to_simplices`:
+the annulus hull check (the center against every tuple), a polytope hole
+(each point against the hull facets kept at construction) and
+`dist_point_to_simplex` (a batch of one).  A point with no negative margin
+to a polytope hole is in the closed hole, at distance exactly 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -144,50 +151,53 @@ def _dist_point_to_segments(x, a, b):
     return _column_norm([x[..., j] - (a[..., j] + t * d[j]) for j in cols])
 
 
-def dist_point_to_simplex(x, vertices):
-    """Exact Euclidean distance from x to the convex hull of `vertices`.
+@functools.lru_cache(maxsize=32)
+def _face_index(m):
+    """Row i lists the points of face i of an m-tuple: all but point i."""
+    keep = np.array([[j for j in range(m) if j != i] for i in range(m)], dtype=np.intp)
+    keep.flags.writeable = False
+    return keep
 
-    Recursive: if the least-squares projection onto the affine span has
-    nonnegative barycentric coordinates it is the closest point, otherwise
-    the closest point lies on a facet.
+
+def _dist_to_simplices(x, verts):
+    """Euclidean distances from the points x (..., n) to the convex hulls of
+    the vertex sets verts (..., m, n), whose leading axes broadcast.
+
+    Every simplex is projected on by one stacked pseudoinverse with lstsq's
+    cutoff, so repeated or collinear vertices are handled as a least-squares
+    solve handles them; verts that broadcast over many points, such as the
+    facets of a polytope, are inverted once.  A projection with barycentric
+    coordinates >= -1e-12 is the closest point; the other rows recurse on
+    their m facets.  One vertex is a point distance, two the segment one.
     """
     x = np.asarray(x, dtype=float)
-    v = np.asarray(vertices, dtype=float)
-    m = len(v)
+    verts = np.asarray(verts, dtype=float)
+    m, n = verts.shape[-2:]
     if m == 1:
-        return float(np.linalg.norm(x - v[0]))
-    e = (v[1:] - v[0]).T  # (n, m-1)
-    s, *_ = np.linalg.lstsq(e, x - v[0], rcond=None)
-    lam0 = 1.0 - float(np.sum(s))
-    if lam0 >= -1e-12 and np.all(s >= -1e-12):
-        return float(np.linalg.norm(x - (v[0] + e @ s)))
-    return min(
-        dist_point_to_simplex(x, np.delete(v, i, axis=0)) for i in range(m)
-    )
+        return row_norm(x - verts[..., 0, :])
+    if m == 2:
+        return _dist_point_to_segments(x, verts[..., 0, :], verts[..., 1, :])
+    v0 = verts[..., 0, :]
+    e = np.swapaxes(verts[..., 1:, :] - v0[..., np.newaxis, :], -1, -2)
+    rcond = np.finfo(float).eps * max(n, m - 1)
+    s = (np.linalg.pinv(e, rcond=rcond) @ (x - v0)[..., np.newaxis])[..., 0]
+    inside = row_all(s >= -1e-12) & (1.0 - s.sum(axis=-1) >= -1e-12)
+    out = row_norm(x - (v0 + (e @ s[..., np.newaxis])[..., 0]))
+    rest = ~inside
+    xs = np.broadcast_to(x, rest.shape + (n,))[rest]
+    # gather the rest rows one facet at a time; all m vertices at once peak higher
+    faces = (verts[..., face, :] for face in _face_index(m))
+    out[rest] = functools.reduce(np.minimum, (
+        _dist_to_simplices(xs, np.broadcast_to(f, rest.shape + f.shape[-2:])[rest])
+        for f in faces
+    ))
+    return out
 
 
-def _dist_point_to_triangles_2d(x, tris):
-    """Distances from a single 2-d point to a batch of triangles (N, 3, 2)."""
-    x = np.asarray(x, dtype=float)
-    tris = np.asarray(tris, dtype=float)
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-
-    def cross(u, w):
-        return u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
-
-    d1 = cross(b - a, x - a)
-    d2 = cross(c - b, x - b)
-    d3 = cross(a - c, x - c)
-    inside = ((d1 >= 0) & (d2 >= 0) & (d3 >= 0)) | (
-        (d1 <= 0) & (d2 <= 0) & (d3 <= 0)
-    )
-    edge = np.minimum(
-        _dist_point_to_segments(x, a, b),
-        np.minimum(
-            _dist_point_to_segments(x, b, c), _dist_point_to_segments(x, c, a)
-        ),
-    )
-    return np.where(inside, 0.0, edge)
+def dist_point_to_simplex(x, vertices):
+    """Exact Euclidean distance from x to the convex hull of `vertices`:
+    `_dist_to_simplices` on a batch of one."""
+    return float(_dist_to_simplices([x], [vertices])[0])
 
 
 def _skip_uniform(rng, rows, lo, hi):
@@ -469,6 +479,8 @@ class ConvexPolytope(Domain):
         self.offsets = b[tight]
 
         hull = ConvexHull(self.vertices)
+        # the boundary as simplices (edges in 2-d, triangles in 3-d), (F, n, n)
+        self._facets = self.vertices[hull.simplices]
         self._volume = float(hull.volume)
         diffs = self.vertices[:, np.newaxis, :] - self.vertices[np.newaxis, :, :]
         self._diameter = float(np.sqrt(np.max(np.sum(diffs**2, axis=-1))))
@@ -532,21 +544,9 @@ class Annulus(Domain):
         """Hull of member points stays in the annulus iff it avoids the
         closed inner ball; the outer ball contains it by convexity."""
         tuples = np.asarray(tuples, dtype=float)
-        n_pts, m = tuples.shape[0], tuples.shape[1]
-        if self.dimension == 2 and m == 2:
-            d = _dist_point_to_segments(self.center, tuples[:, 0], tuples[:, 1])
-            return d > self.r_in
-        if self.dimension == 2 and m == 3:
-            d = _dist_point_to_triangles_2d(self.center, tuples)
-            return d > self.r_in
-        if m <= self.dimension + 1:
-            return np.array(
-                [
-                    dist_point_to_simplex(self.center, tuples[i]) > self.r_in
-                    for i in range(n_pts)
-                ]
-            )
-        return None
+        if tuples.shape[1] > self.dimension + 1:
+            return None
+        return _dist_to_simplices(self.center, tuples) > self.r_in
 
     def _params(self):
         return {
@@ -681,7 +681,9 @@ class SetDifference(Domain):
                     raise ArgumentError("inner shape must lie strictly inside outer")
 
     def _dist_to_inner(self, pts):
-        """Distance from pts to the closed inner set (0 inside it)."""
+        """Distance from pts to the closed inner set, exactly 0 inside it: a
+        polytope hole is 0 where no margin is negative, elsewhere the least
+        distance to its boundary facets."""
         inner = self.inner
         if isinstance(inner, Ball):
             return np.maximum(0.0, row_norm(pts, inner.center) - inner.radius)
@@ -691,15 +693,11 @@ class SetDifference(Domain):
                 np.maximum(lo - pts[..., j], 0.0) + np.maximum(pts[..., j] - hi, 0.0)
                 for j, (lo, hi) in enumerate(zip(inner.lo, inner.hi))
             ])
-        verts = _convex_vertices(inner)
-        from scipy.spatial import Delaunay
-
-        tri = Delaunay(verts)
-        out = np.empty(len(pts))
-        for i, x in enumerate(pts):
-            out[i] = min(
-                dist_point_to_simplex(x, verts[simp]) for simp in tri.simplices
-            )
+        pts = np.asarray(pts, dtype=float)
+        outside = np.any(inner.offsets - pts @ inner.normals.T < 0, axis=-1)
+        out = np.zeros(len(pts))
+        d = _dist_to_simplices(pts[outside, np.newaxis], inner._facets)
+        out[outside] = d.min(axis=1)
         return out
 
     def contains_batch(self, pts):

@@ -13,7 +13,7 @@ from formflux.alexander_spanier import (
     as_differential,
     stokes_residual,
 )
-from formflux.domains import Ball, SlitBox
+from formflux.domains import Annulus, Ball, SlitBox
 from formflux.errors import ArgumentError
 from formflux.experiments import dd_zero_residual
 from formflux.forms import FormField, Polynomial
@@ -279,6 +279,20 @@ def test_stokes_residual_detects_support_straddling():
     assert res_in < 1e-10
     straddle = np.array([[0.7, 0.0], [1.4, 0.0], [0.7, 0.7]])
     res_out = stokes_residual(omega, straddle)
+    assert res_out.containment is False
+    assert res_out > 1e-3
+
+
+def test_stokes_residual_decides_annulus_containment_in_3d():
+    support = Annulus(np.zeros(3), 0.5, 1.0)
+    omega = poly_form(3, 1, {(2,): {(1, 0, 0): 1.0}}).with_support(support)
+    far = np.array([[0.6, 0.0, 0.0], [0.9, 0.0, 0.0], [0.6, 0.3, 0.0]])
+    res_in = stokes_residual(omega, far)
+    assert res_in.containment is True
+    assert res_in < 1e-10
+    # the plane x + y + z = 0.7 passes the center at 0.7/sqrt(3) < 0.5
+    dips = np.array([[0.7, 0.0, 0.0], [0.0, 0.7, 0.0], [0.0, 0.0, 0.7]])
+    res_out = stokes_residual(omega, dips)
     assert res_out.containment is False
     assert res_out > 1e-3
 

@@ -2,10 +2,11 @@ import json
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from formflux.cli import main
-from formflux.domains import AxisBox
+from formflux.domains import AxisBox, ConvexPolytope, SetDifference
 from formflux.forms import FormField, form_to_json
 from formflux.seminorms import csv_header
 
@@ -146,6 +147,29 @@ def test_sweep_csv_is_byte_identical_across_runs(fixtures, capsys):
     second = capsys.readouterr().out
     assert first == second
     assert len(first.strip().splitlines()) == 6
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cone_seminorm_on_a_polytope_hole_is_reproducible(fixtures, capsys, n):
+    hole = ConvexPolytope(np.vstack([np.eye(n), -np.eye(n)]), [0.6] * n + [-0.4] * n)
+    domain = SetDifference(AxisBox([0.0] * n, [1.0] * n), hole)
+    domain_path = Path(fixtures["dir"]) / "holed.json"
+    domain_path.write_text(json.dumps(domain.to_json()))
+    form_path = Path(fixtures["dir"]) / "dx1-n.json"
+    dx1 = FormField.constant_form(n, {(1,): 1.0})
+    form_path.write_text(json.dumps(form_to_json(dx1)))
+    args = [
+        "seminorm", "--form", str(form_path), "--domain", str(domain_path),
+        "--variant", "cone", "--c", "0.5", "--theta", "0.9",
+        "--samples", "3000", "--seed", "5",
+    ]
+    assert main(args) == 0
+    first = capsys.readouterr().out
+    assert main(args) == 0
+    assert capsys.readouterr().out == first
+    lines = first.strip().splitlines()
+    assert lines[0] == csv_header()
+    assert len(lines) == 2 and lines[1].startswith("cone,2.0,1,0.9,")
 
 
 def test_env_seed_used_when_flag_absent(fixtures, capsys, monkeypatch):

@@ -17,6 +17,7 @@ from formflux.domains import (
     SetDifference,
     SlitBox,
     _dist_point_to_segments,
+    _dist_to_simplices,
     dist_point_to_simplex,
     domain_from_json,
     unit_ball_volume,
@@ -31,6 +32,12 @@ TRIANGLE = ConvexPolytope(
     normals=[[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0], [1.0, 0.0]],
     offsets=[0.0, 0.0, 1.0, 5.0],  # x <= 5 is redundant
 )
+TRIANGLE_HOLE = ConvexPolytope(
+    normals=[[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], offsets=[-0.4, -0.4, 1.0]
+)
+CUBE_HOLE = ConvexPolytope(np.vstack([np.eye(3), -np.eye(3)]), [0.6] * 3 + [-0.4] * 3)
+BOX_MINUS_TRIANGLE = SetDifference(AxisBox([0.0, 0.0], [2.0, 2.0]), TRIANGLE_HOLE)
+CUBE_MINUS_CUBE = SetDifference(AxisBox([0.0] * 3, [1.0] * 3), CUBE_HOLE)
 
 
 def test_unit_ball_volume():
@@ -252,6 +259,8 @@ PROPERTY_DOMAINS = dict(
         "triangle": TRIANGLE,
         "slit box": SlitBox([0.0, 0.0], [1.0, 1.0], [0.25, 0.5], [0.75, 0.5], 0.1),
         "box minus disc": SetDifference(UNIT_BOX, Ball([0.5, 0.5], 0.2)),
+        "box minus triangle": BOX_MINUS_TRIANGLE,
+        "cube minus cube": CUBE_MINUS_CUBE,
     },
 )
 DOMAIN_PROPERTY = settings(max_examples=30, deadline=5000)
@@ -319,7 +328,7 @@ def test_monte_carlo_volume_is_within_four_sigma(name, seed):
 
 def test_dist_lipschitz_along_segments():
     rng = np.random.default_rng(9)
-    for domain in (ANNULUS, UNIT_BALL, TRIANGLE):
+    for domain in (ANNULUS, UNIT_BALL, TRIANGLE, BOX_MINUS_TRIANGLE, CUBE_MINUS_CUBE):
         pts = domain.sample_uniform(200, seed=17)
         for _ in range(50):
             i, j = rng.integers(0, len(pts), size=2)
@@ -336,6 +345,73 @@ def test_dist_point_to_simplex():
     assert dist_point_to_simplex(np.array([1.5, -1.0]), tri) == pytest.approx(1.0)
     seg = np.array([[0.0, 0.0], [1.0, 0.0]])
     assert dist_point_to_simplex(np.array([0.5, 0.25]), seg) == pytest.approx(0.25)
+
+
+def old_dist_point_to_simplex(x, vertices):
+    """The recursive single-point distance that _dist_to_simplices replaced:
+    one lstsq projection, then the facets if it falls outside."""
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(vertices, dtype=float)
+    m = len(v)
+    if m == 1:
+        return float(np.linalg.norm(x - v[0]))
+    e = (v[1:] - v[0]).T  # (n, m-1)
+    s, *_ = np.linalg.lstsq(e, x - v[0], rcond=None)
+    lam0 = 1.0 - float(np.sum(s))
+    if lam0 >= -1e-12 and np.all(s >= -1e-12):
+        return float(np.linalg.norm(x - (v[0] + e @ s)))
+    return min(
+        old_dist_point_to_simplex(x, np.delete(v, i, axis=0)) for i in range(m)
+    )
+
+
+@st.composite
+def simplex_batches(draw):
+    """Points and simplices in R^1..R^3 with 1..n+1 vertices: coordinates on
+    a 1/4 lattice or arbitrary floats in [-2, 2]; some rows get a repeated
+    vertex, a vertex on the line through two others, or a point inside."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, n + 1))
+    rows = draw(st.integers(1, 12))
+    lattice = st.integers(-8, 8).map(lambda k: k / 4.0)
+    elements = draw(st.sampled_from([lattice, st.floats(-2.0, 2.0)]))
+    x = draw(hnp.arrays(np.float64, (rows, n), elements=elements))
+    verts = draw(hnp.arrays(np.float64, (rows, m, n), elements=elements))
+    for row in range(rows):
+        kind = draw(st.sampled_from(["plain", "repeated", "collinear", "inside"]))
+        if kind == "repeated" and m >= 2:
+            i, j = draw(st.permutations(range(m)))[:2]
+            verts[row, j] = verts[row, i]
+        elif kind == "collinear" and m >= 3:
+            t = draw(st.sampled_from([-1.0, 0.5, 2.0]))
+            verts[row, 2] = verts[row, 0] + t * (verts[row, 1] - verts[row, 0])
+        elif kind == "inside":
+            w = np.array(draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)))
+            w = w / w.sum() if w.sum() else np.full(m, 1.0 / m)
+            x[row] = w @ verts[row]
+    return x, verts
+
+
+# The reference reads barycentric coordinates >= -1e-12 as inside, also on a
+# segment, where the kernel clips exactly: so it may read a point up to 1e-12
+# of the diameter outside a segment as on it (0 for x = 0 and the segment
+# [1e-13, 1]).  Beyond a few ulps the kernel may only be larger, by that much.
+@settings(max_examples=300, deadline=5000)
+@given(simplex_batches())
+@example((np.array([[0.0, 0.0]]), np.array([[[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]]])))
+@example((np.array([[0.5, 0.5]]), np.array([[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]])))
+@example((np.array([[0.0]]), np.array([[[1e-13], [1.0]]])))
+def test_simplex_distance_matches_the_recursive_lstsq(batch):
+    x, verts = batch
+    got = _dist_to_simplices(x, verts)
+    want = np.array([old_dist_point_to_simplex(p, v) for p, v in zip(x, verts)])
+    ulps = 8 * np.finfo(float).eps * max(1.0, np.abs(x).max(), np.abs(verts).max())
+    slack = 1e-12 * np.linalg.norm(np.ptp(verts, axis=1), axis=-1)
+    assert got.shape == want.shape
+    assert np.all(got >= want - ulps)
+    assert np.all(got <= want + ulps + slack)
+    for p, v, d in zip(x, verts, got):
+        assert dist_point_to_simplex(p, v) == d  # a batch of one, same bits
 
 
 def test_annulus_hull_check():
@@ -359,6 +435,57 @@ def test_annulus_hull_check_segments():
     )
     flags = ANNULUS.hull_check_batch(tuples)
     assert flags.tolist() == [False, True]
+
+
+ANNULUS_3D = Annulus([0.0, 0.0, 0.0], 0.5, 1.0)
+
+
+@pytest.mark.parametrize(
+    "tuple_, flag",
+    [
+        ([[0.7, 0.0, 0.0]], True),  # one member point
+        ([[0.7, 0.0, 0.0], [0.0, 0.7, 0.0]], False),  # chord at 0.7/sqrt(2)
+        ([[0.8, 0.0, 0.0], [0.0, 0.8, 0.0]], True),  # chord at 0.8/sqrt(2)
+        ([[0.6, 0.0, 0.0], [0.0, 0.6, 0.0], [0.0, 0.0, 0.6]], False),  # 0.6/sqrt(3)
+        ([[0.9, 0.0, 0.0], [0.0, 0.9, 0.0], [0.0, 0.0, 0.9]], True),  # 0.9/sqrt(3)
+        ([[0.7, 0.0, 0.0], [0.8, 0.1, 0.0], [0.75, 0.0, 0.2]], True),
+        # tetrahedra: around the center, far out, and one whose near face dips in
+        ([[0.6, 0.0, -0.3], [-0.6, 0.0, -0.3], [0.0, 0.6, 0.3], [0.0, -0.6, 0.3]],
+         False),
+        ([[0.7, 0.0, 0.0], [0.8, 0.1, 0.0], [0.75, 0.0, 0.2], [0.9, 0.1, 0.1]], True),
+        ([[0.6, 0.0, 0.0], [0.0, 0.6, 0.0], [0.0, 0.0, 0.6], [0.5, 0.5, 0.5]], False),
+        # a repeated point: the hulls are a chord and a triangle
+        ([[0.8, 0.0, 0.0], [0.8, 0.0, 0.0], [0.0, 0.8, 0.0]], True),
+        ([[0.7, 0.0, 0.0], [0.0, 0.7, 0.0], [0.7, 0.0, 0.0]], False),
+        ([[0.9, 0.0, 0.0], [0.0, 0.9, 0.0], [0.0, 0.0, 0.9], [0.0, 0.9, 0.0]], True),
+    ],
+)
+def test_annulus_hull_check_3d(tuple_, flag):
+    tuples = np.array([tuple_])
+    assert ANNULUS_3D.contains_batch(tuples[0]).all()
+    assert ANNULUS_3D.hull_check_batch(tuples).tolist() == [flag]
+
+
+def test_annulus_hull_check_3d_batch_and_too_many_points():
+    rng = np.random.default_rng(4)
+    tuples = rng.uniform(-1.0, 1.0, size=(200, 4, 3))
+    flags = ANNULUS_3D.hull_check_batch(tuples)
+    want = [old_dist_point_to_simplex(np.zeros(3), t) > 0.5 for t in tuples]
+    assert flags.tolist() == want
+    assert ANNULUS_3D.hull_check_batch(np.zeros((3, 5, 3)) + 0.7) is None
+
+
+@pytest.mark.parametrize("domain", [BOX_MINUS_TRIANGLE, CUBE_MINUS_CUBE],
+                         ids=["triangle", "cube"])
+def test_points_strictly_inside_a_polytope_hole_are_not_members(domain):
+    hole = domain.inner
+    lo, hi = hole.bounding_box()
+    pts = np.random.default_rng(6).uniform(lo, hi, size=(2000, domain.dimension))
+    pts = pts[hole.contains_batch(pts)]
+    assert len(pts) > 300
+    assert not domain.contains_batch(pts).any()
+    assert np.all(domain.dist_to_boundary_batch(pts) == 0.0)
+    assert all(domain.dist_to_boundary(p) == 0.0 for p in pts[:20])
 
 
 def test_convex_hull_check_always_true():
