@@ -31,10 +31,9 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .estimates import Estimate, SeminormEstimate
-from .exterior import Covector, SphereNormConfig, sphere_norm
+from .exterior import Covector, sphere_norm
 from .forms import (
     FormField,
-    LpEstimatorConfig,
     Mollifier,
     Polynomial,
     form_from_json,
@@ -57,7 +56,6 @@ from .seminorms import (
 )
 from .simplex import (
     SimplexQuadratureRule,
-    SimplexTuple,
     default_rule,
     grundmann_moller_rule,
     integrate_form,
@@ -68,8 +66,7 @@ from .experiments import (
     EXPERIMENT_NAMES,
     ExperimentReport,
     ExperimentSpec,
-    run_bbm_convex,
-    run_bbm_nonconvex,
+    run_bbm,
     run_dd_zero_suite,
     run_experiment,
     run_mollifier_suite,

@@ -74,10 +74,13 @@ def _scaled_tuples(x0, vs, rs):
 
 
 def _over_radii(values, rs):
-    """values / prod_i r_i; quotients made non-finite by zero radii are 0."""
+    """values / prod_i r_i, and 0 where the product of radii is 0.  Any
+    other non-finite value is kept, for the estimator to report."""
+    radii = row_product(np.asarray(rs, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = values / row_product(np.asarray(rs, dtype=float))
-    return np.where(np.isfinite(out), out, 0.0)
+        out = values / radii
+    out[radii == 0.0] = 0.0
+    return out
 
 
 class Multifunction:
@@ -253,6 +256,15 @@ class CoboundaryMultifunction(DifferentialMultifunction):
     stratified segment rule's hard error bound keeps noise below the guard
     while genuine jumps, whose face sums are a fixed fraction of the mass,
     pass through.
+
+    The face route cannot see a smooth d omega.  It serves a form without
+    partials (any from_callables(..., smooth=False)) and a form with a
+    support.  Under the stratified rule the guard zeroes every face sum
+    below 64/nodes = 1/16 of the face mass, and a smooth d omega gives sums
+    of order r^2 against a mass of order r, so at small radii such a form
+    reads as closed: x1 dx2 as a callable on the unit square (20,000
+    samples, seed 4) gives power 0.0731 at theta 0.9 and 0.00079 at 0.99,
+    where the Stokes route gives 0.8411 and 1.1800.
     """
 
     def __init__(self, omega: FormField, face_rule=None):

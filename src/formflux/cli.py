@@ -5,9 +5,11 @@ extrapolation and an optional SVG), verify (named verification suites),
 and experiment (named or JSON-specified limit experiments).
 
 CSV goes to stdout and, with --out DIR, to DIR/<subcommand>.csv; the
-human-readable summary goes to stderr.  The default seed is 0; the
-FORMFLUX_SEED environment variable overrides it, an explicit --seed flag
-overrides both.  Identical flags and seed give byte-identical CSV.
+human-readable summary goes to stderr.  The default seed is 0 for seminorm
+and sweep, and the experiment's or suite's own seed for verify and
+experiment; the FORMFLUX_SEED environment variable overrides it, an
+explicit --seed flag overrides both.  Identical flags and seed give
+byte-identical CSV.
 
 Exit codes: 0 success, 1 assertion failure, 2 usage or configuration
 error, 3 estimator inefficiency.
@@ -25,9 +27,9 @@ from .domains import domain_from_json
 from .errors import ArgumentError, InefficiencyError, UnsupportedOperationError
 from .experiments import (
     EXPERIMENT_NAMES,
+    SUITE_NAMES,
     ExperimentSpec,
-    run_bbm_convex,
-    run_bbm_nonconvex,
+    run_bbm,
     run_experiment,
 )
 from .forms import form_from_json
@@ -42,9 +44,6 @@ from .seminorms import (
 from .svgplot import SvgPlot
 
 DEFAULT_SEED = 0
-
-VERIFY_SUITES = ("stokes", "dd-zero", "variant-ordering", "diagonal-vanishing",
-                 "mollifier")
 
 
 def _load_json(path, decode):
@@ -80,7 +79,7 @@ def _build_multifunction(form, k):
     )
 
 
-def _seminorm_config(args, seed, theta=0.9, stream=0):
+def _config_from_args(args, seed, theta=0.9, stream=0):
     kwargs = dict(
         p=args.p,
         variant=args.variant,
@@ -118,7 +117,7 @@ def cmd_seminorm(args):
     seed = _resolve_seed(args)
     thetas = args.theta or [0.9]
     rows = [
-        fixed_theta_seminorm(F, domain, _seminorm_config(args, seed, t, j))
+        fixed_theta_seminorm(F, domain, _config_from_args(args, seed, t, j))
         for j, t in enumerate(thetas)
     ]
     lines = [
@@ -156,7 +155,7 @@ def cmd_sweep(args):
     F = _build_multifunction(form, args.k)
     seed = _resolve_seed(args)
     thetas = tuple(args.theta) if args.theta else DEFAULT_THETAS
-    sweep = theta_sweep(F, domain, _seminorm_config(args, seed), thetas)
+    sweep = theta_sweep(F, domain, _config_from_args(args, seed), thetas)
     lines = [
         f"theta={t}: power = {e.power_value!r} +- {e.power_stderr!r}"
         for t, e in zip(sweep.thetas, sweep.estimates)
@@ -188,24 +187,13 @@ def cmd_verify(args):
 def cmd_experiment(args):
     if (args.name is None) == (args.spec is None):
         raise ArgumentError("give exactly one of an experiment name or --spec")
+    seed = _resolve_seed(args, fallback=None)
     if args.spec is not None:
         spec = _load_json(args.spec, ExperimentSpec.from_json)
-        if args.samples is not None or args.seed is not None:
-            from dataclasses import replace
-
-            cfg = spec.config
-            cfg = replace(
-                cfg,
-                samples=args.samples if args.samples is not None else cfg.samples,
-                seed=args.seed if args.seed is not None else cfg.seed,
-            )
-            spec = replace(spec, config=cfg)
-        runner = run_bbm_convex if spec.domain.is_convex else run_bbm_nonconvex
-        report = runner(spec)
+        report = run_bbm(spec.override(args.samples, seed))
         name = spec.name
     else:
-        report = run_experiment(args.name, samples=args.samples,
-                                seed=_resolve_seed(args, fallback=None))
+        report = run_experiment(args.name, samples=args.samples, seed=seed)
         name = args.name
     print(report.summary(), file=sys.stderr)
     if report.rows:
@@ -246,7 +234,7 @@ def build_parser():
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=VERIFY_SUITES)
+    p_verify.add_argument("suite", choices=SUITE_NAMES)
     p_verify.add_argument("--count", type=int, default=None)
     p_verify.add_argument("--samples", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=None)

@@ -604,17 +604,7 @@ class SlitBox(Domain):
                         "segment end must sit on the box wall or at least "
                         "delta inside it"
                     )
-            corners_lo, corners_hi = self.box.lo, self.box.hi
-            corners = np.array(
-                [
-                    [
-                        (corners_hi if (mask >> j) & 1 else corners_lo)[j]
-                        for j in range(self.dimension)
-                    ]
-                    for mask in range(1 << self.dimension)
-                ]
-            )
-            if np.any(self._seg_dist(corners) <= self.delta):
+            if np.any(self._seg_dist(_convex_vertices(self.box)) <= self.delta):
                 raise ArgumentError("slit capsule may not contain box corners")
 
     def _seg_dist(self, pts):
@@ -659,6 +649,11 @@ class SlitBox(Domain):
         }
 
 
+# outside points per facet-distance call of a polytope hole: in 3-D each
+# holds about 2.6 KB while the call runs
+_HOLE_BLOCK = 4096
+
+
 class SetDifference(Domain):
     """outer minus the closure of inner, both convex, inner strictly inside."""
 
@@ -694,10 +689,14 @@ class SetDifference(Domain):
                 for j, (lo, hi) in enumerate(zip(inner.lo, inner.hi))
             ])
         pts = np.asarray(pts, dtype=float)
-        outside = np.any(inner.offsets - pts @ inner.normals.T < 0, axis=-1)
+        outside = np.flatnonzero(
+            np.any(inner.offsets - pts @ inner.normals.T < 0, axis=-1)
+        )
         out = np.zeros(len(pts))
-        d = _dist_to_simplices(pts[outside, np.newaxis], inner._facets)
-        out[outside] = d.min(axis=1)
+        for lo in range(0, len(outside), _HOLE_BLOCK):
+            rows = outside[lo : lo + _HOLE_BLOCK]
+            d = _dist_to_simplices(pts[rows, np.newaxis], inner._facets)
+            out[rows] = d.min(axis=1)
         return out
 
     def contains_batch(self, pts):
@@ -738,9 +737,6 @@ def _convex_vertices(domain):
     if isinstance(domain, ConvexPolytope):
         return domain.vertices
     raise ArgumentError(f"no vertex representation for {domain.shape_name!r}")
-
-
-_SHAPES = {}
 
 
 def domain_from_json(doc):

@@ -25,10 +25,9 @@ from .alexander_spanier import (
 )
 from .domains import Annulus, AxisBox, domain_from_json, normalize_rows
 from .errors import ArgumentError
-from .exterior import SphereNormConfig, sphere_norm
+from .exterior import sphere_norm
 from .forms import (
     FormField,
-    LpEstimatorConfig,
     Mollifier,
     Polynomial,
     form_from_json,
@@ -48,8 +47,7 @@ from .seminorms import (
 __all__ = [
     "ExperimentSpec",
     "ExperimentReport",
-    "run_bbm_convex",
-    "run_bbm_nonconvex",
+    "run_bbm",
     "run_stokes_suite",
     "run_dd_zero_suite",
     "run_variant_ordering_check",
@@ -59,6 +57,7 @@ __all__ = [
     "default_spec",
     "run_experiment",
     "EXPERIMENT_NAMES",
+    "SUITE_NAMES",
 ]
 
 
@@ -108,6 +107,12 @@ class ExperimentSpec:
             "expected": {"kind": self.expected_kind, "value": self.expected_value},
             "tolerance": self.tolerance,
         }
+
+    def override(self, samples=None, seed=None):
+        """This spec with the sample count and the seed that are given."""
+        given = {"samples": samples, "seed": seed}
+        given = {key: v for key, v in given.items() if v is not None}
+        return replace(self, config=replace(self.config, **given)) if given else self
 
     @classmethod
     def from_json(cls, data):
@@ -178,24 +183,20 @@ def _target_power(spec):
     d_omega = omega.exterior_derivative()
     if d_omega.is_constant() or d_omega.is_zero():
         at_origin = d_omega.evaluate(np.zeros(omega.dimension))
-        per_point = sphere_norm(at_origin, SphereNormConfig(p=p))
+        per_point = sphere_norm(at_origin, p)
         target = K**p * per_point.value**p * spec.domain.volume()
         err = K**p * p * per_point.value ** (p - 1) * per_point.error
         err *= spec.domain.volume()
         return target, err
-    est = lp_sphere_norm(
-        d_omega,
-        spec.domain,
-        p,
-        LpEstimatorConfig(seed=spec.config.seed),
-    )
+    est = lp_sphere_norm(d_omega, spec.domain, p, seed=spec.config.seed)
     return K**p * est.power_value, K**p * est.power_stderr
 
 
-def _run_bbm(spec, require_convex):
-    if require_convex and not spec.domain.is_convex:
-        raise ArgumentError("this runner needs a convex domain")
-    if not require_convex and spec.expected_kind != "qualitative":
+def run_bbm(spec):
+    """The theta -> 1 limit of the coboundary seminorm against the spec's
+    target.  On a non-convex domain a quantitative run needs a cone variant
+    with c in (0, 1]."""
+    if not spec.domain.is_convex and spec.expected_kind != "qualitative":
         if spec.config.variant not in ("cone", "ball-cone"):
             raise ArgumentError("non-convex quantitative runs need a cone variant")
         if not 0.0 < spec.config.c <= 1.0:
@@ -244,18 +245,6 @@ def _run_bbm(spec, require_convex):
         details=details,
         lines=tuple(lines),
     )
-
-
-def run_bbm_convex(spec):
-    """Limit of the coboundary seminorm on a convex domain against the
-    K(p, k+1) sphere-norm target."""
-    return _run_bbm(spec, require_convex=True)
-
-
-def run_bbm_nonconvex(spec):
-    """Cone-variant limit on a non-convex domain; quantitative targets
-    require constant-coefficient d omega (closed-form spatial factor)."""
-    return _run_bbm(spec, require_convex=False)
 
 
 def _random_polynomial(rng, dimension, max_total_degree=3):
@@ -596,24 +585,16 @@ def default_spec(name, samples=None, seed=None):
         )
     else:
         raise ArgumentError(f"unknown experiment {name!r}")
-    if samples is not None or seed is not None:
-        cfg = spec.config
-        cfg = replace(
-            cfg,
-            samples=cfg.samples if samples is None else samples,
-            seed=cfg.seed if seed is None else seed,
-        )
-        spec = replace(spec, config=cfg)
-    return spec
+    return spec.override(samples, seed)
 
 
-_SPEC_RUNNERS = {
-    "bbm-square-scalar": run_bbm_convex,
-    "bbm-square-x1dx2": run_bbm_convex,
-    "bbm-square-rough-closed": run_bbm_convex,
-    "bbm-annulus-cone": run_bbm_nonconvex,
-    "bbm-annulus-full-qualitative": run_bbm_nonconvex,
-}
+_SPEC_NAMES = (
+    "bbm-annulus-cone",
+    "bbm-annulus-full-qualitative",
+    "bbm-square-rough-closed",
+    "bbm-square-scalar",
+    "bbm-square-x1dx2",
+)
 
 _SUITE_RUNNERS = {
     "stokes": run_stokes_suite,
@@ -623,15 +604,15 @@ _SUITE_RUNNERS = {
     "mollifier": run_mollifier_suite,
 }
 
-EXPERIMENT_NAMES = tuple(sorted(_SPEC_RUNNERS)) + tuple(sorted(_SUITE_RUNNERS))
+SUITE_NAMES = tuple(_SUITE_RUNNERS)
+EXPERIMENT_NAMES = _SPEC_NAMES + tuple(sorted(SUITE_NAMES))
 
 
 def run_experiment(name, samples=None, seed=None):
     """Run a named experiment or verification suite with optional
     sample-count and seed overrides."""
-    if name in _SPEC_RUNNERS:
-        spec = default_spec(name, samples=samples, seed=seed)
-        return _SPEC_RUNNERS[name](spec)
+    if name in _SPEC_NAMES:
+        return run_bbm(default_spec(name, samples=samples, seed=seed))
     if name in _SUITE_RUNNERS:
         kwargs = {}
         if samples is not None:

@@ -25,8 +25,6 @@ the integral.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .domains import normalize_rows
@@ -35,7 +33,6 @@ from .estimates import Estimate, delta_method_root
 
 __all__ = [
     "Covector",
-    "SphereNormConfig",
     "wedge",
     "euclidean_norm",
     "sphere_norm",
@@ -214,8 +211,8 @@ def minor_dets(indices, vectors):
 def contract_minors(coeffs, dets, out=None):
     """sum_m coeffs[..., m] * dets[..., m], added in order m = 0, 1, ...
 
-    The one ordered sum behind covector evaluation, the pullback field and
-    the pullback kernel; coeffs and dets broadcast against each other.  A
+    The one ordered sum behind covector evaluation and the pullback kernel;
+    coeffs and dets broadcast against each other.  A
     given out is zero-filled and receives the sum.
     """
     if out is None:
@@ -250,17 +247,6 @@ def euclidean_norm(alpha: Covector) -> float:
     return math.sqrt(sum(c * c for c in alpha.coeffs.values()))
 
 
-@dataclass(frozen=True)
-class SphereNormConfig:
-    """Configuration for sphere_norm: the exponent p >= 1."""
-
-    p: float = 2.0
-
-    def __post_init__(self):
-        if self.p < 1:
-            raise ArgumentError("p must be >= 1")
-
-
 def unit_sphere_area(n):
     """Surface measure of S^{n-1} in R^n: 2 pi^{n/2} / Gamma(n/2)."""
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
@@ -291,15 +277,17 @@ _MC_SAMPLES = 200_000
 _MC_SEED = 0
 
 
-def sphere_norm(alpha: Covector, cfg: SphereNormConfig = SphereNormConfig()) -> Estimate:
-    """The sphere norm |alpha|_{S,p} with its error estimate.
+def sphere_norm(alpha: Covector, p: float = 2.0) -> Estimate:
+    """The sphere norm |alpha|_{S,p}, p >= 1, with its error estimate.
 
     Exact for decomposable degrees (k <= 1 or k >= n - 1, every covector in
     n <= 3): |alpha|_2 * sphere_power_constant(n, k, p)^{1/p}, error 0.
     Otherwise (n >= 4, 2 <= k <= n - 2) Monte Carlo over _MC_SAMPLES uniform
     k-tuples of directions, with a delta-method standard error.
     """
-    n, k, p = alpha.dimension, alpha.degree, cfg.p
+    if p < 1:
+        raise ArgumentError("p must be >= 1")
+    n, k = alpha.dimension, alpha.degree
     if alpha.is_zero():
         return Estimate(0.0, 0.0)
     if decomposable_degree(n, k):

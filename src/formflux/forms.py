@@ -22,9 +22,7 @@ from .errors import ArgumentError, UnsupportedOperationError
 from .estimates import SeminormEstimate, delta_method_root
 from .exterior import (
     Covector,
-    contract_minors,
     decomposable_degree,
-    minor_dets,
     sort_with_sign,
     sphere_power_constant,
 )
@@ -34,7 +32,6 @@ __all__ = [
     "FormField",
     "Mollifier",
     "mollify",
-    "LpEstimatorConfig",
     "lp_norm",
     "lp_sphere_norm",
     "form_to_json",
@@ -362,34 +359,6 @@ class FormField:
         return FormField(self.dimension, self.degree + 1, comps, "analytic",
                          support=self.support)
 
-    def pullback_affine(self, base, edges):
-        """The scalar field s -> omega_{phi(s)}(edges) on the reference simplex.
-
-        phi(s) = base + sum_i s_i * edges[i].  The returned callable accepts
-        an (M, k) array of simplex coordinates.
-        """
-        base = np.asarray(base, dtype=float)
-        edges = np.asarray(edges, dtype=float)
-        if edges.shape == (0,):  # no edges, not one empty edge as atleast_2d reads it
-            edges = edges.reshape(0, self.dimension)
-        edges = np.atleast_2d(edges)
-        if edges.shape != (self.degree, self.dimension):
-            raise ArgumentError(
-                f"need {self.degree} edges of dimension {self.dimension}, "
-                f"got shape {edges.shape}"
-            )
-
-        def field(s):
-            s = np.atleast_2d(np.asarray(s, dtype=float))
-            if s.shape[1] != self.degree:
-                raise ArgumentError(
-                    f"simplex coordinates must have {self.degree} columns"
-                )
-            coeffs = self.coefficients_batch(base + s @ edges)
-            return contract_minors(coeffs, minor_dets(self.indices, edges[np.newaxis]))
-
-        return field
-
     def __repr__(self):
         return (
             f"FormField(n={self.dimension}, k={self.degree}, "
@@ -595,22 +564,15 @@ def _distinct_shifts(ys, reads):
 # L^p norms over a domain
 
 
-class LpEstimatorConfig:
-    """Monte Carlo settings for the spatial integral."""
-
-    def __init__(self, samples=20000, seed=0):
-        if samples < 2:
-            raise ArgumentError("need at least 2 samples")
-        self.samples = int(samples)
-        self.seed = int(seed)
-
-
-def lp_norm(omega, domain, p, config=None):
-    """(int_Omega |omega_x|^p dx)^{1/p} with |.| the coefficient norm."""
+def lp_norm(omega, domain, p, samples=20000, seed=0):
+    """(int_Omega |omega_x|^p dx)^{1/p} with |.| the coefficient norm,
+    estimated from `samples` uniform points of the domain."""
     if p < 1:
         raise ArgumentError("p must be >= 1")
-    config = config or LpEstimatorConfig()
-    pts = domain.sample_uniform(config.samples, seed=config.seed)
+    if samples < 2:
+        raise ArgumentError("need at least 2 samples")
+    samples, seed = int(samples), int(seed)
+    pts = domain.sample_uniform(samples, seed=seed)
     values = omega.euclidean_norm_batch(pts) ** p
     volume = domain.volume()
     power = volume * float(np.mean(values))
@@ -621,14 +583,13 @@ def lp_norm(omega, domain, p, config=None):
         stderr=err,
         power_value=max(power, 0.0),
         power_stderr=power_err,
-        samples=config.samples,
+        samples=samples,
         acceptance_ratio=1.0,
-        config={"kind": "lp_norm", "p": p, "samples": config.samples,
-                "seed": config.seed},
+        config={"kind": "lp_norm", "p": p, "samples": samples, "seed": seed},
     )
 
 
-def lp_sphere_norm(omega, domain, p, config=None):
+def lp_sphere_norm(omega, domain, p, samples=20000, seed=0):
     """(int_Omega |omega_x|_{S,p}^p dx)^{1/p}: sphere norm composed with L^p.
 
     For decomposable degrees (k <= 1 or k >= n - 1) the sphere norm is
@@ -642,7 +603,7 @@ def lp_sphere_norm(omega, domain, p, config=None):
             "lp_sphere_norm needs a decomposable degree (k <= 1 or k >= n - 1), "
             f"got k = {k} in R^{n}"
         )
-    est = lp_norm(omega, domain, p, config)
+    est = lp_norm(omega, domain, p, samples, seed)
     est = est.scaled(sphere_power_constant(n, k, p) ** (1.0 / p))
     est.config["kind"] = "lp_sphere_norm"
     return est

@@ -41,7 +41,7 @@ from .domains import normalize_rows, row_all
 from .errors import ArgumentError, InefficiencyError
 from .estimates import SeminormEstimate, delta_method_root
 from .exterior import unit_sphere_area
-from .forms import LpEstimatorConfig, lp_norm
+from .forms import lp_norm
 
 __all__ = [
     "SeminormConfig",
@@ -103,11 +103,6 @@ class SeminormConfig:
         if self.variant in ("cone", "ball-cone"):
             if self.c is None or self.c <= 0:
                 raise ArgumentError("cone variants need c > 0")
-
-    def with_theta(self, theta, stream=None):
-        return replace(
-            self, theta=theta, stream=self.stream if stream is None else stream
-        )
 
 
 def bbm_constant(p, k):
@@ -198,6 +193,7 @@ def _estimate(F, domain, cfg, split_radius=None):
         channels.append(_Accumulator())
     accepted = 0
     total = 0
+    nonfinite = 0
 
     base = cfg.samples // _STREAMS
     counts = [
@@ -241,6 +237,7 @@ def _estimate(F, domain, cfg, split_radius=None):
                 x0.take(keep, axis=0), vs.take(keep, axis=0), rs.take(keep, axis=0)
             )
             w = volume * (sphere_area / p) ** k * r_eff**(a * k) * np.abs(g) ** p
+            nonfinite += np.count_nonzero(~np.isfinite(w))
             if split_radius is None:
                 channels[0].add(w)
             else:
@@ -249,6 +246,10 @@ def _estimate(F, domain, cfg, split_radius=None):
                 channels[0].add(w_near)
                 channels[1].add(w - w_near)
 
+    if nonfinite:  # F gave a non-finite value, or |g|^p overflowed
+        raise FloatingPointError(
+            f"{nonfinite} of {total} weights are not finite at theta={cfg.theta}"
+        )
     acceptance = accepted / total
     echo = _config_echo(cfg, k, R)
     if acceptance < MIN_ACCEPTANCE:
@@ -267,7 +268,8 @@ def fixed_theta_seminorm(F: Multifunction, domain, cfg: SeminormConfig):
     Returns a SeminormEstimate; the p-th power mean is the unbiased
     quantity, the value is its p-th root with a delta-method error.  F is
     evaluated only on the tuples whose points all lie in the domain; the
-    others weigh 0.
+    others weigh 0.  A non-finite weight, from a non-finite value of F or
+    an overflowing |F|^p, raises FloatingPointError.
     """
     return _estimate(F, domain, cfg)[0]
 
@@ -368,41 +370,31 @@ def theta_sweep(F: Multifunction, domain, cfg: SeminormConfig, thetas=None):
     if any(b <= a for a, b in zip(thetas, thetas[1:])):
         raise ArgumentError("thetas must increase strictly")
     estimates = tuple(
-        fixed_theta_seminorm(F, domain, cfg.with_theta(t, stream=j))
+        fixed_theta_seminorm(F, domain, replace(cfg, theta=t, stream=j))
         for j, t in enumerate(thetas)
     )
     powers = np.array([e.power_value for e in estimates])
     errors = np.array([e.power_stderr for e in estimates])
-    monotone_up = bool(np.all(np.diff(powers) >= 0))
-    monotone_down = bool(np.all(np.diff(powers) <= 0))
     positive = powers > 0
-    heavy_tail = bool(
-        np.any(errors[positive] > 0.5 * powers[positive])
-    ) if positive.any() else False
-    divergent = _detect_divergence(thetas, powers, errors)
-    if divergent:
-        return SweepResult(
-            thetas=thetas,
-            estimates=estimates,
-            p=cfg.p,
-            extrapolated_power=None,
-            extrapolated_power_stderr=None,
-            fit_residual=None,
-            divergent=True,
-            diagnostics={
-                "monotone_increasing": monotone_up,
-                "monotone_decreasing": monotone_down,
-                "heavy_tail": heavy_tail,
-            },
-        )
-    window = min(4, len(thetas))
-    xs = np.sqrt(1.0 - np.asarray(thetas[-window:]))
-    ys = powers[-window:]
-    ss = errors[-window:]
-    if np.all(ys == 0.0):
-        a, sa, rms = 0.0, 0.0, 0.0
-    else:
-        a, sa, rms = _weighted_line_fit(xs, ys, ss)
+    diagnostics = {
+        "monotone_increasing": bool(np.all(np.diff(powers) >= 0)),
+        "monotone_decreasing": bool(np.all(np.diff(powers) <= 0)),
+        "heavy_tail": bool(
+            np.any(errors[positive] > 0.5 * powers[positive])
+        ) if positive.any() else False,
+    }
+    divergent = bool(_detect_divergence(thetas, powers, errors))
+    a = sa = rms = None
+    if not divergent:
+        window = min(4, len(thetas))
+        diagnostics["fit_window"] = window
+        xs = np.sqrt(1.0 - np.asarray(thetas[-window:]))
+        ys = powers[-window:]
+        ss = errors[-window:]
+        if np.all(ys == 0.0):
+            a, sa, rms = 0.0, 0.0, 0.0
+        else:
+            a, sa, rms = _weighted_line_fit(xs, ys, ss)
     return SweepResult(
         thetas=thetas,
         estimates=estimates,
@@ -410,17 +402,12 @@ def theta_sweep(F: Multifunction, domain, cfg: SeminormConfig, thetas=None):
         extrapolated_power=a,
         extrapolated_power_stderr=sa,
         fit_residual=rms,
-        divergent=False,
-        diagnostics={
-            "monotone_increasing": monotone_up,
-            "monotone_decreasing": monotone_down,
-            "heavy_tail": heavy_tail,
-            "fit_window": window,
-        },
+        divergent=divergent,
+        diagnostics=diagnostics,
     )
 
 
-def uniform_bound_check(omega, domain, R, theta, cfg=None, norm_config=None):
+def uniform_bound_check(omega, domain, R, theta, cfg=None):
     """(lhs, rhs) for the a-priori bound on |I_omega| at fixed theta.
 
     lhs estimates the ball-variant seminorm of I_omega; rhs is
@@ -438,7 +425,7 @@ def uniform_bound_check(omega, domain, R, theta, cfg=None, norm_config=None):
         * unit_sphere_area(domain.dimension) ** k
         / p**k
     ) ** (1.0 / p)
-    norm = lp_norm(omega, domain, p, norm_config or LpEstimatorConfig(seed=cfg.seed))
+    norm = lp_norm(omega, domain, p, seed=cfg.seed)
     rhs = norm.scaled(C * R ** (k * (1.0 - theta)))
     rhs.config["kind"] = "uniform-bound-rhs"
     return lhs, rhs

@@ -23,55 +23,27 @@ from .exterior import _batch_det, contract_minors, minor_dets
 from .forms import Polynomial, _block_rows, _padded_rows, row_dot
 
 __all__ = [
-    "SimplexTuple",
     "SimplexQuadratureRule",
     "grundmann_moller_rule",
     "monte_carlo_rule",
     "stratified_segment_rule",
     "default_rule",
-    "gram_jacobian",
     "integrate_form",
     "edge_integrals",
-    "integrate_scalar",
     "integrate_polynomial_form_exact",
     "reference_monomial_integral",
 ]
 
 
-class SimplexTuple:
-    """An ordered tuple of k+1 points in R^n; orientation is listed order.
-
-    Degenerate (affinely dependent) tuples are legal; their Gram Jacobian
-    is zero.
-    """
-
-    def __init__(self, points):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2:
-            raise ArgumentError("simplex points must form a (k+1, n) array")
-        if pts.shape[0] - 1 > pts.shape[1]:
-            raise ArgumentError("need k <= n")
-        self.points = pts
-
-    @property
-    def order(self):
-        return self.points.shape[0] - 1
-
-    @property
-    def dimension(self):
-        return self.points.shape[1]
-
-    def edges(self):
-        return self.points[1:] - self.points[0]
-
-    def __repr__(self):
-        return f"SimplexTuple({self.points.tolist()})"
-
-
-def _as_points(simplex):
-    if isinstance(simplex, SimplexTuple):
-        return simplex.points
-    return SimplexTuple(simplex).points
+def _points(simplex):
+    """The (k+1, n) corner array of a simplex given as k+1 points in R^n,
+    k <= n; its orientation is the listed order."""
+    pts = np.asarray(simplex, dtype=float)
+    if pts.ndim != 2:
+        raise ArgumentError("simplex points must form a (k+1, n) array")
+    if pts.shape[0] - 1 > pts.shape[1]:
+        raise ArgumentError("need k <= n")
+    return pts
 
 
 @dataclass(frozen=True)
@@ -190,17 +162,6 @@ def default_rule(k, smooth=True):
     return rule
 
 
-def gram_jacobian(simplex):
-    """sqrt(det G) with G_ij = <x_i - x_0, x_j - x_0>; 0 when degenerate."""
-    pts = _as_points(simplex)
-    if pts.shape[0] == 1:
-        return 1.0
-    e = pts[1:] - pts[0]
-    g = e @ e.T
-    det = float(np.linalg.det(g))
-    return math.sqrt(max(det, 0.0))
-
-
 def integrate_form(omega, simplex, rule=None):
     """The oriented integral of the k-form omega over the simplex.
 
@@ -208,7 +169,7 @@ def integrate_form(omega, simplex, rule=None):
     computed by edge_integrals as a batch of one.  Odd permutations of the
     corners negate the value.
     """
-    pts = _as_points(simplex)
+    pts = _points(simplex)
     k = pts.shape[0] - 1
     if omega.degree != k:
         raise ArgumentError(
@@ -285,24 +246,6 @@ def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False)
     return out, row_dot(np.abs(integrand, out=integrand), np.abs(W))[:N]
 
 
-def integrate_scalar(rho, simplex, rule=None):
-    """The unsigned H^k integral of a scalar field over the simplex.
-
-    rho is a vectorized callable on positions, shape (Q, n) -> (Q,).
-    """
-    pts = _as_points(simplex)
-    k = pts.shape[0] - 1
-    if rule is None:
-        rule = default_rule(k, smooth=True)
-    if rule.order != k:
-        raise ArgumentError("rule order does not match simplex order")
-    base = pts[0]
-    edges = pts[1:] - pts[0]
-    positions = base + rule.points @ edges
-    vals = np.asarray(rho(positions), dtype=float)
-    return gram_jacobian(pts) * float(np.sum(rule.weights * vals))
-
-
 def reference_monomial_integral(alpha):
     """Exact integral of prod s_i^{alpha_i} over Delta_k:
     prod(alpha_i!) / (|alpha| + k)!."""
@@ -322,7 +265,7 @@ def integrate_polynomial_form_exact(omega, simplex):
     """
     if omega.backend != "polynomial":
         raise ArgumentError("exact integration needs a polynomial backend")
-    pts = _as_points(simplex)
+    pts = _points(simplex)
     k = pts.shape[0] - 1
     if omega.degree != k:
         raise ArgumentError("form degree does not match simplex order")

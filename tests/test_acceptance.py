@@ -15,7 +15,7 @@ import pytest
 
 from formflux.alexander_spanier import IntegrationMultifunction
 from formflux.domains import AxisBox
-from formflux.exterior import SphereNormConfig, sphere_norm
+from formflux.exterior import sphere_norm
 from formflux.experiments import (
     run_dd_zero_suite,
     run_experiment,
@@ -86,9 +86,7 @@ def test_criterion_03_norm_equivalence_constants():
     ]
     for name, omega, closed_form in cases:
         k = omega.degree
-        per_point = sphere_norm(
-            omega.evaluate(np.zeros(2)), SphereNormConfig(p=2.0)
-        )
+        per_point = sphere_norm(omega.evaluate(np.zeros(2)), 2.0)
         oracle = bbm_constant(2.0, k) * per_point.value
         assert oracle == pytest.approx(closed_form, rel=1e-9)
         sweep = theta_sweep(

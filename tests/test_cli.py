@@ -7,6 +7,7 @@ import pytest
 
 from formflux.cli import main
 from formflux.domains import AxisBox, ConvexPolytope, SetDifference
+from formflux.experiments import default_spec
 from formflux.forms import FormField, form_to_json
 from formflux.seminorms import csv_header
 
@@ -229,6 +230,16 @@ def test_experiment_from_spec_file(tmp_path, capsys):
     path.write_text(json.dumps(spec))
     assert main(["experiment", "--spec", str(path)]) == 0
     assert "square-scalar-qualitative" in capsys.readouterr().err
+
+
+def test_experiment_spec_takes_env_seed(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(default_spec("bbm-square-x1dx2").to_json()))
+    monkeypatch.setenv("FORMFLUX_SEED", "5")
+    main(["experiment", "--spec", str(path), "--samples", "2000"])
+    rows = capsys.readouterr().out.splitlines()
+    seed = csv_header().split(",").index("seed")
+    assert len(rows) == 6 and {row.split(",")[seed] for row in rows[1:]} == {"5"}
 
 
 @pytest.mark.parametrize("key", ["shards", "chunk", "k"])

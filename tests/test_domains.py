@@ -1,6 +1,7 @@
 """Tests for the domain shapes and their exact geometry."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from formflux.domains import (
     Domain,
     SetDifference,
     SlitBox,
+    _HOLE_BLOCK,
     _dist_point_to_segments,
     _dist_to_simplices,
     dist_point_to_simplex,
@@ -488,6 +490,27 @@ def test_points_strictly_inside_a_polytope_hole_are_not_members(domain):
     assert all(domain.dist_to_boundary(p) == 0.0 for p in pts[:20])
 
 
+def test_polytope_hole_memory_is_bounded_by_its_block():
+    pts = np.random.default_rng(0).random((65_536, 3))
+    tracemalloc.start()
+    try:
+        CUBE_MINUS_CUBE.contains_batch(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
+def test_polytope_hole_blocks_keep_the_bits():
+    pts = np.random.default_rng(1).random((10_000, 3))
+    hole = CUBE_MINUS_CUBE.inner
+    outside = np.any(hole.offsets - pts @ hole.normals.T < 0, axis=-1)
+    assert outside.sum() > 2 * _HOLE_BLOCK  # three blocks
+    want = np.zeros(len(pts))
+    want[outside] = _dist_to_simplices(pts[outside, np.newaxis], hole._facets).min(1)
+    assert CUBE_MINUS_CUBE._dist_to_inner(pts).tobytes() == want.tobytes()
+
+
 def test_convex_hull_check_always_true():
     tuples = np.zeros((4, 3, 2)) + 0.5
     assert UNIT_BOX.hull_check_batch(tuples).all()
@@ -520,6 +543,12 @@ def test_slit_box_validation():
         SlitBox([0.0, 0.0], [1.0, 1.0], [0.1, 0.1], [0.5, 0.5], delta=0.0)
     with pytest.raises(ArgumentError):  # capsule clipped sideways
         SlitBox([0.0, 0.0], [1.0, 1.0], [0.25, 0.05], [0.75, 0.05], delta=0.1)
+
+
+def test_slit_box_capsule_may_not_hold_a_corner():
+    # a wall slit delta from the wall sideways reaches the corner (0, 0)
+    with pytest.raises(ArgumentError, match="box corners"):
+        SlitBox([0.0, 0.0], [1.0, 1.0], [0.0, 0.1], [0.5, 0.1], delta=0.1)
 
 
 def test_set_difference():

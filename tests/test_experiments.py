@@ -8,12 +8,12 @@ from formflux.domains import Annulus, AxisBox
 from formflux.errors import ArgumentError, UnsupportedOperationError
 from formflux.experiments import (
     EXPERIMENT_NAMES,
+    SUITE_NAMES,
     ExperimentReport,
     ExperimentSpec,
     dd_zero_residual,
     default_spec,
-    run_bbm_convex,
-    run_bbm_nonconvex,
+    run_bbm,
     run_dd_zero_suite,
     run_experiment,
     run_mollifier_suite,
@@ -114,17 +114,6 @@ def test_rough_form_spec_does_not_serialize():
         spec.to_json()
 
 
-def test_convex_runner_rejects_nonconvex_domain():
-    spec = ExperimentSpec(
-        name="bad-domain",
-        form=FormField.from_polynomials(2, 0, {(): {(1, 0): 1.0}}),
-        domain=Annulus([0.0, 0.0], 0.5, 1.0),
-        config=SeminormConfig(),
-    )
-    with pytest.raises(ArgumentError):
-        run_bbm_convex(spec)
-
-
 def test_nonconvex_quantitative_run_needs_cone_variant():
     spec = ExperimentSpec(
         name="bad-variant",
@@ -133,11 +122,11 @@ def test_nonconvex_quantitative_run_needs_cone_variant():
         config=SeminormConfig(variant="full"),
     )
     with pytest.raises(ArgumentError):
-        run_bbm_nonconvex(spec)
+        run_bbm(spec)
 
 
 def test_scalar_limit_experiment_passes_and_brackets_target():
-    report = run_bbm_convex(small_scalar_spec())
+    report = run_bbm(small_scalar_spec())
     assert report.passed
     assert report.target == pytest.approx(np.pi / 2, rel=1e-12)
     assert abs(report.measured - report.target) < 0.25
@@ -154,7 +143,7 @@ def test_qualitative_spec_never_fails_on_value():
         config=SeminormConfig(p=2.0, samples=2000, seed=3),
         expected_kind="qualitative",
     )
-    report = run_bbm_convex(spec)
+    report = run_bbm(spec)
     assert report.passed
     assert report.target is None
 
@@ -222,6 +211,22 @@ def test_default_spec_applies_overrides():
     assert spec.config.seed == 42
     base = default_spec("bbm-square-scalar")
     assert base.config.samples == 1000000
+    assert base.override() is base
+    assert base.override(seed=5).config == SeminormConfig(p=2.0, samples=1000000, seed=5)
+    assert base.override(samples=10).config.seed == 7
+
+
+def test_experiment_and_suite_names_keep_their_order():
+    assert EXPERIMENT_NAMES == (
+        "bbm-annulus-cone", "bbm-annulus-full-qualitative",
+        "bbm-square-rough-closed", "bbm-square-scalar", "bbm-square-x1dx2",
+        "dd-zero", "diagonal-vanishing", "mollifier", "stokes",
+        "variant-ordering",
+    )
+    assert SUITE_NAMES == (
+        "stokes", "dd-zero", "variant-ordering", "diagonal-vanishing",
+        "mollifier",
+    )
 
 
 def test_experiment_names_cover_both_kinds():
@@ -231,8 +236,8 @@ def test_experiment_names_cover_both_kinds():
 
 
 def test_repeated_runs_are_bit_identical():
-    a = run_bbm_convex(small_scalar_spec(samples=5000))
-    b = run_bbm_convex(small_scalar_spec(samples=5000))
+    a = run_bbm(small_scalar_spec(samples=5000))
+    b = run_bbm(small_scalar_spec(samples=5000))
     assert a.measured == b.measured
     assert [r.value for r in a.rows] == [r.value for r in b.rows]
 

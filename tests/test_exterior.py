@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from formflux.errors import ArgumentError
 from formflux.exterior import (
     Covector,
-    SphereNormConfig,
     euclidean_norm,
     minor_dets,
     sort_with_sign,
@@ -125,32 +124,37 @@ def test_unit_sphere_area():
 
 def test_sphere_norm_dx1_r2():
     a = Covector.basis(2, (1,))
-    est = sphere_norm(a, SphereNormConfig(p=2.0))
+    est = sphere_norm(a, 2.0)
     assert est.value == pytest.approx(math.sqrt(math.pi), rel=1e-10)
 
 
 def test_sphere_norm_top_form_r2():
     a = Covector.basis(2, (1, 2))
-    est = sphere_norm(a, SphereNormConfig(p=2.0))
+    est = sphere_norm(a, 2.0)
     assert est.value == pytest.approx(math.pi * math.sqrt(2.0), rel=1e-10)
 
 
 def test_sphere_norm_dx1_r3():
     a = Covector.basis(3, (1,))
-    est = sphere_norm(a, SphereNormConfig(p=2.0))
+    est = sphere_norm(a, 2.0)
     assert est.value == pytest.approx(math.sqrt(4.0 * math.pi / 3.0), rel=1e-8)
 
 
 def test_sphere_norm_top_form_r3():
     a = Covector.basis(3, (1, 2, 3), coeff=-2.0)
-    est = sphere_norm(a, SphereNormConfig(p=2.0))
+    est = sphere_norm(a, 2.0)
     exact = 2.0 * math.sqrt((4.0 * math.pi) ** 3 * 2.0 / 9.0)
     assert est.value == pytest.approx(exact, rel=1e-8)
 
 
+def test_sphere_norm_needs_p_at_least_one():
+    with pytest.raises(ArgumentError, match="p must be >= 1"):
+        sphere_norm(Covector.basis(2, (1,)), 0.5)
+
+
 def test_sphere_norm_p4():
     a = Covector.basis(2, (1,))
-    est = sphere_norm(a, SphereNormConfig(p=4.0))
+    est = sphere_norm(a, 4.0)
     assert est.value == pytest.approx((3.0 * math.pi / 4.0) ** 0.25, rel=1e-10)
 
 
@@ -161,9 +165,8 @@ def test_sphere_norm_zero_covector():
 
 def test_sphere_norm_homogeneity():
     a = Covector(2, 1, {(1,): 1.25, (2,): -0.5})
-    cfg = SphereNormConfig(p=2.0)
-    assert sphere_norm(3.0 * a, cfg).value == pytest.approx(
-        3.0 * sphere_norm(a, cfg).value, rel=1e-12
+    assert sphere_norm(3.0 * a, 2.0).value == pytest.approx(
+        3.0 * sphere_norm(a, 2.0).value, rel=1e-12
     )
 
 
@@ -171,12 +174,11 @@ def test_sphere_norm_one_covector_proportional_to_euclidean():
     # for 1-covectors the sphere norm is a fixed multiple of the coefficient
     # norm, by rotation invariance of the sphere measure
     rng = np.random.default_rng(42)
-    cfg = SphereNormConfig(p=2.0)
     ratios = []
     for _ in range(50):
         coeffs = {(i,): rng.standard_normal() for i in range(1, 4)}
         a = Covector(3, 1, coeffs)
-        ratios.append(sphere_norm(a, cfg).value / euclidean_norm(a))
+        ratios.append(sphere_norm(a, 2.0).value / euclidean_norm(a))
     assert np.ptp(ratios) < 1e-8
     assert ratios[0] == pytest.approx(math.sqrt(4.0 * math.pi / 3.0), rel=1e-8)
 
@@ -184,7 +186,6 @@ def test_sphere_norm_one_covector_proportional_to_euclidean():
 def test_sphere_norm_comparable_to_euclidean():
     # c1 * |a|_2 <= |a|_{S,p} <= c2 * |a|_2 across random 2-covectors in R^3
     rng = np.random.default_rng(2024)
-    cfg = SphereNormConfig(p=2.0)
     ratios = []
     for _ in range(1000):
         coeffs = {
@@ -194,7 +195,7 @@ def test_sphere_norm_comparable_to_euclidean():
         en = euclidean_norm(a)
         if en < 1e-12:
             continue
-        ratios.append(sphere_norm(a, cfg).value / en)
+        ratios.append(sphere_norm(a, 2.0).value / en)
     ratios = np.array(ratios)
     assert ratios.min() > 0.1
     assert ratios.max() / ratios.min() < 10.0
@@ -210,7 +211,7 @@ def test_sphere_norm_monte_carlo_matches_quadrature():
         Covector(4, 2, {(1, 2): 1.0, (3, 4): 1.0}),
         Covector(4, 2, {idx: rng.standard_normal() for idx in indices}),
     ):
-        mc = sphere_norm(a, SphereNormConfig(p=2.0))
+        mc = sphere_norm(a, 2.0)
         exact = math.sqrt(sphere_power_constant(4, 2, 2.0)) * euclidean_norm(a)
         assert mc.error > 0.0
         assert abs(mc.value - exact) < 4.0 * mc.error
@@ -219,14 +220,14 @@ def test_sphere_norm_monte_carlo_matches_quadrature():
 def test_sphere_norm_monte_carlo_high_dimension():
     # a 1-covector is decomposable in any dimension, so exact:
     # int_{S^4} v1^2 = area(S^4) / 5
-    est = sphere_norm(Covector.basis(5, (1,)), SphereNormConfig(p=2.0))
+    est = sphere_norm(Covector.basis(5, (1,)), 2.0)
     assert est.value == pytest.approx(math.sqrt(unit_sphere_area(5) / 5.0), rel=1e-12)
     assert est.error == 0.0
 
 
 def test_sphere_norm_error_estimate_brackets_truth():
     a = Covector.basis(2, (1,))
-    est = sphere_norm(a, SphereNormConfig(p=3.0))
+    est = sphere_norm(a, 3.0)
     # int_0^{2pi} |cos|^3 = 8/3
     exact = (8.0 / 3.0) ** (1.0 / 3.0)
     assert abs(est.value - exact) <= max(est.error, 1e-9)
@@ -301,6 +302,6 @@ def decomposable_covectors(draw):
 def test_closed_form_sphere_norm_matches_product_quadrature(case):
     alpha, p, nodes = case
     power, rel = quadrature_oracle(alpha, p, nodes)
-    exact = sphere_norm(alpha, SphereNormConfig(p=p)).value ** p
+    exact = sphere_norm(alpha, p).value ** p
     # the half-resolution error, floored at the oracle's rounding
     assert abs(exact - power) <= max(rel, 1e-12) * power

@@ -11,7 +11,6 @@ from formflux.errors import ArgumentError, UnsupportedOperationError
 from formflux.estimates import SeminormEstimate
 from formflux.forms import (
     FormField,
-    LpEstimatorConfig,
     Mollifier,
     Polynomial,
     form_from_json,
@@ -20,6 +19,7 @@ from formflux.forms import (
     lp_sphere_norm,
     mollify,
 )
+from formflux.simplex import SimplexQuadratureRule, edge_integrals, integrate_form
 
 UNIT_BOX = AxisBox([0.0, 0.0], [1.0, 1.0])
 
@@ -142,39 +142,44 @@ def test_analytic_without_partials_refuses_derivative():
         w.exterior_derivative()
 
 
+def pullback_at(omega, base, edges, s):
+    """omega_{phi(s)}(edges) with phi(s) = base + s . edges, at each row of s:
+    the pullback kernel under a one-node rule of weight 1."""
+    base, edges = np.array([base], dtype=float), np.array([edges], dtype=float)
+    rules = (SimplexQuadratureRule("node", len(row), np.array([row]), np.ones(1))
+             for row in np.asarray(s, dtype=float))
+    return np.array([edge_integrals(omega, rule, base, edges)[0] for rule in rules])
+
+
 def test_pullback_constant_one_form():
     w = FormField.constant_form(2, {(1,): 1.0})
-    field = w.pullback_affine([0.0, 0.0], [[1.0, 0.0]])
     s = np.array([[0.0], [0.3], [1.0]])
-    assert np.allclose(field(s), 1.0)
+    assert np.allclose(pullback_at(w, [0.0, 0.0], [[1.0, 0.0]], s), 1.0)
 
 
 def test_pullback_top_form():
     w = FormField.constant_form(2, {(1, 2): 1.0})
-    field = w.pullback_affine([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
     s = np.array([[0.2, 0.3], [0.0, 0.0]])
-    assert np.allclose(field(s), 1.0)
+    assert np.allclose(pullback_at(w, [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], s), 1.0)
 
 
 def test_pullback_linear_coefficient():
     # along phi(s) = (s, s) the coefficient x1 restricts to s
-    field = x1_dx2().pullback_affine([0.0, 0.0], [[1.0, 1.0]])
     s = np.array([[0.0], [0.25], [0.9]])
-    assert np.allclose(field(s), s[:, 0])
+    assert np.allclose(pullback_at(x1_dx2(), [0.0, 0.0], [[1.0, 1.0]], s), s[:, 0])
 
 
 def test_pullback_edge_count_mismatch():
     with pytest.raises(ArgumentError):
-        x1_dx2().pullback_affine([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+        integrate_form(x1_dx2(), [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 def test_pullback_of_a_function_takes_an_empty_edge_list():
     # a 0-form pulls back to its value at the base point
     f = FormField.from_polynomials(2, 0, {(): {(1, 0): 2.0, (0, 2): 1.0}})
-    field = f.pullback_affine([0.5, -1.5], [])
-    assert field(np.zeros((3, 0))).tolist() == [3.25] * 3
+    assert integrate_form(f, [[0.5, -1.5]]) == 3.25
     with pytest.raises(ArgumentError):
-        x1_dx2().pullback_affine([0.0, 0.0], [])
+        integrate_form(x1_dx2(), [[0.0, 0.0]])
 
 
 def test_mollifier_profile_properties():
@@ -288,61 +293,67 @@ def test_convolution_evaluates_each_distinct_shift_once(monkeypatch, case,
 def test_lp_norm_constant_form():
     est = lp_norm(
         FormField.constant_form(2, {(1,): 1.0}), UNIT_BOX, 2.0,
-        LpEstimatorConfig(samples=2000, seed=0),
+        samples=2000, seed=0,
     )
     assert isinstance(est, SeminormEstimate)
     assert est.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lp_norm_linear_coefficient():
-    est = lp_norm(
-        x1_dx2(), UNIT_BOX, 2.0, LpEstimatorConfig(samples=200000, seed=1)
-    )
+    est = lp_norm(x1_dx2(), UNIT_BOX, 2.0, samples=200000, seed=1)
     assert abs(est.value - 1.0 / math.sqrt(3.0)) < 4.0 * max(est.stderr, 1e-6)
 
 
 def test_lp_norm_zero_form():
     zero = FormField.from_polynomials(2, 1, {(1,): Polynomial(2, {})})
-    est = lp_norm(zero, UNIT_BOX, 2.0, LpEstimatorConfig(samples=500, seed=0))
+    est = lp_norm(zero, UNIT_BOX, 2.0, samples=500, seed=0)
     assert est.value == 0.0
 
 
+@pytest.mark.parametrize("norm", [lp_norm, lp_sphere_norm])
+def test_lp_norms_check_p_and_samples(norm):
+    w = FormField.constant_form(2, {(1,): 1.0})
+    with pytest.raises(ArgumentError, match="p must be >= 1"):
+        norm(w, UNIT_BOX, 0.5)
+    with pytest.raises(ArgumentError, match="at least 2 samples"):
+        norm(w, UNIT_BOX, 2.0, samples=1)
+
+
 def test_lp_sphere_norm_constant_forms():
-    cfg = LpEstimatorConfig(samples=4000, seed=2)
-    one = lp_sphere_norm(FormField.constant_form(2, {(1,): 1.0}), UNIT_BOX, 2.0, cfg)
+    cfg = dict(samples=4000, seed=2)
+    one = lp_sphere_norm(FormField.constant_form(2, {(1,): 1.0}), UNIT_BOX, 2.0, **cfg)
     assert one.value == pytest.approx(math.sqrt(math.pi), rel=1e-9)
     top = lp_sphere_norm(
-        FormField.constant_form(2, {(1, 2): 1.0}), UNIT_BOX, 2.0, cfg
+        FormField.constant_form(2, {(1, 2): 1.0}), UNIT_BOX, 2.0, **cfg
     )
     assert top.value == pytest.approx(math.pi * math.sqrt(2.0), rel=1e-9)
 
 
 def test_lp_sphere_norm_zero():
     zero = FormField.from_polynomials(2, 1, {})
-    est = lp_sphere_norm(zero, UNIT_BOX, 2.0,
-                         LpEstimatorConfig(samples=200, seed=0))
+    est = lp_sphere_norm(zero, UNIT_BOX, 2.0, samples=200, seed=0)
     assert est.value == 0.0
 
 
 def test_lp_sphere_norm_needs_a_decomposable_degree():
     box = AxisBox(np.zeros(4), np.ones(4))
-    cfg = LpEstimatorConfig(samples=200, seed=0)
-    one = lp_sphere_norm(FormField.constant_form(4, {(2,): 2.0}), box, 2.0, cfg)
+    cfg = dict(samples=200, seed=0)
+    one = lp_sphere_norm(FormField.constant_form(4, {(2,): 2.0}), box, 2.0, **cfg)
     # int_{S^3} v1^2 = area(S^3) / 4 = pi^2 / 2
     assert one.value == pytest.approx(2.0 * math.pi / math.sqrt(2.0), rel=1e-12)
     assert one.config["kind"] == "lp_sphere_norm"
     with pytest.raises(UnsupportedOperationError):
-        lp_sphere_norm(FormField.constant_form(4, {(1, 2): 1.0}), box, 2.0, cfg)
+        lp_sphere_norm(FormField.constant_form(4, {(1, 2): 1.0}), box, 2.0, **cfg)
 
 
 def test_lp_sphere_over_lp_constant_across_constant_one_forms():
-    cfg = LpEstimatorConfig(samples=3000, seed=5)
+    cfg = dict(samples=3000, seed=5)
     ratios = []
     for coeffs in ({(1,): 1.0}, {(2,): 2.0}, {(1,): 3.0, (2,): 4.0}):
         w = FormField.constant_form(2, coeffs)
         ratios.append(
-            lp_sphere_norm(w, UNIT_BOX, 2.0, cfg).value
-            / lp_norm(w, UNIT_BOX, 2.0, cfg).value
+            lp_sphere_norm(w, UNIT_BOX, 2.0, **cfg).value
+            / lp_norm(w, UNIT_BOX, 2.0, **cfg).value
         )
     assert np.ptp(ratios) < 1e-9
 
@@ -350,8 +361,8 @@ def test_lp_sphere_over_lp_constant_across_constant_one_forms():
 def test_lp_norm_zero_extension_superset():
     w = FormField.constant_form(2, {(1,): 1.0}).with_support(UNIT_BOX)
     big = AxisBox([-1.0, -1.0], [2.0, 2.0])
-    on_small = lp_norm(w, UNIT_BOX, 2.0, LpEstimatorConfig(samples=120000, seed=3))
-    on_big = lp_norm(w, big, 2.0, LpEstimatorConfig(samples=120000, seed=4))
+    on_small = lp_norm(w, UNIT_BOX, 2.0, samples=120000, seed=3)
+    on_big = lp_norm(w, big, 2.0, samples=120000, seed=4)
     tol = 4.0 * (on_small.stderr + on_big.stderr)
     assert abs(on_small.value - on_big.value) < tol
 

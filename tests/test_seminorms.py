@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -160,7 +161,7 @@ def test_sweep_withholds_extrapolation_when_divergent():
 
     def run(theta, j):
         calls["i"] = j
-        return fixed_theta_seminorm(F, UNIT_SQUARE, cfg.with_theta(theta, stream=j))
+        return fixed_theta_seminorm(F, UNIT_SQUARE, replace(cfg, theta=theta, stream=j))
 
     # emulate the sweep by hand so each theta sees a growing plateau
     import formflux.seminorms as sn
@@ -320,8 +321,7 @@ def test_inefficiency_error_on_hopeless_indicator():
 def test_rejected_tuples_are_never_evaluated():
     """A tuple with a point outside the domain weighs 0 and is not handed to
     F.  This F's value outside is so large that |g|^p overflows to inf, and
-    inf * 0 would make the estimate NaN.  (An inf value would not show it:
-    the generic scaled evaluation turns non-finite quotients into 0.)"""
+    inf * 0 would make the estimate NaN."""
     outside_seen = []
 
     def batch(t):
@@ -335,6 +335,31 @@ def test_rejected_tuples_are_never_evaluated():
     assert est.acceptance_ratio < 0.9
     assert sum(outside_seen) == 0
     assert math.isfinite(est.value) and math.isfinite(est.stderr)
+
+
+def test_non_finite_values_fail_the_estimate():
+    """F is inf on every tuple whose x0 has x0_1 < 0.25 (369 accepted ones):
+    the estimate fails instead of counting them as 0."""
+    def batch(t):
+        return np.where(t[:, 0, 0] < 0.25, np.inf, t[:, 1, 0] - t[:, 0, 0])
+
+    F = UserMultifunction(2, 1, None, batch)
+    cfg = SeminormConfig(p=2.0, theta=0.9, samples=2000, seed=1, variant="full")
+    with pytest.raises(FloatingPointError,
+                       match="^369 of 2000 weights are not finite at theta=0.9$"):
+        fixed_theta_seminorm(F, UNIT_SQUARE, cfg)
+
+
+def test_overflowing_power_fails_the_estimate():
+    class Huge(UserMultifunction):
+        def evaluate_scaled_batch(self, x0, vs, rs):
+            return np.full(len(x0), 1e200)  # finite, but |g|^2 is not
+
+    F = Huge(2, 1, None)
+    cfg = SeminormConfig(p=2.0, theta=0.9, samples=200, seed=1, variant="full")
+    with pytest.raises(FloatingPointError, match="weights are not finite"):
+        with np.errstate(over="ignore"):
+            fixed_theta_seminorm(F, UNIT_SQUARE, cfg)
 
 
 def test_config_validation():

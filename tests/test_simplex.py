@@ -1,4 +1,4 @@
-"""Tests for simplex quadrature and form/scalar integration."""
+"""Tests for simplex quadrature and form integration."""
 
 import itertools
 import math
@@ -10,14 +10,11 @@ import pytest
 from formflux.errors import ArgumentError
 from formflux.forms import FormField, Polynomial
 from formflux.simplex import (
-    SimplexTuple,
     default_rule,
     edge_integrals,
     grundmann_moller_rule,
-    gram_jacobian,
     integrate_form,
     integrate_polynomial_form_exact,
-    integrate_scalar,
     monte_carlo_rule,
     reference_monomial_integral,
 )
@@ -33,10 +30,13 @@ def random_polynomial_form(rng, n, k, max_degree=3):
 
 
 def test_simplex_tuple_validation():
-    t = SimplexTuple([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert t.order == 2 and t.dimension == 2
-    with pytest.raises(ArgumentError):
-        SimplexTuple([[0.0], [1.0], [2.0]])  # k=2 in R^1
+    w = FormField.from_polynomials(1, 1, {(1,): {(1,): 1.0}})
+    for integrate in (integrate_form, integrate_polynomial_form_exact):
+        assert integrate(w, [[0.0], [1.0]]) == pytest.approx(0.5)
+        with pytest.raises(ArgumentError, match="need k <= n"):
+            integrate(w, [[0.0], [1.0], [2.0]])  # k=2 in R^1
+        with pytest.raises(ArgumentError, match=r"\(k\+1, n\) array"):
+            integrate(w, [0.0, 1.0])
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -90,19 +90,6 @@ def test_reference_monomial_integral():
     assert reference_monomial_integral((1, 1)) == pytest.approx(1.0 / 24.0)
 
 
-def test_gram_jacobian_examples():
-    assert gram_jacobian([[0, 0, 0], [1, 0, 0], [0, 1, 0]]) == pytest.approx(1.0)
-    assert gram_jacobian([[0.0, 0.0], [2.0, 0.0]]) == pytest.approx(2.0)
-    assert gram_jacobian([[0, 0], [1, 0], [2, 0]]) == 0.0  # collinear
-    assert gram_jacobian([[3.0, 4.0]]) == 1.0  # a point
-
-
-def test_gram_jacobian_vs_area():
-    # triangle with corners (0,0), (2,0), (0,3): area 3, gram = 2! * 3
-    g = gram_jacobian([[0.0, 0.0], [2.0, 0.0], [0.0, 3.0]])
-    assert g == pytest.approx(6.0)
-
-
 def test_integrate_form_segment():
     w = FormField.constant_form(2, {(1,): 1.0})
     assert integrate_form(w, [[0.0, 0.0], [1.0, 0.0]]) == pytest.approx(1.0)
@@ -140,25 +127,6 @@ def test_orientation_signs():
         assert swapped == pytest.approx(-base, rel=1e-10, abs=1e-12)
         cycled = integrate_form(w, pts[[1, 2, 0]])  # even permutation
         assert cycled == pytest.approx(base, rel=1e-10, abs=1e-12)
-
-
-def test_integrate_scalar_examples():
-    one = lambda pts: np.ones(len(pts))
-    tri = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
-    assert integrate_scalar(one, tri) == pytest.approx(0.5)
-    seg = [[0.0, 0.0], [2.0, 0.0]]
-    assert integrate_scalar(one, seg) == pytest.approx(2.0)
-    unit_seg = [[0.0, 0.0], [1.0, 0.0]]
-    assert integrate_scalar(lambda pts: pts[:, 0], unit_seg) == pytest.approx(0.5)
-
-
-def test_integrate_scalar_matches_gram():
-    rng = np.random.default_rng(5)
-    one = lambda pts: np.ones(len(pts))
-    for k in (1, 2, 3):
-        pts = rng.standard_normal((k + 1, 3))
-        measure = gram_jacobian(pts) / math.factorial(k)
-        assert integrate_scalar(one, pts) == pytest.approx(measure, rel=1e-12)
 
 
 def test_gm_exact_on_random_polynomial_forms():
