@@ -57,15 +57,18 @@ def _load_json(path, decode):
 
 
 def _resolve_seed(args, fallback=DEFAULT_SEED):
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("FORMFLUX_SEED")
-    if env is not None:
+    seed, source = getattr(args, "seed", None), "--seed"
+    if seed is None:
+        env, source = os.environ.get("FORMFLUX_SEED"), "FORMFLUX_SEED"
+        if env is None:
+            return fallback
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ArgumentError(f"FORMFLUX_SEED must be an integer, got {env!r}")
-    return fallback
+    if seed < 0:
+        raise ArgumentError(f"{source} must be >= 0, got {seed}")
+    return seed
 
 
 def _build_multifunction(form, k):

@@ -10,6 +10,7 @@ with the declared systematic tolerance; no bare float comparisons.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from itertools import combinations
 
@@ -84,6 +85,9 @@ class ExperimentSpec:
             raise ArgumentError("tolerance must be > 0")
         if not self.thetas:
             raise ArgumentError("theta grid must be non-empty")
+        if not all(isinstance(t, numbers.Real) and not isinstance(t, bool)
+                   for t in self.thetas):
+            raise ArgumentError(f"thetas must be numbers, got {list(self.thetas)!r}")
         if self.expected_kind not in ("closed-form", "oracle", "qualitative"):
             raise ArgumentError(f"unknown expected_kind {self.expected_kind!r}")
         if self.expected_kind == "closed-form" and self.expected_value is None:
@@ -527,74 +531,64 @@ def _sign_coefficient(axis):
     return coeff
 
 
+def _square():
+    return AxisBox([0.0, 0.0], [1.0, 1.0])
+
+
+def _annulus():
+    return Annulus([0.0, 0.0], 0.5, 1.0)
+
+
+def _x1dx2():
+    return FormField.from_polynomials(2, 1, {(2,): {(1, 0): 1.0}})
+
+
+# The built-in specs: each builder takes its key as the spec's name.
+_SPECS = {
+    # the cone variant converges slower in theta (its effective radius
+    # shrinks near the boundary), so the grid extends closer to 1
+    "bbm-annulus-cone": lambda name: ExperimentSpec(
+        name, _x1dx2(), _annulus(),
+        SeminormConfig(p=2.0, variant="cone", c=0.5, samples=1000000, seed=17),
+        thetas=DEFAULT_THETAS + (0.9975, 0.99875),
+        tolerance=0.15,
+    ),
+    "bbm-annulus-full-qualitative": lambda name: ExperimentSpec(
+        name, _x1dx2().with_support(_annulus()), _annulus(),
+        SeminormConfig(p=2.0, samples=40000, seed=19),
+        expected_kind="qualitative",
+        tolerance=1.0,
+    ),
+    "bbm-square-rough-closed": lambda name: ExperimentSpec(
+        name,
+        FormField.from_callables(
+            2, 1, {(1,): _sign_coefficient(0), (2,): _sign_coefficient(1)}
+        ),
+        _square(),
+        SeminormConfig(p=2.0, samples=40000, seed=13),
+        expected_kind="closed-form",
+        expected_value=0.0,
+        tolerance=0.05,
+    ),
+    "bbm-square-scalar": lambda name: ExperimentSpec(
+        name, FormField.from_polynomials(2, 0, {(): {(1, 0): 1.0}}), _square(),
+        SeminormConfig(p=2.0, samples=1000000, seed=7),
+        tolerance=0.10,
+    ),
+    "bbm-square-x1dx2": lambda name: ExperimentSpec(
+        name, _x1dx2(), _square(),
+        SeminormConfig(p=2.0, samples=1000000, seed=11),
+        tolerance=0.10,
+    ),
+}
+
+
 def default_spec(name, samples=None, seed=None):
     """Built-in experiment specs by name; samples/seed override defaults."""
-    square = AxisBox([0.0, 0.0], [1.0, 1.0])
-    annulus = Annulus([0.0, 0.0], 0.5, 1.0)
-    x1dx2 = FormField.from_polynomials(2, 1, {(2,): {(1, 0): 1.0}})
-    if name == "bbm-square-scalar":
-        spec = ExperimentSpec(
-            name=name,
-            form=FormField.from_polynomials(2, 0, {(): {(1, 0): 1.0}}),
-            domain=square,
-            config=SeminormConfig(p=2.0, samples=1000000, seed=7),
-            tolerance=0.10,
-        )
-    elif name == "bbm-square-x1dx2":
-        spec = ExperimentSpec(
-            name=name,
-            form=x1dx2,
-            domain=square,
-            config=SeminormConfig(p=2.0, samples=1000000, seed=11),
-            tolerance=0.10,
-        )
-    elif name == "bbm-square-rough-closed":
-        rough = FormField.from_callables(
-            2, 1, {(1,): _sign_coefficient(0), (2,): _sign_coefficient(1)}
-        )
-        spec = ExperimentSpec(
-            name=name,
-            form=rough,
-            domain=square,
-            config=SeminormConfig(p=2.0, samples=40000, seed=13),
-            expected_kind="closed-form",
-            expected_value=0.0,
-            tolerance=0.05,
-        )
-    elif name == "bbm-annulus-cone":
-        # the cone variant converges slower in theta (its effective radius
-        # shrinks near the boundary), so the grid extends closer to 1
-        spec = ExperimentSpec(
-            name=name,
-            form=x1dx2,
-            domain=annulus,
-            config=SeminormConfig(
-                p=2.0, variant="cone", c=0.5, samples=1000000, seed=17
-            ),
-            thetas=DEFAULT_THETAS + (0.9975, 0.99875),
-            tolerance=0.15,
-        )
-    elif name == "bbm-annulus-full-qualitative":
-        spec = ExperimentSpec(
-            name=name,
-            form=x1dx2.with_support(annulus),
-            domain=annulus,
-            config=SeminormConfig(p=2.0, samples=40000, seed=19),
-            expected_kind="qualitative",
-            tolerance=1.0,
-        )
-    else:
+    if name not in _SPECS:
         raise ArgumentError(f"unknown experiment {name!r}")
-    return spec.override(samples, seed)
+    return _SPECS[name](name).override(samples, seed)
 
-
-_SPEC_NAMES = (
-    "bbm-annulus-cone",
-    "bbm-annulus-full-qualitative",
-    "bbm-square-rough-closed",
-    "bbm-square-scalar",
-    "bbm-square-x1dx2",
-)
 
 _SUITE_RUNNERS = {
     "stokes": run_stokes_suite,
@@ -605,13 +599,13 @@ _SUITE_RUNNERS = {
 }
 
 SUITE_NAMES = tuple(_SUITE_RUNNERS)
-EXPERIMENT_NAMES = _SPEC_NAMES + tuple(sorted(SUITE_NAMES))
+EXPERIMENT_NAMES = tuple(sorted(_SPECS)) + tuple(sorted(SUITE_NAMES))
 
 
 def run_experiment(name, samples=None, seed=None):
     """Run a named experiment or verification suite with optional
     sample-count and seed overrides."""
-    if name in _SPEC_NAMES:
+    if name in _SPECS:
         return run_bbm(default_spec(name, samples=samples, seed=seed))
     if name in _SUITE_RUNNERS:
         kwargs = {}

@@ -24,14 +24,20 @@ prefactor in closed form).  Multifunctions are evaluated through their
 scaled form F / prod r_i, which stays finite as the radii hit the float
 floor near theta = 1.
 
-Samples are split over _STREAMS independently seeded streams, each drawn
-_CHUNK tuples at a time, so the result is a deterministic function of the
-config and its seed.
+The layout is fixed: the samples are split over _STREAMS independently
+seeded streams, each drawn _CHUNK tuples at a time (_blocks), so the result
+is a deterministic function of the config and its seed.  Each block passes
+through four stages: _draw takes the base points, directions and radial
+uniforms from the stream; _tuples places the points and tests them against
+the domain; _weights evaluates F on the accepted tuples and weighs every
+tuple; and _estimate adds the weights and their squares to running sums,
+one row per channel, which become the estimates at the end.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -89,12 +95,16 @@ class SeminormConfig:
     stream: int = 0
 
     def __post_init__(self):
+        for name, least in (("samples", 2), ("seed", 0), ("stream", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ArgumentError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ArgumentError(f"{name} must be >= {least}, got {value}")
         if self.p < 1:
             raise ArgumentError("p must be >= 1")
         if not 0.0 < self.theta < 1.0:
             raise ArgumentError("theta must lie in (0, 1)")
-        if self.samples < 2:
-            raise ArgumentError("need at least 2 samples")
         if self.variant not in VARIANTS:
             raise ArgumentError(f"unknown variant {self.variant!r}")
         if self.variant in ("ball", "ball-cone"):
@@ -119,139 +129,87 @@ def epsilon_theta(theta):
     return math.exp(-1.0 / math.sqrt(1.0 - theta))
 
 
-class _Accumulator:
-    """Streaming sum / sum-of-squares over streams for one weight channel."""
-
-    __slots__ = ("sw", "sw2", "n")
-
-    def __init__(self):
-        self.sw = 0.0
-        self.sw2 = 0.0
-        self.n = 0
-
-    def add(self, weights):
-        self.sw += float(np.sum(weights))
-        self.sw2 += float(np.sum(weights * weights))
-        self.n += weights.size
-
-    def mean_and_stderr(self):
-        mean = self.sw / self.n
-        var = max(self.sw2 - self.n * mean * mean, 0.0) / max(self.n - 1, 1)
-        return mean, math.sqrt(var / self.n)
+def _blocks(cfg):
+    """(rng, m) per block: the samples split over _STREAMS streams seeded by
+    (seed, stream, s), each drawn _CHUNK tuples at a time."""
+    for s in range(_STREAMS):
+        count = cfg.samples // _STREAMS + (s < cfg.samples % _STREAMS)
+        rng = np.random.default_rng(
+            np.random.SeedSequence(cfg.seed, spawn_key=(cfg.stream, s))
+        )
+        for done in range(0, count, _CHUNK):
+            yield rng, min(_CHUNK, count - done)
 
 
-def _resolve(F, domain, cfg):
-    if F.dimension != domain.dimension:
-        raise ArgumentError("multifunction and domain dimensions differ")
-    R = domain.diameter() if cfg.variant == "full" else cfg.R
-    return F.degree, R
+def _draw(rng, domain, m, k):
+    """(x0, vs, u): m base points uniform in the domain, then k unit
+    directions and k radial uniforms per base point."""
+    x0 = domain.sample_uniform(m, seed=rng)
+    vs = normalize_rows(rng.standard_normal((m, k, domain.dimension)))
+    return x0, vs, rng.random((m, k))
 
 
-def _config_echo(cfg, k, R):
-    return {
-        "variant": cfg.variant,
-        "p": cfg.p,
-        "k": k,
-        "theta": cfg.theta,
-        "R": R,
-        "c": cfg.c,
-        "samples": cfg.samples,
-        "seed": cfg.seed,
-        "stream": cfg.stream,
-    }
+def _tuples(domain, cfg, R, x0, vs, u):
+    """(rs, r_eff, keep): the radii r_i = r_eff U_i^{1/(p(1-theta))}, the
+    reach r_eff of each tuple, and the indices of the tuples whose points
+    x_i = x0 + r_i v_i all lie in the domain."""
+    m, k, n = vs.shape
+    if cfg.variant in ("cone", "ball-cone") and k:
+        reach = cfg.c * domain.dist_to_boundary_batch(x0)
+        r_eff = np.minimum(reach, R) if cfg.variant == "ball-cone" else reach
+    else:  # with k = 0 no radius is drawn, and r_eff**0 = 1 for any R
+        r_eff = np.full(m, R if k else 1.0)
+    rs = u ** (1.0 / (cfg.p * (1.0 - cfg.theta)))
+    # one coordinate column at a time: the same products and sums as
+    # x0[:, None, :] + rs[..., None] * vs
+    pts = np.empty((m, k, n))
+    for i in range(k):
+        rs[:, i] *= r_eff
+        for c in range(n):
+            np.multiply(rs[:, i], vs[:, i, c], out=pts[:, i, c])
+            pts[:, i, c] += x0[:, c]
+    inside = row_all(domain.contains_batch(pts.reshape(-1, n)).reshape(m, k))
+    return rs, r_eff, np.flatnonzero(inside)
 
 
-def _finalize(acc, p, echo, acceptance):
-    power, power_stderr = acc.mean_and_stderr()
-    value, stderr = delta_method_root(power, power_stderr, p)
-    return SeminormEstimate(
-        value=value,
-        stderr=stderr,
-        power_value=max(power, 0.0),
-        power_stderr=power_stderr,
-        samples=acc.n,
-        acceptance_ratio=acceptance,
-        config=dict(echo),
+def _weights(F, cfg, scale, x0, vs, rs, r_eff, keep):
+    """w = scale r_eff^{p(1-theta) k} |g|^p, where g = F / prod r_i on the
+    kept tuples, which alone F sees, and g = 0 on the others."""
+    g = np.zeros(len(x0))
+    g[keep] = F.evaluate_scaled_batch(
+        x0.take(keep, axis=0), vs.take(keep, axis=0), rs.take(keep, axis=0)
     )
+    a = cfg.p * (1.0 - cfg.theta)
+    return scale * r_eff**(a * rs.shape[1]) * np.abs(g) ** cfg.p
 
 
 def _estimate(F, domain, cfg, split_radius=None):
-    """Core sampler.  With split_radius, weights are routed into a near
-    channel (all radii below the split) and a far channel; otherwise only
-    the total channel is filled."""
-    k, R = _resolve(F, domain, cfg)
-    n = domain.dimension
-    p = cfg.p
-    a = p * (1.0 - cfg.theta)
-    sphere_area = unit_sphere_area(n)
-    volume = domain.volume()
-    cone = cfg.variant in ("cone", "ball-cone")
-    capped = cfg.variant in ("full", "ball", "ball-cone")
-
-    channels = [_Accumulator()]
-    if split_radius is not None:
-        channels.append(_Accumulator())
-    accepted = 0
-    total = 0
-    nonfinite = 0
-
-    base = cfg.samples // _STREAMS
-    counts = [
-        base + (1 if s < cfg.samples % _STREAMS else 0)
-        for s in range(_STREAMS)
-    ]
-    for stream, count in enumerate(counts):
-        if count == 0:
-            continue
-        rng = np.random.default_rng(
-            np.random.SeedSequence(cfg.seed, spawn_key=(cfg.stream, stream))
-        )
-        done = 0
-        while done < count:
-            m = min(_CHUNK, count - done)
-            done += m
-            total += m
-            x0 = domain.sample_uniform(m, seed=rng)
-            vs = normalize_rows(rng.standard_normal((m, k, n)))
-            u = rng.random((m, k))
-            if cone and k:
-                reach = cfg.c * domain.dist_to_boundary_batch(x0)
-                r_eff = np.minimum(reach, R) if capped else reach
-            else:  # with k = 0 no radius is drawn, and r_eff**0 = 1 for any R
-                r_eff = np.full(m, R if k else 1.0)
-            rs = u ** (1.0 / a)
-            # x_i = x0 + r_i v_i one coordinate column at a time: the same
-            # products and sums as x0[:, None, :] + rs[..., None] * vs
-            pts = np.empty((m, k, n))
-            for i in range(k):
-                rs[:, i] *= r_eff
-                for c in range(n):
-                    np.multiply(rs[:, i], vs[:, i, c], out=pts[:, i, c])
-                    pts[:, i, c] += x0[:, c]
-            inside = row_all(domain.contains_batch(pts.reshape(-1, n)).reshape(m, k))
-            # F sees only the accepted tuples; a rejected one weighs 0
-            keep = np.flatnonzero(inside)
-            accepted += len(keep)
-            g = np.zeros(m)
-            g[keep] = F.evaluate_scaled_batch(
-                x0.take(keep, axis=0), vs.take(keep, axis=0), rs.take(keep, axis=0)
-            )
-            w = volume * (sphere_area / p) ** k * r_eff**(a * k) * np.abs(g) ** p
-            nonfinite += np.count_nonzero(~np.isfinite(w))
-            if split_radius is None:
-                channels[0].add(w)
-            else:
-                near = row_all(rs <= split_radius)
-                w_near = np.where(near, w, 0.0)
-                channels[0].add(w_near)
-                channels[1].add(w - w_near)
+    """One estimate per channel: the total, or with split_radius the near
+    tuples (every radius at most the split) and the far ones."""
+    if F.dimension != domain.dimension:
+        raise ArgumentError("multifunction and domain dimensions differ")
+    k = F.degree
+    R = domain.diameter() if cfg.variant == "full" else cfg.R
+    scale = domain.volume() * (unit_sphere_area(domain.dimension) / cfg.p) ** k
+    sums = np.zeros((1 if split_radius is None else 2, 2))  # sum w, sum w^2
+    total = accepted = nonfinite = 0
+    for rng, m in _blocks(cfg):
+        x0, vs, u = _draw(rng, domain, m, k)
+        rs, r_eff, keep = _tuples(domain, cfg, R, x0, vs, u)
+        w = _weights(F, cfg, scale, x0, vs, rs, r_eff, keep)
+        total += m
+        accepted += len(keep)
+        nonfinite += np.count_nonzero(~np.isfinite(w))
+        if split_radius is not None:
+            near = np.where(row_all(rs <= split_radius), w, 0.0)
+            w = np.stack((near, w - near))
+        sums += np.stack((np.sum(w, axis=-1), np.sum(w * w, axis=-1)), axis=-1)
 
     if nonfinite:  # F gave a non-finite value, or |g|^p overflowed
         raise FloatingPointError(
             f"{nonfinite} of {total} weights are not finite at theta={cfg.theta}"
         )
     acceptance = accepted / total
-    echo = _config_echo(cfg, k, R)
     if acceptance < MIN_ACCEPTANCE:
         raise InefficiencyError(
             f"indicator acceptance {acceptance:.2e} below {MIN_ACCEPTANCE:g} "
@@ -259,7 +217,23 @@ def _estimate(F, domain, cfg, split_radius=None):
             acceptance_ratio=acceptance,
             samples=total,
         )
-    return [_finalize(acc, p, echo, acceptance) for acc in channels]
+    config = {
+        "variant": cfg.variant, "p": cfg.p, "k": k, "theta": cfg.theta,
+        "R": R, "c": cfg.c, "samples": cfg.samples, "seed": cfg.seed,
+        "stream": cfg.stream,
+    }
+    estimates = []
+    for sw, sw2 in sums.tolist():  # Python floats, as the CSV and README show
+        power = sw / total
+        var = max(sw2 - total * power * power, 0.0) / max(total - 1, 1)
+        power_stderr = math.sqrt(var / total)
+        value, stderr = delta_method_root(power, power_stderr, cfg.p)
+        estimates.append(SeminormEstimate(
+            value=value, stderr=stderr, power_value=max(power, 0.0),
+            power_stderr=power_stderr, samples=total,
+            acceptance_ratio=acceptance, config=dict(config),
+        ))
+    return estimates
 
 
 def fixed_theta_seminorm(F: Multifunction, domain, cfg: SeminormConfig):

@@ -76,6 +76,7 @@ from formflux.forms import (
     mollify,
     row_dot,
 )
+from formflux.estimates import SeminormEstimate
 from formflux.seminorms import SeminormConfig
 from formflux.simplex import (
     default_rule,
@@ -920,8 +921,10 @@ def test_row_product_is_numpys_product(x):
 def parent_estimate(F, domain, cfg, split_radius=None):
     """seminorms._estimate with row-major tuple arithmetic, the reference.
     F evaluates the accepted tuples only, picked by a boolean mask, and a
-    rejected tuple's g is 0."""
-    k, R = seminorms._resolve(F, domain, cfg)
+    rejected tuple's g is 0.  Each channel sums w and w^2 block by block
+    in Python floats; the p-th root takes the delta-method error."""
+    k = F.degree
+    R = domain.diameter() if cfg.variant == "full" else cfg.R
     n = domain.dimension
     p = cfg.p
     a = p * (1.0 - cfg.theta)
@@ -929,9 +932,7 @@ def parent_estimate(F, domain, cfg, split_radius=None):
     volume = domain.volume()
     cone = cfg.variant in ("cone", "ball-cone")
     capped = cfg.variant in ("full", "ball", "ball-cone")
-    channels = [seminorms._Accumulator()]
-    if split_radius is not None:
-        channels.append(seminorms._Accumulator())
+    channels = [[0.0, 0.0] for _ in range(1 if split_radius is None else 2)]
     accepted = 0
     total = 0
     streams = seminorms._STREAMS
@@ -976,14 +977,30 @@ def parent_estimate(F, domain, cfg, split_radius=None):
                 * inside
             )
             if split_radius is None:
-                channels[0].add(w)
+                parts = [w]
             else:
                 near = (rs <= split_radius).all(axis=1)
                 w_near = np.where(near, w, 0.0)
-                channels[0].add(w_near)
-                channels[1].add(w - w_near)
-    echo = seminorms._config_echo(cfg, k, R)
-    return [seminorms._finalize(acc, p, echo, accepted / total) for acc in channels]
+                parts = [w_near, w - w_near]
+            for sums, part in zip(channels, parts):
+                sums[0] += float(np.sum(part))
+                sums[1] += float(np.sum(part * part))
+    echo = {"variant": cfg.variant, "p": p, "k": k, "theta": cfg.theta, "R": R,
+            "c": cfg.c, "samples": cfg.samples, "seed": cfg.seed,
+            "stream": cfg.stream}
+    estimates = []
+    for sw, sw2 in channels:
+        mean = sw / total
+        var = max(sw2 - total * mean * mean, 0.0) / max(total - 1, 1)
+        power_stderr = math.sqrt(var / total)
+        value = mean ** (1.0 / p) if mean > 0.0 else 0.0
+        stderr = power_stderr * value / (p * mean) if mean > 0.0 else 0.0
+        estimates.append(SeminormEstimate(
+            value=value, stderr=stderr, power_value=max(mean, 0.0),
+            power_stderr=power_stderr, samples=total,
+            acceptance_ratio=accepted / total, config=dict(echo),
+        ))
+    return estimates
 
 
 class Recorder:
@@ -1038,7 +1055,7 @@ def _multifunction(k):
 def test_estimate_keeps_the_row_major_bits(case, k, split, seed):
     """700-tuple batches give each stream two draws, the second partial."""
     domain, variant = ESTIMATE_CASES[case]
-    cfg = SeminormConfig(theta=0.95, samples=3001, seed=seed, **variant)
+    cfg = SeminormConfig(theta=0.95, samples=3001, seed=seed, stream=1, **variant)
     split_radius = 0.05 if split else None
     runs = []
     with mock.patch.object(seminorms, "_CHUNK", 700):
@@ -1050,6 +1067,7 @@ def test_estimate_keeps_the_row_major_bits(case, k, split, seed):
     assert all(same_bits(g, w) for g, w in zip(got_pts + got_args, want_pts + want_args))
     for g, w in zip(got, want):
         assert (g.value, g.stderr, g.power_value, g.power_stderr, g.samples,
-                g.acceptance_ratio) == (w.value, w.stderr, w.power_value,
-                                        w.power_stderr, w.samples, w.acceptance_ratio)
+                g.acceptance_ratio, g.config) == (
+                    w.value, w.stderr, w.power_value, w.power_stderr, w.samples,
+                    w.acceptance_ratio, w.config)
         assert math.isfinite(g.value)

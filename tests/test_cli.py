@@ -257,6 +257,50 @@ def test_experiment_spec_with_removed_config_key_is_config_error(tmp_path, capsy
     assert f"unknown config keys: {key}" in capsys.readouterr().err
 
 
+def _spec_with(tmp_path, **changes):
+    """argv for experiment --spec on bbm-square-x1dx2 with top-level or
+    config keys replaced."""
+    doc = default_spec("bbm-square-x1dx2").to_json()
+    for key, value in changes.items():
+        (doc if key == "thetas" else doc["config"])[key] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    return ["experiment", "--spec", str(path)]
+
+
+@pytest.mark.parametrize("argv, env, field", [
+    pytest.param(lambda f, t: seminorm_args(f, "--seed", "-1"), None, "--seed",
+                 id="seminorm-flag"),
+    pytest.param(lambda f, t: ["sweep"] + seminorm_args(f, "--seed", "-1")[1:],
+                 None, "--seed", id="sweep-flag"),
+    pytest.param(lambda f, t: seminorm_args(f), "-1", "FORMFLUX_SEED",
+                 id="seminorm-env"),
+    pytest.param(lambda f, t: ["verify", "dd-zero", "--seed", "-3"], None,
+                 "--seed", id="verify-flag"),
+    pytest.param(lambda f, t: ["verify", "dd-zero"], "-3", "FORMFLUX_SEED",
+                 id="verify-env"),
+    pytest.param(lambda f, t: ["experiment", "bbm-square-scalar", "--seed", "-1"],
+                 None, "--seed", id="experiment-flag"),
+    pytest.param(lambda f, t: _spec_with(t, samples=400.5), None, "samples",
+                 id="spec-float-samples"),
+    pytest.param(lambda f, t: _spec_with(t, seed=1.5), None, "seed",
+                 id="spec-float-seed"),
+    pytest.param(lambda f, t: _spec_with(t, seed=-4), None, "seed",
+                 id="spec-negative-seed"),
+    pytest.param(lambda f, t: _spec_with(t, thetas=["0.9", "0.95", "0.99"]), None,
+                 "thetas", id="spec-string-thetas"),
+])
+def test_bad_seed_samples_or_thetas_is_config_error(fixtures, tmp_path, capsys,
+                                                   monkeypatch, argv, env, field):
+    """Exit 2 with the field named, not a traceback from deep in numpy."""
+    if env is None:
+        monkeypatch.delenv("FORMFLUX_SEED", raising=False)
+    else:
+        monkeypatch.setenv("FORMFLUX_SEED", env)
+    assert main(argv(fixtures, tmp_path)) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_experiment_needs_exactly_one_source(capsys, tmp_path):
     assert main(["experiment"]) == 2
     path = tmp_path / "spec.json"

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -227,6 +228,20 @@ def test_experiment_and_suite_names_keep_their_order():
         "stokes", "dd-zero", "variant-ordering", "diagonal-vanishing",
         "mollifier",
     )
+
+
+def test_every_spec_name_builds_its_own_spec():
+    for name in EXPERIMENT_NAMES[:-len(SUITE_NAMES)]:
+        assert default_spec(name).name == name
+    with pytest.raises(ArgumentError, match="unknown experiment"):
+        default_spec("stokes")
+
+
+@pytest.mark.parametrize("thetas", [("0.9", "0.95", "0.99"), "0.9", (0.9, None, 0.99),
+                                    (True, 0.95, 0.99)])
+def test_spec_rejects_non_numeric_thetas(thetas):
+    with pytest.raises(ArgumentError, match="thetas must be numbers"):
+        replace(small_scalar_spec(), thetas=tuple(thetas))
 
 
 def test_experiment_names_cover_both_kinds():

@@ -379,6 +379,20 @@ def test_config_validation():
         SeminormConfig(variant="ball-cone", R=1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("samples", 400.5), ("samples", True), ("seed", 1.5), ("seed", -1),
+    ("seed", "7"), ("stream", -2), ("stream", 0.0),
+])
+def test_config_rejects_non_integer_or_negative_counts(field, value):
+    with pytest.raises(ArgumentError, match=field):
+        SeminormConfig(**{field: value})
+
+
+def test_config_takes_numpy_integers():
+    cfg = SeminormConfig(samples=np.int64(400), seed=np.uint32(7), stream=np.int8(1))
+    assert (cfg.samples, cfg.seed, cfg.stream) == (400, 7, 1)
+
+
 @pytest.mark.parametrize("samples", [2, 3])
 def test_fewer_samples_than_streams_estimate(samples):
     """Streams left without a tuple are skipped."""
