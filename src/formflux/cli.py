@@ -135,7 +135,7 @@ def _sweep_svg(sweep):
     plot = SvgPlot(
         title="seminorm power vs theta",
         x_label="theta",
-        y_label=f"value^{_short(sweep.p)}",
+        y_label=f"value^{sweep.p:g}",
     )
     plot.add_series(
         sweep.thetas,
@@ -146,10 +146,6 @@ def _sweep_svg(sweep):
     if sweep.extrapolated_power is not None:
         plot.add_hline(sweep.extrapolated_power, label="extrapolated limit")
     return plot.render()
-
-
-def _short(v):
-    return f"{v:g}"
 
 
 def cmd_sweep(args):
@@ -178,8 +174,7 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
-    size = args.count if args.count is not None else args.samples
-    report = run_experiment(args.suite, samples=size,
+    report = run_experiment(args.suite, samples=args.size,
                             seed=_resolve_seed(args, fallback=None))
     print(report.summary(), file=sys.stderr)
     if report.rows:
@@ -238,8 +233,9 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITE_NAMES)
-    p_verify.add_argument("--count", type=int, default=None)
-    p_verify.add_argument("--samples", type=int, default=None)
+    size = p_verify.add_mutually_exclusive_group()
+    size.add_argument("--count", type=int, dest="size", metavar="COUNT")
+    size.add_argument("--samples", type=int, dest="size", metavar="SAMPLES")
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)

@@ -283,6 +283,8 @@ def run_stokes_suite(count=1000, seed=0):
     plus count // 10 2-form/tetrahedron cases in 3-space.  A form truncated
     to the unit square with a straddling simplex is reported alongside but
     excluded from the verdict."""
+    if count < 1:
+        raise ArgumentError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     cases = []
@@ -340,6 +342,8 @@ def run_dd_zero_suite(count=1000, seed=0):
     """d(dF) at random tuples for a mix of user-defined and
     integration-backed multifunctions; passes when every case cancels to
     1e-12 relative to its face magnitude."""
+    if count < 1:
+        raise ArgumentError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for case in range(count):
@@ -383,11 +387,11 @@ def run_dd_zero_suite(count=1000, seed=0):
     )
 
 
-def run_variant_ordering_check(samples=20000, seed=0,
-                               thetas=(0.9, 0.95, 0.99)):
+def run_variant_ordering_check(samples=20000, seed=0):
     """Shared-seed ordering cone-capped <= ball <= full for I_{dx1} on the
     unit square at each theta, plus the exact full = ball(diameter)
     identity."""
+    thetas = (0.9, 0.95, 0.99)
     square = AxisBox([0.0, 0.0], [1.0, 1.0])
     F = IntegrationMultifunction(FormField.constant_form(2, {(1,): 1.0}))
     rows = []
@@ -428,14 +432,15 @@ def run_variant_ordering_check(samples=20000, seed=0,
         stat_error=0.0,
         systematic=0.0,
         rows=tuple(rows),
-        details={"samples": samples, "seed": seed, "thetas": tuple(thetas)},
+        details={"samples": samples, "seed": seed, "thetas": thetas},
         lines=tuple(lines),
     )
 
 
-def run_diagonal_vanishing_check(samples=30000, seed=0, r=0.25, tol=0.05):
+def run_diagonal_vanishing_check(samples=30000, seed=0):
     """A bounded degree-1 multifunction vanishing whenever |x_1 - x_0| < r
     has ball-variant seminorm tending to 0 along the theta grid."""
+    r, tol = 0.25, 0.05
     square = AxisBox([0.0, 0.0], [1.0, 1.0])
 
     def gap(tuples):
@@ -476,15 +481,15 @@ def run_diagonal_vanishing_check(samples=30000, seed=0, r=0.25, tol=0.05):
     )
 
 
-def run_mollifier_suite(samples=4000, seed=0, eps=0.05, thetas=None):
+def run_mollifier_suite(samples=4000, seed=0, thetas=None):
     """Seminorm of dI_{eta * omega} over the eps-shrunk square stays below
     the seminorm of dI_omega over the full square at every theta (shared
     ball radius), within 3 combined standard errors."""
     thetas = tuple(DEFAULT_THETAS if thetas is None else thetas)
+    eta = Mollifier(2, 0.05)
     square = AxisBox([0.0, 0.0], [1.0, 1.0])
-    inner = square.shrink(eps)
+    inner = square.shrink(eta.radius)
     omega = FormField.from_polynomials(2, 1, {(2,): {(1, 0): 1.0}})
-    eta = Mollifier(2, eps)
     smooth = mollify(omega, eta)
     lhs_F = CoboundaryMultifunction(smooth)
     rhs_F = CoboundaryMultifunction(omega)
@@ -515,7 +520,7 @@ def run_mollifier_suite(samples=4000, seed=0, eps=0.05, thetas=None):
         stat_error=0.0,
         systematic=0.0,
         rows=tuple(rows),
-        details={"eps": eps, "samples": samples, "seed": seed,
+        details={"eps": eta.radius, "samples": samples, "seed": seed,
                  "thetas": thetas},
         lines=tuple(lines),
     )

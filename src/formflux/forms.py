@@ -191,9 +191,15 @@ class FormField:
         self.components = _normalize_components(dimension, degree, components)
         self.indices = sorted(self.components)
         self.support = support
-        self.partials = partials  # {index: callable pts -> (N, n)} or None
+        self.partials = partials  # {(index, axis): callable pts -> (N,)} or None
         if support is not None and support.dimension != dimension:
             raise ArgumentError("support domain dimension mismatch")
+        if partials is not None:
+            need = {(idx, j) for idx in self.indices
+                    for j in range(1, self.dimension + 1) if j not in idx}
+            missing = sorted(need - partials.keys())
+            if missing:
+                raise ArgumentError(f"partials lack the (index, axis) keys {missing}")
 
     # -- constructors --------------------------------------------------------
 
@@ -223,7 +229,9 @@ class FormField:
     @classmethod
     def from_callables(cls, dimension, degree, components, smooth=False,
                        support=None, partials=None):
-        """Form from {index: callable pts -> (N,)} (partials: -> (N, n)).
+        """Form from {index: callable pts -> (N,)}; a smooth form's partials
+        map (index, axis) to d/dx_axis of that component, pts -> (N,), for
+        every axis not in the index (1-based, as in Polynomial.partial).
 
         The callables receive an (N, n) float array in an unspecified memory
         order; the pullback and the mollifier convolution pass column-major
@@ -337,25 +345,22 @@ class FormField:
             raise UnsupportedOperationError(
                 "analytic form carries no derivative information"
             )
-        # analytic with partials: assemble d from the stored gradients
-        terms = {}  # index -> list of (source index, axis j, sign)
+        # analytic with partials: d omega_merged = sum of sign * d_j omega_idx
+        terms = {}  # index -> list of (sign, partial d_j omega_idx)
         for idx in self.indices:
             for j in range(1, self.dimension + 1):
                 merged, sign = sort_with_sign((j,) + idx)
                 if sign == 0:
                     continue
-                terms.setdefault(merged, []).append((idx, j, sign))
+                terms.setdefault(merged, []).append((sign, self.partials[(idx, j)]))
 
-        def make_component(contribs):
-            def component(pts, contribs=contribs):
-                acc = np.zeros(len(pts))
-                for src, j, sign in contribs:
-                    acc += sign * np.asarray(self.partials[src](pts))[:, j - 1]
-                return acc
+        def component(contribs, pts):
+            acc = np.zeros(len(pts))
+            for sign, partial in contribs:
+                acc += sign * np.asarray(partial(pts))
+            return acc
 
-            return component
-
-        comps = {idx: make_component(contribs) for idx, contribs in terms.items()}
+        comps = {idx: functools.partial(component, c) for idx, c in terms.items()}
         return FormField(self.dimension, self.degree + 1, comps, "analytic",
                          support=self.support)
 
@@ -403,20 +408,18 @@ def _padded_rows(rows):
 
 
 def row_dot(a, w):
-    """a @ w with the bits of a 4-row GEMV in every row, whatever the batch.
+    """a @ w for a vector w (Q,), with the bits of a 4-row GEMV in every
+    row, whatever the batch.
 
     a is (rows, Q) with contiguous rows, zero-padded to a multiple of
     _ROW_MULTIPLE rows (a copy, unless the caller allocated the padding).
-    A (Q, c) right-hand side runs one column at a time: GEMM blocks its sums
-    by the batch.  tests/test_bit_identity.py checks the premise; should a
-    BLAS break it, the fallback is the ordered row sum (a * w).sum(1).
+    tests/test_bit_identity.py checks the premise; should a BLAS break it,
+    the fallback is the ordered row sum (a * w).sum(1).
     """
     rows, padded = len(a), _padded_rows(len(a))
     if padded != rows:
         a = np.concatenate([a, np.zeros((padded - rows, a.shape[1]))])
-    if w.ndim == 1:
-        return (a @ w)[:rows]
-    return np.stack([(a @ np.ascontiguousarray(col))[:rows] for col in w.T], axis=1)
+    return (a @ w)[:rows]
 
 
 # ---------------------------------------------------------------------------
@@ -492,61 +495,59 @@ def mollify(omega, eta):
     """The convolved form (eta * omega), coefficient-wise.
 
     Returns an analytic-backend field with exact-to-quadrature partials
-    (derivatives hit the kernel), so the result always supports
-    exterior_derivative, even when omega is rough.
+    (derivatives hit the kernel), one per (index, axis), so the result
+    always supports exterior_derivative, even when omega is rough.
     """
     if eta.dimension != omega.dimension:
         raise ArgumentError("mollifier and form dimension mismatch")
     ys, ws = eta.convolution_rule()
-    _, grad_ws = eta.gradient_rule()
     n, nodes = omega.dimension, len(ys)
-    chunk = max(1, (1 << 22) // max(1, nodes))
 
     def convolve(idx, reads, shifts, index, weights, pts):
-        """sum_q omega_idx(pts - y_q) weights[q], chunk points at a time.
+        """sum_q omega_idx(pts - y_q) weights[q] for a weight vector (Q,).
 
         The component is evaluated only at x - s for the m distinct rows s of
         the nodes on the coordinates it reads (`shifts`, _distinct_shifts), one
-        node block of m shifts at a time: built one read coordinate at a time
-        into a reused (n, rows, m) buffer, whose column-major (rows * m, n)
-        view the component reads.  np.take gathers a block's values into the
-        chunk's (rows, nodes) `vals` by `index`, in place with mode="clip"; the
-        default "raise" writes through a temporary.  `vals` carries the zero
-        rows that row_dot pads with, so each point's bits are the same in any
-        batch.
+        block of points at a time (at most a node block of shifts and 2^22
+        gathered nodes), built one read coordinate at a time into a reused
+        (n, rows, m) buffer, whose column-major (rows * m, n) view the
+        component reads.  np.take gathers the values into the block's
+        (rows, nodes) `vals` by `index`, in place with mode="clip"; the default
+        "raise" writes through a temporary.  `vals` carries the zero rows that
+        row_dot pads with, so each point's bits are the same in any batch.
         """
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != n:
             raise ArgumentError(f"expected points of shape (N, {n})")
         m = len(shifts)
-        out = np.empty((len(pts),) + weights.shape[1:])
-        rows = _block_rows(m)
-        vals = np.empty((_padded_rows(min(chunk, len(pts))), nodes))
+        out = np.empty(len(pts))
+        rows = min(_block_rows(m), max(1, (1 << 22) // nodes))
+        vals = np.empty((_padded_rows(min(rows, len(pts))), nodes))
         buf = np.empty(n * min(rows, len(pts)) * m)
-        for lo in range(0, len(pts), chunk):
-            block = pts[lo : lo + chunk]
-            padded = _padded_rows(len(block))
-            vals[len(block) : padded] = 0.0
-            for sub in range(0, len(block), rows):
-                part = block[sub : sub + rows]
-                shifted = buf[: n * len(part) * m].reshape(n, len(part), m)
-                for c in reads:
-                    np.subtract.outer(part[:, c], shifts[:, c], out=shifted[c])
-                at = shifted.reshape(n, -1).T
-                u = omega._component_batch(idx, at)
-                if omega.support is not None:
-                    u = u * omega.support.contains_batch(at)
-                np.take(u.reshape(-1, m), index, axis=1, mode="clip",
-                        out=vals[sub : sub + len(part)])
-            out[lo : lo + chunk] = row_dot(vals[:padded], weights)[: len(block)]
+        for lo in range(0, len(pts), rows):
+            part = pts[lo : lo + rows]
+            padded = _padded_rows(len(part))
+            shifted = buf[: n * len(part) * m].reshape(n, len(part), m)
+            for c in reads:
+                np.subtract.outer(part[:, c], shifts[:, c], out=shifted[c])
+            at = shifted.reshape(n, -1).T
+            u = omega._component_batch(idx, at)
+            if omega.support is not None:
+                u = u * omega.support.contains_batch(at)
+            vals[len(part) : padded] = 0.0
+            np.take(u.reshape(-1, m), index, axis=1, mode="clip",
+                    out=vals[: len(part)])
+            out[lo : lo + len(part)] = row_dot(vals[:padded], weights)[: len(part)]
         return out
 
+    axis_ws = [np.ascontiguousarray(col) for col in eta.gradient_rule()[1].T]
     comps, partials = {}, {}
     for idx in omega.indices:
         reads = omega._reads_of([idx])
         rule = (idx, reads, *_distinct_shifts(ys, reads))
         comps[idx] = functools.partial(convolve, *rule, ws)
-        partials[idx] = functools.partial(convolve, *rule, grad_ws)
+        for j, weights in enumerate(axis_ws, start=1):
+            partials[(idx, j)] = functools.partial(convolve, *rule, weights)
     return FormField(omega.dimension, omega.degree, comps, "analytic",
                      partials=partials)
 

@@ -388,9 +388,7 @@ def uniform_bound_check(omega, domain, R, theta, cfg=None):
     C R^{k(1-theta)} ||omega||_{L^p} with the explicit constant
     C = (m_k(Delta_k) (H^{n-1}(S^{n-1}))^k / p^k)^{1/p}.
     """
-    cfg = cfg or SeminormConfig(variant="ball", R=R, theta=theta)
-    if cfg.variant != "ball" or cfg.R != R or cfg.theta != theta:
-        cfg = replace(cfg, variant="ball", R=R, theta=theta)
+    cfg = replace(cfg or SeminormConfig(), variant="ball", R=R, theta=theta)
     F = IntegrationMultifunction(omega)
     lhs = fixed_theta_seminorm(F, domain, cfg)
     k, p = omega.degree, cfg.p

@@ -46,10 +46,9 @@ def nice_ticks(lo, hi, target=5):
 
 
 class SvgPlot:
-    def __init__(self, width=640, height=420, title="", x_label="",
-                 y_label=""):
-        self.width = int(width)
-        self.height = int(height)
+    def __init__(self, title="", x_label="", y_label=""):
+        self.width = 640
+        self.height = 420
         self.margin = 64
         self.title = title
         self.x_label = x_label

@@ -7,8 +7,8 @@ the straightforward numpy expressions kept here as references:
   polynomials        sum_terms c * x_1^e_1 * x_2^e_2 * ..., each power x^e
                      and each monomial multiplied out left to right, no pow
   convolution        omega(pts[:, None, :] - ys[None]) @ weights
-  row reductions     each row of A @ w as in a 4-row GEMV, zero-padded; a
-                     matrix w one column at a time (forms.row_dot)
+  row reductions     each row of A @ w, w a vector, as in a 4-row GEMV,
+                     zero-padded (forms.row_dot)
   face route         one face at a time, signed sum in face order, snap guard
   minor contraction  zeros, then coefficient * det added per basis index, in
                      order; with at most two indices also the bits of
@@ -126,13 +126,10 @@ def einsum_contraction(coeffs, dets):
 
 
 def four_row_product(a, w):
-    """a @ w, each row computed by GEMV in a zero-padded batch of 4 rows,
-    and a matrix w one column at a time.  4 rows stay far below the size
-    at which OpenBLAS's GEMV goes multi-threaded (about 460k entries), so
-    one thread computes them whatever the thread count."""
-    if w.ndim == 2:
-        return np.stack([four_row_product(a, np.ascontiguousarray(c)) for c in w.T],
-                        axis=1)
+    """a @ w for a vector w, each row computed by GEMV in a zero-padded
+    batch of 4 rows.  4 rows stay far below the size at which OpenBLAS's
+    GEMV goes multi-threaded (about 460k entries), so one thread computes
+    them whatever the thread count."""
     out = np.empty(len(a))
     for lo in range(0, len(a), 4):
         rows = a[lo : lo + 4]
@@ -376,7 +373,7 @@ def test_pullback_node_blocks_keep_the_bits(case, rows):
 # formula.  Chunks of 2^22 shifted nodes only bound the memory: every row is
 # reduced as in a 4-row GEMV.
 def reference_convolution(omega, idx, ys, weights, pts):
-    out = np.zeros((len(pts),) + weights.shape[1:])
+    out = np.zeros(len(pts))
     chunk = max(1, (1 << 22) // max(1, len(ys)))
     for lo in range(0, len(pts), chunk):
         shifted = pts[lo : lo + chunk, np.newaxis, :] - ys[np.newaxis, :, :]
@@ -400,9 +397,9 @@ def mollifier_cases(draw):
     read every coordinate (every node distinct, so the gather only reorders);
     "last" reads only x_n in R^3, so its gather is not a run of equal values;
     and the polynomial kinds."""
-    # One case in ten spans a chunk boundary.  That takes about 4M shifted
-    # nodes whatever n is, so it uses the cheapest component: a linear
-    # polynomial (the chunk split does not depend on the component).
+    # One case in ten spans more than 2^22 gathered nodes, the most a block
+    # holds.  That takes about 4M nodes whatever n is, so it uses the
+    # cheapest component: a polynomial of degree at most 1.
     across = draw(st.sampled_from([False] * 9 + [True]))
     kind = "any" if across else draw(
         st.sampled_from(["rough", "supported rough", "last"]) | polynomial_kinds
@@ -426,50 +423,52 @@ def mollifier_cases(draw):
     pts = rng.uniform(-1.2, 1.2, size=(rows, n))
     if draw(st.booleans()):
         pts = np.asfortranarray(pts)  # the layout the pullback passes
-    return omega, eta, pts, draw(st.booleans())
+    return omega, eta, pts, draw(st.integers(1, n)) if draw(st.booleans()) else 0
 
 
-def _across_case(n, gradient):
+def _across_case(n, axis):
     eta = _mollifier(n)
     rows = (1 << 22) // len(eta.convolution_rule()[0]) + 3
     pts = np.random.default_rng(n).uniform(-1.2, 1.2, size=(rows, n))
     poly = {(1,) + (0,) * (n - 1): 1.5, (0,) * n: -0.5}
-    return FormField.from_polynomials(n, 0, {(): poly}), eta, pts, gradient
+    return FormField.from_polynomials(n, 0, {(): poly}), eta, pts, axis
 
 
-def _mollified_closure(omega, eta, gradient):
-    """The rule and the closure of mollify(omega, eta) for its value or its
-    gradient."""
+def _mollified_closure(omega, eta, axis):
+    """The rule and the closure of mollify(omega, eta) for its value (axis
+    0) or its partial along x_axis, whose weights are that gradient column."""
     smooth = mollify(omega, eta)
-    if gradient:
-        return eta.gradient_rule() + (smooth.partials[()],)
+    if axis:
+        ys, grad_ws = eta.gradient_rule()
+        weights = np.ascontiguousarray(grad_ws[:, axis - 1])
+        return ys, weights, smooth.partials[((), axis)]
     return eta.convolution_rule() + (smooth.components[()],)
 
 
 @settings(max_examples=24, deadline=5000)
 @given(mollifier_cases())
-@example(_across_case(2, gradient=True))
+@example(_across_case(2, axis=2))
 def test_mollified_closures_match_broadcast_reference(case):
-    omega, eta, pts, gradient = case
-    ys, weights, closure = _mollified_closure(omega, eta, gradient)
+    omega, eta, pts, axis = case
+    ys, weights, closure = _mollified_closure(omega, eta, axis)
     expected = reference_convolution(omega, (), ys, weights, pts)
     assert np.array_equal(closure(pts), expected)
 
 
 @st.composite
 def blocked_mollifier_cases(draw):
-    """A mollifier case and rows per node block; a batch across a chunk
-    boundary gets 997-row blocks, which leave a partial block in each chunk."""
+    """A mollifier case and rows per node block; a batch of more than 2^22
+    nodes gets 997-row blocks, which leave a partial last block."""
     case = draw(mollifier_cases())
     return case, draw(block_rows if len(case[2]) <= 8 else st.just(997))
 
 
 @settings(max_examples=24, deadline=5000)
 @given(blocked_mollifier_cases())
-@example((_across_case(2, gradient=False), 997))
+@example((_across_case(2, axis=0), 997))
 def test_convolution_node_blocks_keep_the_bits(blocked):
-    (omega, eta, pts, gradient), rows = blocked
-    ys, weights, closure = _mollified_closure(omega, eta, gradient)
+    (omega, eta, pts, axis), rows = blocked
+    ys, weights, closure = _mollified_closure(omega, eta, axis)
     with _node_block(rows, len(ys)):
         got = closure(pts)
     assert np.array_equal(got, reference_convolution(omega, (), ys, weights, pts))
@@ -520,14 +519,12 @@ def in_batches(f, cuts, *arrays):
                            for lo, hi in zip(cuts, cuts[1:])])
 
 
-def _row_dot_case(rows, nodes, strided, columns, cuts, seed):
+def _row_dot_case(rows, nodes, strided, cuts, seed):
     """A (rows, nodes) matrix, contiguous or every second row of a wider one,
-    a right-hand side of `columns` columns (0 for a vector), and batch
-    boundaries."""
+    a vector right-hand side, and batch boundaries."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(((1 + strided) * rows, nodes))[:: 1 + strided]
-    w = rng.standard_normal((nodes, columns) if columns else nodes)
-    return a, w, cuts
+    return a, rng.standard_normal(nodes), cuts
 
 
 @st.composite
@@ -535,8 +532,7 @@ def row_dot_cases(draw):
     rows = draw(st.integers(1, 100))
     return _row_dot_case(
         rows, draw(st.integers(1, 1200)), draw(st.booleans()),
-        draw(st.sampled_from([0, 2])), draw(batch_cuts(rows)),
-        draw(st.integers(0, 2**32 - 1)),
+        draw(batch_cuts(rows)), draw(st.integers(0, 2**32 - 1)),
     )
 
 
@@ -546,9 +542,9 @@ def row_dot_cases(draw):
 # GEMV without a copy.
 @settings(max_examples=150, deadline=5000)
 @given(row_dot_cases())
-@example(_row_dot_case(401, 1200, False, 0, [0, 3, 50, 51, 401], 0))
-@example(_row_dot_case(416, 1200, True, 2, [0, 8, 24, 88, 400, 416], 1))
-@example(_row_dot_case(16, 1023, True, 0, [0, 8, 16], 2))
+@example(_row_dot_case(401, 1200, False, [0, 3, 50, 51, 401], 0))
+@example(_row_dot_case(416, 1200, True, [0, 8, 24, 88, 400, 416], 1))
+@example(_row_dot_case(16, 1023, True, [0, 8, 16], 2))
 def test_row_dot_bits_do_not_depend_on_the_batch(case):
     """Every row of row_dot has the bits of a 4-row GEMV, in any batch at
     any offset.  If a BLAS breaks this premise, row_dot must fall back to
@@ -615,7 +611,7 @@ def split_mollifier_cases(draw):
           563, 0, [0, 5, 200, 397, 563]))
 def test_mollified_coefficients_keep_their_bits_in_any_split(case):
     """A mollified 1-form's coefficients and those of its d, whose partials
-    reduce against a two-column gradient rule."""
+    reduce against the columns of the gradient rule."""
     omega, rows, seed, cuts = case
     smooth = mollify(omega, _mollifier(2))
     pts = np.random.default_rng(seed).uniform(-1.2, 1.2, size=(rows, 2))
@@ -651,8 +647,11 @@ def test_each_convolution_shifts_what_its_component_reads():
     ys, ws = eta.convolution_rule()
     _, grad_ws = eta.gradient_rule()
     for idx in omega.indices:
-        for closure, weights in ((smooth.components[idx], ws),
-                                 (smooth.partials[idx], grad_ws)):
+        closures = [(smooth.components[idx], ws)] + [
+            (smooth.partials[(idx, j)], np.ascontiguousarray(grad_ws[:, j - 1]))
+            for j in (1, 2, 3)
+        ]
+        for closure, weights in closures:
             expected = reference_convolution(omega, idx, ys, weights, pts)
             assert np.array_equal(closure(pts), expected)
 

@@ -289,6 +289,16 @@ def _spec_with(tmp_path, **changes):
                  id="spec-negative-seed"),
     pytest.param(lambda f, t: _spec_with(t, thetas=["0.9", "0.95", "0.99"]), None,
                  "thetas", id="spec-string-thetas"),
+    pytest.param(lambda f, t: ["verify", "dd-zero", "--count", "0"], None, "count",
+                 id="dd-zero-zero-count"),
+    pytest.param(lambda f, t: ["verify", "stokes", "--count", "0"], None, "count",
+                 id="stokes-zero-count"),
+    pytest.param(lambda f, t: ["verify", "stokes", "--count", "-2"], None, "count",
+                 id="stokes-negative-count"),
+    pytest.param(lambda f, t: ["experiment", "stokes", "--samples", "0"], None,
+                 "count", id="experiment-stokes-zero-samples"),
+    pytest.param(lambda f, t: ["verify", "stokes", "--count", "5", "--samples", "5"],
+                 None, "--count", id="verify-count-and-samples"),
 ])
 def test_bad_seed_samples_or_thetas_is_config_error(fixtures, tmp_path, capsys,
                                                    monkeypatch, argv, env, field):

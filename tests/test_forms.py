@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from formflux import forms
 from formflux.domains import AxisBox
 from formflux.errors import ArgumentError, UnsupportedOperationError
 from formflux.estimates import SeminormEstimate
@@ -244,6 +245,35 @@ def test_mollified_rough_form_has_derivative():
     assert d.degree == 2
 
 
+def test_partials_must_cover_every_axis_that_d_reads():
+    """d of f dx1 in the plane reads d_2 f only; a missing key is refused at
+    construction, not met as a KeyError in evaluation."""
+    f = {(1,): lambda pts: np.sin(pts[:, 1])}
+    with pytest.raises(ArgumentError, match=r"\(\(1,\), 2\)"):
+        FormField.from_callables(2, 1, f, smooth=True,
+                                 partials={((1,), 1): lambda pts: 0.0 * pts[:, 0]})
+    w = FormField.from_callables(2, 1, f, smooth=True,
+                                 partials={((1,), 2): lambda pts: np.cos(pts[:, 1])})
+    pts = np.array([[0.0, 0.5], [1.0, -2.0]])
+    assert np.array_equal(w.exterior_derivative().coefficients_batch(pts)[:, 0],
+                          -np.cos(pts[:, 1]))
+
+
+def test_mollified_d_runs_one_vector_product_per_partial_it_reads(monkeypatch):
+    """d of a mollified 1-form in R^3 reads d_j omega_i for the 6 pairs with
+    j != i: one convolution each, reduced against one weight column."""
+    omega = FormField.from_polynomials(3, 1, {
+        (1,): {(0, 1, 0): 1.0}, (2,): {(0, 0, 1): 2.0}, (3,): {(1, 0, 0): -1.0},
+    })
+    d = mollify(omega, Mollifier(3, 0.25, nodes=24)).exterior_derivative()
+    shapes = []
+    row_dot = forms.row_dot
+    monkeypatch.setattr(forms, "row_dot",
+                        lambda a, w: shapes.append(w.shape) or row_dot(a, w))
+    d.coefficients_batch(np.random.default_rng(0).uniform(-1.0, 1.0, size=(5, 3)))
+    assert len(shapes) == 6 and all(len(shape) == 1 for shape in shapes)
+
+
 @pytest.mark.parametrize("args", [
     pytest.param((2, 0.05, 0), id="no nodes"),
     pytest.param((2, 0.05, -3), id="negative nodes"),
@@ -257,10 +287,17 @@ def test_mollifier_rejects_bad_arguments(args):
         Mollifier(*args)
 
 
+def convolution_closure(smooth, part):
+    """The mollified dx2 component's value closure, or its partial in x1."""
+    if part == "components":
+        return smooth.components[(2,)]
+    return smooth.partials[((2,), 1)]
+
+
 @pytest.mark.parametrize("pts", [np.zeros((3, 3)), np.zeros(2), np.zeros((1, 2, 2))])
 @pytest.mark.parametrize("part", ["components", "partials"])
 def test_convolution_closures_need_an_n_column_batch(pts, part):
-    closure = getattr(mollify(x1_dx2(), Mollifier(2, 0.05)), part)[(2,)]
+    closure = convolution_closure(mollify(x1_dx2(), Mollifier(2, 0.05)), part)
     with pytest.raises(ArgumentError):
         closure(pts)
 
@@ -281,7 +318,7 @@ def test_convolution_evaluates_each_distinct_shift_once(monkeypatch, case,
     }[case]
     eta = Mollifier(2, 0.05)
     assert len(eta.convolution_rule()[0]) == 1200
-    closure = getattr(mollify(omega, eta), part)[(2,)]
+    closure = convolution_closure(mollify(omega, eta), part)
     rows = []
     evaluate = Polynomial.evaluate_batch
     monkeypatch.setattr(Polynomial, "evaluate_batch",
