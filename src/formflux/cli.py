@@ -41,7 +41,7 @@ from .seminorms import (
     fixed_theta_seminorm,
     theta_sweep,
 )
-from .svgplot import SvgPlot
+from .svgplot import sweep_svg
 
 DEFAULT_SEED = 0
 
@@ -131,23 +131,6 @@ def cmd_seminorm(args):
     return 0
 
 
-def _sweep_svg(sweep):
-    plot = SvgPlot(
-        title="seminorm power vs theta",
-        x_label="theta",
-        y_label=f"value^{sweep.p:g}",
-    )
-    plot.add_series(
-        sweep.thetas,
-        [e.power_value for e in sweep.estimates],
-        errors=[e.power_stderr for e in sweep.estimates],
-        label="estimates",
-    )
-    if sweep.extrapolated_power is not None:
-        plot.add_hline(sweep.extrapolated_power, label="extrapolated limit")
-    return plot.render()
-
-
 def cmd_sweep(args):
     form = _load_json(args.form, form_from_json)
     domain = _load_json(args.domain, domain_from_json)
@@ -167,7 +150,7 @@ def cmd_sweep(args):
             f"+- {sweep.extrapolated_power_stderr!r} "
             f"(fit residual {sweep.fit_residual!r})"
         )
-    svg_text = None if args.no_plot else _sweep_svg(sweep)
+    svg_text = sweep_svg(sweep) if args.out and not args.no_plot else None
     _emit(args, "sweep", estimates_to_csv(sweep.estimates), svg_text=svg_text,
           report_lines=lines)
     return 0

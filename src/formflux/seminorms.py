@@ -80,9 +80,10 @@ class SeminormConfig:
     """Settings for one fixed-theta estimate.
 
     The degree k is the multifunction's.  R applies to the ball variants, c
-    to the cone variants.  stream separates sampling streams that share one
-    seed (theta sweeps use the theta index), so sweep points are independent
-    yet reproducible.
+    to the cone variants; either given to a variant that ignores it is an
+    error.  stream separates sampling streams that share one seed (theta
+    sweeps use the theta index), so sweep points are independent yet
+    reproducible.
     """
 
     p: float = 2.0
@@ -107,12 +108,14 @@ class SeminormConfig:
             raise ArgumentError("theta must lie in (0, 1)")
         if self.variant not in VARIANTS:
             raise ArgumentError(f"unknown variant {self.variant!r}")
-        if self.variant in ("ball", "ball-cone"):
-            if self.R is None or self.R <= 0:
-                raise ArgumentError("ball variants need R > 0")
-        if self.variant in ("cone", "ball-cone"):
-            if self.c is None or self.c <= 0:
-                raise ArgumentError("cone variants need c > 0")
+        for name, family in (("R", "ball"), ("c", "cone")):
+            value = getattr(self, name)
+            if family not in self.variant:
+                if value is not None:
+                    raise ArgumentError(f"{name} applies only to the {family} "
+                                        f"variants, not {self.variant!r}")
+            elif value is None or value <= 0:
+                raise ArgumentError(f"{family} variants need {name} > 0")
 
 
 def bbm_constant(p, k):

@@ -150,6 +150,16 @@ def test_sweep_csv_is_byte_identical_across_runs(fixtures, capsys):
     assert len(first.strip().splitlines()) == 6
 
 
+def test_sweep_draws_the_svg_only_for_out(fixtures, capsys, monkeypatch):
+    def refuse(sweep):
+        raise AssertionError("sweep_svg called without --out")
+
+    monkeypatch.setattr("formflux.cli.sweep_svg", refuse)
+    args = ["sweep", "--form", fixtures["dx1"], "--domain", fixtures["square"],
+            "--samples", "400"]
+    assert main(args) == 0
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_cone_seminorm_on_a_polytope_hole_is_reproducible(fixtures, capsys, n):
     hole = ConvexPolytope(np.vstack([np.eye(n), -np.eye(n)]), [0.6] * n + [-0.4] * n)
@@ -299,6 +309,14 @@ def _spec_with(tmp_path, **changes):
                  "count", id="experiment-stokes-zero-samples"),
     pytest.param(lambda f, t: ["verify", "stokes", "--count", "5", "--samples", "5"],
                  None, "--count", id="verify-count-and-samples"),
+    pytest.param(lambda f, t: seminorm_args(f, "--R", "0.3"), None, "R applies",
+                 id="full-with-R"),
+    pytest.param(lambda f, t: seminorm_args(f, "--variant", "ball", "--R", "0.5",
+                                            "--c", "0.25"), None, "c applies",
+                 id="ball-with-c"),
+    pytest.param(lambda f, t: seminorm_args(f, "--variant", "cone", "--R", "0.5",
+                                            "--c", "0.25"), None, "R applies",
+                 id="cone-with-R"),
 ])
 def test_bad_seed_samples_or_thetas_is_config_error(fixtures, tmp_path, capsys,
                                                    monkeypatch, argv, env, field):

@@ -377,6 +377,14 @@ def test_config_validation():
         SeminormConfig(variant="cone")
     with pytest.raises(ArgumentError):
         SeminormConfig(variant="ball-cone", R=1.0)
+    with pytest.raises(ArgumentError, match="R applies"):
+        SeminormConfig(R=0.3)
+    with pytest.raises(ArgumentError, match="R applies"):
+        SeminormConfig(variant="cone", R=0.5, c=0.25)
+    with pytest.raises(ArgumentError, match="c applies"):
+        SeminormConfig(c=0.5)
+    with pytest.raises(ArgumentError, match="c applies"):
+        SeminormConfig(variant="ball", R=0.5, c=0.25)
 
 
 @pytest.mark.parametrize("field, value", [
