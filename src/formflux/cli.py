@@ -83,19 +83,9 @@ def _build_multifunction(form, k):
 
 
 def _config_from_args(args, seed, theta=0.9, stream=0):
-    kwargs = dict(
-        p=args.p,
-        variant=args.variant,
-        theta=theta,
-        samples=args.samples,
-        seed=seed,
-        stream=stream,
-    )
-    if args.R is not None:
-        kwargs["R"] = args.R
-    if args.c is not None:
-        kwargs["c"] = args.c
-    return SeminormConfig(**kwargs)
+    return SeminormConfig(p=args.p, variant=args.variant, theta=theta,
+                          samples=args.samples, seed=seed, R=args.R, c=args.c,
+                          stream=stream)
 
 
 def _emit(args, name, csv_text, svg_text=None, report_lines=()):

@@ -32,6 +32,7 @@ to a polytope hole is in the closed hole, at distance exactly 0.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 
 import numpy as np
@@ -739,28 +740,26 @@ def _convex_vertices(domain):
     raise ArgumentError(f"no vertex representation for {domain.shape_name!r}")
 
 
+_SHAPES = (Ball, AxisBox, ConvexPolytope, Annulus, SlitBox, SetDifference)
+
+
 def domain_from_json(doc):
-    """Rebuild a domain from its {shape, params} document."""
+    """Rebuild a domain from its {shape, params} document.
+
+    params are the constructor arguments of the class whose shape_name is
+    shape, by name (the keys _params writes); a nested {shape, params}
+    document, such as a set difference's outer and inner, is decoded
+    first.  An unknown shape, or a param the constructor lacks or needs and
+    is not given, is an ArgumentError that names it.
+    """
     shape = doc.get("shape")
-    params = doc.get("params", {})
-    if shape == "ball":
-        return Ball(params["center"], params["radius"])
-    if shape == "axis-box":
-        return AxisBox(params["lo"], params["hi"])
-    if shape == "convex-polytope":
-        return ConvexPolytope(params["normals"], params["offsets"])
-    if shape == "annulus":
-        return Annulus(params["center"], params["r_in"], params["r_out"])
-    if shape == "slit-box":
-        return SlitBox(
-            params["lo"],
-            params["hi"],
-            params["seg_start"],
-            params["seg_end"],
-            params.get("delta", 0.0),
-        )
-    if shape == "set-difference":
-        return SetDifference(
-            domain_from_json(params["outer"]), domain_from_json(params["inner"])
-        )
-    raise ArgumentError(f"unknown domain shape {shape!r}")
+    cls = next((c for c in _SHAPES if c.shape_name == shape), None)
+    if cls is None:
+        raise ArgumentError(f"unknown domain shape {shape!r}")
+    params = {key: domain_from_json(v) if isinstance(v, dict) else v
+              for key, v in doc.get("params", {}).items()}
+    try:
+        inspect.signature(cls).bind(**params)
+    except TypeError as exc:
+        raise ArgumentError(f"{shape} params: {exc}") from None
+    return cls(**params)

@@ -2,7 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+from .errors import ArgumentError
+
+
+def check_exponent(p):
+    """Raise ArgumentError unless the exponent p is finite and >= 1."""
+    if not (math.isfinite(p) and p >= 1):
+        raise ArgumentError(f"p must be >= 1 and finite, got {p!r}")
 
 
 def delta_method_root(power, power_err, p):

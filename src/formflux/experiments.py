@@ -94,19 +94,15 @@ class ExperimentSpec:
             raise ArgumentError("closed-form target needs expected_value")
 
     def to_json(self):
-        cfg = self.config
+        """The spec as a JSON document; the config keeps every field but
+        theta and stream, which the sweep sets per grid point."""
         return {
             "name": self.name,
             "form": form_to_json(self.form),
             "domain": self.domain.to_json(),
-            "config": {
-                "p": cfg.p,
-                "variant": cfg.variant,
-                "samples": cfg.samples,
-                "seed": cfg.seed,
-                "R": cfg.R,
-                "c": cfg.c,
-            },
+            "config": {f.name: getattr(self.config, f.name)
+                       for f in fields(SeminormConfig)
+                       if f.name not in ("theta", "stream")},
             "thetas": list(self.thetas),
             "expected": {"kind": self.expected_kind, "value": self.expected_value},
             "tolerance": self.tolerance,

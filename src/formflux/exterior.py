@@ -29,7 +29,7 @@ import numpy as np
 
 from .domains import normalize_rows
 from .errors import ArgumentError
-from .estimates import Estimate, delta_method_root
+from .estimates import Estimate, check_exponent, delta_method_root
 
 __all__ = [
     "Covector",
@@ -285,8 +285,7 @@ def sphere_norm(alpha: Covector, p: float = 2.0) -> Estimate:
     Otherwise (n >= 4, 2 <= k <= n - 2) Monte Carlo over _MC_SAMPLES uniform
     k-tuples of directions, with a delta-method standard error.
     """
-    if p < 1:
-        raise ArgumentError("p must be >= 1")
+    check_exponent(p)
     n, k = alpha.dimension, alpha.degree
     if alpha.is_zero():
         return Estimate(0.0, 0.0)

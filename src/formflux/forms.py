@@ -19,9 +19,10 @@ import os
 import numpy as np
 
 from .errors import ArgumentError, UnsupportedOperationError
-from .estimates import SeminormEstimate, delta_method_root
+from .estimates import SeminormEstimate, check_exponent, delta_method_root
 from .exterior import (
     Covector,
+    _normalize_index,
     decomposable_degree,
     sort_with_sign,
     sphere_power_constant,
@@ -162,18 +163,6 @@ class Polynomial:
         return f"Polynomial({self.dimension}, {self.terms})"
 
 
-def _normalize_components(dimension, degree, components):
-    out = {}
-    for idx, comp in (components or {}).items():
-        idx = tuple(int(i) for i in idx)
-        if len(idx) != degree or any(not 1 <= i <= dimension for i in idx):
-            raise ArgumentError(f"bad index {idx} for degree {degree} in R^{dimension}")
-        if any(a >= b for a, b in zip(idx, idx[1:])):
-            raise ArgumentError(f"index {idx} must be strictly increasing")
-        out[idx] = comp
-    return out
-
-
 class FormField:
     """A differential k-form with one coefficient function per index."""
 
@@ -188,7 +177,8 @@ class FormField:
         self.backend = backend
         if backend not in ("polynomial", "analytic", "rough"):
             raise ArgumentError(f"unknown backend {backend!r}")
-        self.components = _normalize_components(dimension, degree, components)
+        self.components = {_normalize_index(idx, dimension, degree): comp
+                           for idx, comp in (components or {}).items()}
         self.indices = sorted(self.components)
         self.support = support
         self.partials = partials  # {(index, axis): callable pts -> (N,)} or None
@@ -403,23 +393,27 @@ def _blas_threads():
 _ROW_MULTIPLE = 4 * _blas_threads()
 
 
-def _padded_rows(rows):
-    return rows + (-rows % _ROW_MULTIPLE)
-
-
 def row_dot(a, w):
     """a @ w for a vector w (Q,), with the bits of a 4-row GEMV in every
     row, whatever the batch.
 
-    a is (rows, Q) with contiguous rows, zero-padded to a multiple of
-    _ROW_MULTIPLE rows (a copy, unless the caller allocated the padding).
-    tests/test_bit_identity.py checks the premise; should a BLAS break it,
-    the fallback is the ordered row sum (a * w).sum(1).
+    a is (rows, Q) with contiguous rows.  The leading rows, a multiple of
+    _ROW_MULTIPLE, go to one GEMV as they are; the last rows % _ROW_MULTIPLE
+    are copied into a zero block of _ROW_MULTIPLE rows for a second GEMV,
+    so at most _ROW_MULTIPLE - 1 rows are copied and callers pass plain
+    blocks.  tests/test_bit_identity.py checks the premise; should a BLAS
+    break it, the fallback is the ordered row sum (a * w).sum(1).
     """
-    rows, padded = len(a), _padded_rows(len(a))
-    if padded != rows:
-        a = np.concatenate([a, np.zeros((padded - rows, a.shape[1]))])
-    return (a @ w)[:rows]
+    rows = len(a)
+    head = rows - rows % _ROW_MULTIPLE
+    out = np.empty(rows)
+    if head:
+        np.matmul(a[:head], w, out=out[:head])
+    if head < rows:
+        tail = np.zeros((_ROW_MULTIPLE, a.shape[1]))
+        tail[: rows - head] = a[head:]
+        out[head:] = (tail @ w)[: rows - head]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +507,8 @@ def mollify(omega, eta):
         (n, rows, m) buffer, whose column-major (rows * m, n) view the
         component reads.  np.take gathers the values into the block's
         (rows, nodes) `vals` by `index`, in place with mode="clip"; the default
-        "raise" writes through a temporary.  `vals` carries the zero rows that
-        row_dot pads with, so each point's bits are the same in any batch.
+        "raise" writes through a temporary.  row_dot reduces each block, so
+        each point's bits are the same in any batch.
         """
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != n:
@@ -522,11 +516,10 @@ def mollify(omega, eta):
         m = len(shifts)
         out = np.empty(len(pts))
         rows = min(_block_rows(m), max(1, (1 << 22) // nodes))
-        vals = np.empty((_padded_rows(min(rows, len(pts))), nodes))
+        vals = np.empty((min(rows, len(pts)), nodes))
         buf = np.empty(n * min(rows, len(pts)) * m)
         for lo in range(0, len(pts), rows):
             part = pts[lo : lo + rows]
-            padded = _padded_rows(len(part))
             shifted = buf[: n * len(part) * m].reshape(n, len(part), m)
             for c in reads:
                 np.subtract.outer(part[:, c], shifts[:, c], out=shifted[c])
@@ -534,10 +527,9 @@ def mollify(omega, eta):
             u = omega._component_batch(idx, at)
             if omega.support is not None:
                 u = u * omega.support.contains_batch(at)
-            vals[len(part) : padded] = 0.0
-            np.take(u.reshape(-1, m), index, axis=1, mode="clip",
-                    out=vals[: len(part)])
-            out[lo : lo + len(part)] = row_dot(vals[:padded], weights)[: len(part)]
+            block = vals[: len(part)]
+            np.take(u.reshape(-1, m), index, axis=1, mode="clip", out=block)
+            out[lo : lo + len(part)] = row_dot(block, weights)
         return out
 
     axis_ws = [np.ascontiguousarray(col) for col in eta.gradient_rule()[1].T]
@@ -568,8 +560,7 @@ def _distinct_shifts(ys, reads):
 def lp_norm(omega, domain, p, samples=20000, seed=0):
     """(int_Omega |omega_x|^p dx)^{1/p} with |.| the coefficient norm,
     estimated from `samples` uniform points of the domain."""
-    if p < 1:
-        raise ArgumentError("p must be >= 1")
+    check_exponent(p)
     if samples < 2:
         raise ArgumentError("need at least 2 samples")
     samples, seed = int(samples), int(seed)

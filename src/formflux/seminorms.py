@@ -38,14 +38,14 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .alexander_spanier import IntegrationMultifunction, Multifunction
 from .domains import normalize_rows, row_all
 from .errors import ArgumentError, InefficiencyError
-from .estimates import SeminormEstimate, delta_method_root
+from .estimates import SeminormEstimate, check_exponent, delta_method_root
 from .exterior import unit_sphere_area
 from .forms import lp_norm
 
@@ -79,11 +79,11 @@ _CHUNK = 1 << 15
 class SeminormConfig:
     """Settings for one fixed-theta estimate.
 
-    The degree k is the multifunction's.  R applies to the ball variants, c
-    to the cone variants; either given to a variant that ignores it is an
-    error.  stream separates sampling streams that share one seed (theta
-    sweeps use the theta index), so sweep points are independent yet
-    reproducible.
+    The degree k is the multifunction's.  p is finite and >= 1.  R applies
+    to the ball variants, c to the cone variants, each finite and > 0;
+    either given to a variant that ignores it is an error.  stream
+    separates sampling streams that share one seed (theta sweeps use the
+    theta index), so sweep points are independent yet reproducible.
     """
 
     p: float = 2.0
@@ -102,8 +102,7 @@ class SeminormConfig:
                 raise ArgumentError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ArgumentError(f"{name} must be >= {least}, got {value}")
-        if self.p < 1:
-            raise ArgumentError("p must be >= 1")
+        check_exponent(self.p)
         if not 0.0 < self.theta < 1.0:
             raise ArgumentError("theta must lie in (0, 1)")
         if self.variant not in VARIANTS:
@@ -114,14 +113,16 @@ class SeminormConfig:
                 if value is not None:
                     raise ArgumentError(f"{name} applies only to the {family} "
                                         f"variants, not {self.variant!r}")
-            elif value is None or value <= 0:
-                raise ArgumentError(f"{family} variants need {name} > 0")
+            elif value is None or not 0 < value < math.inf:
+                raise ArgumentError(f"{family} variants need a finite {name} > 0, "
+                                    f"got {value!r}")
 
 
 def bbm_constant(p, k):
     """The limit constant K(p, k) = p^{-k/p} / k!."""
-    if p < 1 or k < 0:
-        raise ArgumentError("need p >= 1 and k >= 0")
+    check_exponent(p)
+    if k < 0:
+        raise ArgumentError(f"k must be >= 0, got {k}")
     return p ** (-k / p) / math.factorial(k)
 
 
@@ -220,11 +221,7 @@ def _estimate(F, domain, cfg, split_radius=None):
             acceptance_ratio=acceptance,
             samples=total,
         )
-    config = {
-        "variant": cfg.variant, "p": cfg.p, "k": k, "theta": cfg.theta,
-        "R": R, "c": cfg.c, "samples": cfg.samples, "seed": cfg.seed,
-        "stream": cfg.stream,
-    }
+    config = {**asdict(cfg), "k": k, "R": R}
     estimates = []
     for sw, sw2 in sums.tolist():  # Python floats, as the CSV and README show
         power = sw / total
@@ -306,11 +303,15 @@ class SweepResult:
 
 
 def _weighted_line_fit(x, y, sigma):
-    """Weighted least squares for y = a + b x; returns a, sigma_a, rms."""
+    """Weighted least squares for y = a + b x; returns a, sigma_a, rms, or
+    None when the normal matrix is singular at working precision
+    (cond * eps >= 1), as it is for x values a few ulps apart."""
     sigma = np.where(sigma > 0, sigma, np.max(sigma) if np.max(sigma) > 0 else 1.0)
     w = 1.0 / sigma**2
     X = np.stack([np.ones_like(x), x], axis=1)
     A = X.T @ (w[:, np.newaxis] * X)
+    if np.linalg.cond(A) * np.finfo(float).eps >= 1.0:
+        return None
     b = X.T @ (w * y)
     cov = np.linalg.inv(A)
     coef = cov @ b
@@ -368,10 +369,13 @@ def theta_sweep(F: Multifunction, domain, cfg: SeminormConfig, thetas=None):
         xs = np.sqrt(1.0 - np.asarray(thetas[-window:]))
         ys = powers[-window:]
         ss = errors[-window:]
-        if np.all(ys == 0.0):
-            a, sa, rms = 0.0, 0.0, 0.0
-        else:
-            a, sa, rms = _weighted_line_fit(xs, ys, ss)
+        fit = (0.0, 0.0, 0.0) if np.all(ys == 0.0) else _weighted_line_fit(xs, ys, ss)
+        if fit is None:
+            raise ArgumentError(
+                f"the fit window, thetas {list(thetas[-window:])}, is too narrow "
+                "to resolve a + b sqrt(1 - theta) at double precision"
+            )
+        a, sa, rms = fit
     return SweepResult(
         thetas=thetas,
         estimates=estimates,
@@ -421,14 +425,14 @@ CSV_COLUMNS = (
     "stderr",
     "acceptance_ratio",
 )
+# cells written as repr(float(v)), so an integer p = 2 reads 2.0; others as str(v)
+_FLOAT_COLUMNS = {"p", "theta", "R", "c", "value", "stderr", "acceptance_ratio"}
 
 
-def _csv_cell(value):
+def _csv_cell(name, value):
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(float(value)) if name in _FLOAT_COLUMNS else str(value)
 
 
 def csv_header():
@@ -436,21 +440,11 @@ def csv_header():
 
 
 def csv_row(est: SeminormEstimate):
-    cfg = est.config
-    cells = [
-        cfg.get("variant", ""),
-        _csv_cell(float(cfg["p"])) if "p" in cfg else "",
-        _csv_cell(cfg.get("k")),
-        _csv_cell(float(cfg["theta"])) if "theta" in cfg else "",
-        _csv_cell(float(cfg["R"])) if cfg.get("R") is not None else "",
-        _csv_cell(float(cfg["c"])) if cfg.get("c") is not None else "",
-        _csv_cell(cfg.get("samples")),
-        _csv_cell(cfg.get("seed")),
-        _csv_cell(float(est.value)),
-        _csv_cell(float(est.stderr)),
-        _csv_cell(float(est.acceptance_ratio)),
-    ]
-    return ",".join(cells)
+    """The estimate's CSV line: its config echo, value, stderr and
+    acceptance ratio under CSV_COLUMNS, an unset column left empty."""
+    cells = {**est.config, "value": est.value, "stderr": est.stderr,
+             "acceptance_ratio": est.acceptance_ratio}
+    return ",".join(_csv_cell(name, cells.get(name)) for name in CSV_COLUMNS)
 
 
 def estimates_to_csv(estimates):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ArgumentError
 from .exterior import _batch_det, contract_minors, minor_dets
-from .forms import Polynomial, _block_rows, _padded_rows, row_dot
+from .forms import Polynomial, _block_rows, row_dot
 
 __all__ = [
     "SimplexQuadratureRule",
@@ -195,9 +195,9 @@ def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False)
 
     The nodes are evaluated one block of rows at a time (forms._NODE_BLOCK
     nodes), so the positions and coefficients never exist for the whole
-    batch; only the (N, Q) integrand does, allocated with the zero rows
-    that forms.row_dot pads with.  Every step computes row by row, so a
-    simplex gets the same bits in any batch.  Positions are built only for
+    batch; only the (N, Q) integrand does, reduced in one forms.row_dot
+    call.  Every step computes row by row, so a simplex gets the same bits
+    in any batch.  Positions are built only for
     the coordinates the coefficients read (FormField._reads).  Constant
     coefficients read none: they are evaluated once, and each row's
     contraction is broadcast across its Q nodes, with the bits of
@@ -215,8 +215,7 @@ def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False)
     N, Q = len(base), len(P)
     det_source = edges if unit_vectors is None else unit_vectors
     dets = minor_dets(omega.indices, det_source)
-    integrand = np.empty((_padded_rows(N), Q))
-    integrand[N:] = 0.0
+    integrand = np.empty((N, Q))
     rows = _block_rows(Q)
     reads = omega._reads
     const = None if reads else omega.coefficients_batch(np.zeros((1, n)))
@@ -240,10 +239,10 @@ def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False)
             hi - lo, Q, -1
         )
         contract_minors(coeffs, dets[lo:hi, np.newaxis], out=integrand[lo:hi])
-    out = row_dot(integrand, W)[:N]
+    out = row_dot(integrand, W)
     if not with_mass:
         return out
-    return out, row_dot(np.abs(integrand, out=integrand), np.abs(W))[:N]
+    return out, row_dot(np.abs(integrand, out=integrand), np.abs(W))
 
 
 def reference_monomial_integral(alpha):

@@ -278,6 +278,15 @@ def _spec_with(tmp_path, **changes):
     return ["experiment", "--spec", str(path)]
 
 
+def _with_domain(fixtures, tmp_path, params):
+    """seminorm argv whose --domain is an axis box with the given params."""
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps({"shape": "axis-box", "params": params}))
+    args = seminorm_args(fixtures)
+    args[args.index("--domain") + 1] = str(path)
+    return args
+
+
 @pytest.mark.parametrize("argv, env, field", [
     pytest.param(lambda f, t: seminorm_args(f, "--seed", "-1"), None, "--seed",
                  id="seminorm-flag"),
@@ -317,6 +326,22 @@ def _spec_with(tmp_path, **changes):
     pytest.param(lambda f, t: seminorm_args(f, "--variant", "cone", "--R", "0.5",
                                             "--c", "0.25"), None, "R applies",
                  id="cone-with-R"),
+    pytest.param(lambda f, t: _with_domain(f, t, {"lo": [0, 0], "hi": [1, 1],
+                                                  "high": [2, 2]}),
+                 None, "'high'", id="domain-unknown-param"),
+    pytest.param(lambda f, t: _with_domain(f, t, {"lo": [0, 0]}), None, "'hi'",
+                 id="domain-missing-param"),
+    pytest.param(lambda f, t: ["sweep"] + seminorm_args(
+        f, "--theta", "0.9", "--theta", "0.900000001", "--theta", "0.900000002")[1:],
+                 None, "fit window", id="sweep-near-duplicate-thetas"),
+    pytest.param(lambda f, t: seminorm_args(f, "--p", "nan"), None, "p must be",
+                 id="p-nan"),
+    pytest.param(lambda f, t: seminorm_args(f, "--p", "inf"), None, "p must be",
+                 id="p-inf"),
+    pytest.param(lambda f, t: seminorm_args(f, "--variant", "ball", "--R", "nan"),
+                 None, "finite R", id="ball-R-nan"),
+    pytest.param(lambda f, t: seminorm_args(f, "--variant", "cone", "--c", "inf"),
+                 None, "finite c", id="cone-c-inf"),
 ])
 def test_bad_seed_samples_or_thetas_is_config_error(fixtures, tmp_path, capsys,
                                                    monkeypatch, argv, env, field):

@@ -597,6 +597,21 @@ def test_json_round_trip():
         )
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"shape": "ball", "params": {"center": [0.0, 0.0], "radius": 1.0,
+                                  "radus": 2.0}}, "radus"),
+    ({"shape": "ball", "params": {"center": [0.0, 0.0]}}, "radius"),
+    ({"shape": "set-difference", "params": {
+        "outer": UNIT_BOX.to_json(),
+        "inner": {"shape": "axis-box", "params": {"lo": [0.4, 0.4]}}}}, "hi"),
+    ({"shape": "slit-box", "params": {"lo": [0.0, 0.0], "hi": [1.0, 1.0],
+                                      "seg_start": [0.5, 0.0]}}, "seg_end"),
+])
+def test_unknown_or_missing_param_is_named(doc, key):
+    with pytest.raises(ArgumentError, match=repr(key)):
+        domain_from_json(doc)
+
+
 def test_membership_inside_bounding_box():
     for d in (ANNULUS, TRIANGLE, UNIT_BALL):
         pts = d.sample_uniform(300, seed=8)

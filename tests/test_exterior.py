@@ -148,8 +148,9 @@ def test_sphere_norm_top_form_r3():
 
 
 def test_sphere_norm_needs_p_at_least_one():
-    with pytest.raises(ArgumentError, match="p must be >= 1"):
-        sphere_norm(Covector.basis(2, (1,)), 0.5)
+    for bad in (0.5, math.nan, math.inf):
+        with pytest.raises(ArgumentError, match="p must be >= 1"):
+            sphere_norm(Covector.basis(2, (1,)), bad)
 
 
 def test_sphere_norm_p4():

@@ -350,8 +350,9 @@ def test_lp_norm_zero_form():
 @pytest.mark.parametrize("norm", [lp_norm, lp_sphere_norm])
 def test_lp_norms_check_p_and_samples(norm):
     w = FormField.constant_form(2, {(1,): 1.0})
-    with pytest.raises(ArgumentError, match="p must be >= 1"):
-        norm(w, UNIT_BOX, 0.5)
+    for bad in (0.5, math.nan, math.inf):
+        with pytest.raises(ArgumentError, match="p must be >= 1"):
+            norm(w, UNIT_BOX, bad)
     with pytest.raises(ArgumentError, match="at least 2 samples"):
         norm(w, UNIT_BOX, 2.0, samples=1)
 

@@ -9,7 +9,7 @@ from formflux.alexander_spanier import (
     IntegrationMultifunction,
     UserMultifunction,
 )
-from formflux.domains import AxisBox, Ball
+from formflux.domains import Annulus, AxisBox, Ball
 from formflux.errors import ArgumentError, InefficiencyError
 from formflux.forms import FormField
 from formflux.seminorms import (
@@ -133,6 +133,18 @@ def test_sweep_needs_three_increasing_thetas():
         theta_sweep(F, UNIT_SQUARE, cfg, thetas=(0.9, 0.95, 1.0))
 
 
+@pytest.mark.parametrize("thetas", [
+    (0.9, math.nextafter(0.9, 1.0), math.nextafter(math.nextafter(0.9, 1.0), 1.0)),
+    (0.9, 0.900000001, 0.900000002),
+])
+def test_sweep_refuses_a_fit_window_it_cannot_resolve(thetas):
+    """Thetas a few ulps apart once gave a power of -0.06 +- 3.7e6, or a
+    LinAlgError from inside the fit."""
+    F = IntegrationMultifunction(form_dx1())
+    with pytest.raises(ArgumentError, match="fit window"):
+        theta_sweep(F, UNIT_SQUARE, SeminormConfig(samples=200), thetas)
+
+
 def test_divergence_detector_flags_superlinear_growth():
     thetas = (0.9, 0.95, 0.975, 0.99, 0.995)
     g = 1.0 / (1.0 - np.asarray(thetas))
@@ -252,6 +264,36 @@ def test_determinism_for_fixed_config():
     assert a.value == b.value
     assert a.stderr == b.stderr
     assert csv_row(a) == csv_row(b)
+
+
+def test_csv_rows_keep_their_bytes():
+    """Rows written before csv_row became one rule over CSV_COLUMNS: a
+    ball-cone estimate, a near/far pair, an lp_norm row with no variant, k,
+    theta, R or c, and an integer p."""
+    F = IntegrationMultifunction(form_dx1())
+    x1dx2 = FormField.from_polynomials(2, 1, {(2,): {(1, 0): 1.0}})
+    rows = [fixed_theta_seminorm(
+        CoboundaryMultifunction(x1dx2), Annulus([0.0, 0.0], 0.5, 1.0),
+        SeminormConfig(p=2.5, variant="ball-cone", R=0.4, c=0.5, theta=0.95,
+                       samples=3000, seed=3, stream=1),
+    )]
+    rows += near_far_split(F, UNIT_SQUARE, SeminormConfig(
+        variant="ball", R=0.5, theta=0.99, samples=3000, seed=4))
+    rows.append(uniform_bound_check(form_dx1(), UNIT_SQUARE, 0.5, 0.9,
+                                    SeminormConfig(samples=3000, seed=5))[1])
+    rows.append(fixed_theta_seminorm(F, UNIT_SQUARE,
+                                     SeminormConfig(p=2, samples=3000, seed=6)))
+    assert [csv_row(r) for r in rows] == [
+        "ball-cone,2.5,2,0.95,0.4,0.5,3000,3,0.7971750738461185,"
+        "0.004838125472353873,1.0",
+        "ball,2.0,1,0.99,0.5,,3000,4,1.1338698117440984,0.009464807883446731,"
+        "0.9906666666666667",
+        "ball,2.0,1,0.99,0.5,,3000,4,0.5176188574131356,0.013183192000058304,"
+        "0.9906666666666667",
+        ",2.0,,,,,20000,5,1.6537579188713079,0.0,1.0",
+        "full,2.0,1,0.9,1.4142135623730951,,3000,6,1.1253252491344887,"
+        "0.010316468207596425,0.7526666666666667",
+    ]
 
 
 def test_near_far_split_sums_to_ball_estimate():
@@ -385,6 +427,15 @@ def test_config_validation():
         SeminormConfig(c=0.5)
     with pytest.raises(ArgumentError, match="c applies"):
         SeminormConfig(variant="ball", R=0.5, c=0.25)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ArgumentError, match="p must be"):
+            SeminormConfig(p=bad)
+        with pytest.raises(ArgumentError, match="finite R"):
+            SeminormConfig(variant="ball", R=bad)
+        with pytest.raises(ArgumentError, match="finite c"):
+            SeminormConfig(variant="cone", c=bad)
+        with pytest.raises(ArgumentError, match="p must be"):
+            bbm_constant(bad, 1)
 
 
 @pytest.mark.parametrize("field, value", [
