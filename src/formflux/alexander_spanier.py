@@ -265,6 +265,13 @@ class CoboundaryMultifunction(DifferentialMultifunction):
     reads as closed: x1 dx2 as a callable on the unit square (20,000
     samples, seed 4) gives power 0.0731 at theta 0.9 and 0.00079 at 0.99,
     where the Stokes route gives 0.8411 and 1.1800.
+
+    Each face is integrated by simplex.edge_integrals, which screens it at
+    every 16th stratified node and the last, and evaluates all of them only
+    on the faces whose screen values differ: a face that crosses a jump.
+    The face sums have the bits of evaluating every node, unless a jump
+    pair closer together than the screen spacing hides between two screen
+    nodes of a face.
     """
 
     def __init__(self, omega: FormField, face_rule=None):

@@ -237,7 +237,8 @@ def main(argv=None):
     except InefficiencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ArgumentError, UnsupportedOperationError, OSError) as exc:
+    except (ArgumentError, UnsupportedOperationError, OSError,
+            FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -178,13 +178,15 @@ def _tuples(domain, cfg, R, x0, vs, u):
 
 def _weights(F, cfg, scale, x0, vs, rs, r_eff, keep):
     """w = scale r_eff^{p(1-theta) k} |g|^p, where g = F / prod r_i on the
-    kept tuples, which alone F sees, and g = 0 on the others."""
+    kept tuples, which alone F sees, and g = 0 on the others.  Overflow and
+    0 * inf are left silent: _estimate raises on every non-finite weight."""
     g = np.zeros(len(x0))
     g[keep] = F.evaluate_scaled_batch(
         x0.take(keep, axis=0), vs.take(keep, axis=0), rs.take(keep, axis=0)
     )
     a = cfg.p * (1.0 - cfg.theta)
-    return scale * r_eff**(a * rs.shape[1]) * np.abs(g) ** cfg.p
+    with np.errstate(over="ignore", invalid="ignore"):
+        return scale * r_eff**(a * rs.shape[1]) * np.abs(g) ** cfg.p
 
 
 def _estimate(F, domain, cfg, split_radius=None):

@@ -133,7 +133,10 @@ def stratified_segment_rule(samples=1024, seed=0):
     one, since only the cells containing a jump misestimate their piece.
     That hard bound (against the soft 1/sqrt(samples) of iid sampling) is
     what lets the coboundary snap guard separate quadrature noise from
-    genuine jump signal.
+    genuine jump signal.  edge_integrals screens a face at every 16th node
+    and the last before evaluating the rest, so under it the bound holds
+    for every piece that covers a screen node; a piece between two screen
+    nodes of a face that is otherwise constant is not seen.
     """
     if samples < 1:
         raise ArgumentError("need at least one sample")
@@ -185,6 +188,33 @@ def integrate_form(omega, simplex, rule=None):
     return float(edge_integrals(omega, rule, pts[:1], edges)[0])
 
 
+# Stride of the rough-face screen: every _SCREEN-th node of a stratified
+# segment rule, and its last node, are evaluated before the rest.
+_SCREEN = 16
+
+
+def _integrand_block(omega, P, base, edges, dets, buf, out):
+    """The integrand at the nodes P (Q, k) of a block of rows, into out (rows, Q).
+
+    buf is scratch of at least n * rows * Q doubles.  pos[c] = sum_j
+    outer(edges[:, j, c], P[:, j]) + base[:, c], summed in order j = 0, 1,
+    ... without fused multiply-adds, for each coordinate c the coefficients
+    read (FormField._reads).  Coordinate-major, so the coefficients read the
+    column-major (rows * Q, n) view and return column-major (rows * Q, m)
+    values.
+    """
+    n = omega.dimension
+    rows, Q = out.shape
+    pos = buf[: n * rows * Q].reshape(n, rows, Q)
+    for c in omega._reads:
+        np.multiply.outer(edges[:, 0, c], P[:, 0], out=pos[c])
+        for j in range(1, P.shape[1]):
+            pos[c] += np.multiply.outer(edges[:, j, c], P[:, j])
+        pos[c] += base[:, c, np.newaxis]
+    coeffs = omega.coefficients_batch(pos.reshape(n, -1).T).reshape(rows, Q, -1)
+    contract_minors(coeffs, dets[:, np.newaxis], out=out)
+
+
 def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False):
     """sum_q w_q omega_{base + s_q . edges}(det edges) for each of N simplices.
 
@@ -202,6 +232,17 @@ def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False)
     coefficients read none: they are evaluated once, and each row's
     contraction is broadcast across its Q nodes, with the bits of
     contracting every node.
+
+    On a stratified segment rule of more than 2 * _SCREEN nodes each row is
+    first evaluated at the screen nodes 0, _SCREEN, 2 * _SCREEN, ... and
+    Q - 1 (65 of the default rule's 1,024).  A row whose screen values are
+    all equal (==, so a NaN never is) takes that value at every node; only
+    the other rows are evaluated at all Q nodes, gathered and scattered one
+    node block at a time.  This keeps the bits of evaluating every node
+    unless a stretch between two screen nodes (at most 17/1024 of a segment
+    under the default rule) holds a value that differs from the equal
+    values at all of them.  Other rules have no node order along the
+    simplex that would make a sparse screen safe, and are evaluated whole.
     """
     n = omega.dimension
     k = omega.degree
@@ -217,28 +258,35 @@ def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False)
     dets = minor_dets(omega.indices, det_source)
     integrand = np.empty((N, Q))
     rows = _block_rows(Q)
-    reads = omega._reads
-    const = None if reads else omega.coefficients_batch(np.zeros((1, n)))
-    buf = np.empty(n * min(rows, N) * Q if reads else 0)
-    for lo in range(0, N, rows):
-        hi = min(lo + rows, N)
-        if const is not None:  # one contraction per row, broadcast to its nodes
+    if not omega._reads:  # one contraction per row, broadcast to its nodes
+        const = omega.coefficients_batch(np.zeros((1, n)))
+        for lo in range(0, N, rows):
+            hi = lo + rows
             integrand[lo:hi] = contract_minors(const, dets[lo:hi, np.newaxis])
-            continue
-        # pos[c] = sum_j outer(edges[:, j, c], P[:, j]) + base[:, c], summed
-        # in order j = 0, 1, ... without fused multiply-adds, for each read c.
-        # Coordinate-major, so the coefficients read the column-major
-        # (rows * Q, n) view and return column-major (rows * Q, m) values.
-        pos = buf[: n * (hi - lo) * Q].reshape(n, hi - lo, Q)
-        for c in reads:
-            np.multiply.outer(edges[lo:hi, 0, c], P[:, 0], out=pos[c])
-            for j in range(1, k):
-                pos[c] += np.multiply.outer(edges[lo:hi, j, c], P[:, j])
-            pos[c] += base[lo:hi, c, np.newaxis]
-        coeffs = omega.coefficients_batch(pos.reshape(n, -1).T).reshape(
-            hi - lo, Q, -1
-        )
-        contract_minors(coeffs, dets[lo:hi, np.newaxis], out=integrand[lo:hi])
+    elif rule.kind == "stratified" and Q > 2 * _SCREEN:
+        screen = np.concatenate([P[:-1:_SCREEN], P[-1:]])
+        vals = np.empty((N, len(screen)))
+        step = _block_rows(len(screen))
+        buf = np.empty(n * min(step, N) * len(screen))
+        for lo in range(0, N, step):
+            hi = lo + step
+            _integrand_block(omega, screen, base[lo:hi], edges[lo:hi],
+                             dets[lo:hi], buf, vals[lo:hi])
+        integrand[...] = vals[:, :1]
+        busy = np.flatnonzero((vals != vals[:, :1]).any(axis=1))
+        buf = np.empty(n * min(rows, len(busy)) * Q)
+        block = np.empty((min(rows, len(busy)), Q))
+        for lo in range(0, len(busy), rows):
+            at = busy[lo:lo + rows]
+            _integrand_block(omega, P, base[at], edges[at], dets[at], buf,
+                             block[: len(at)])
+            integrand[at] = block[: len(at)]
+    else:
+        buf = np.empty(n * min(rows, N) * Q)
+        for lo in range(0, N, rows):
+            hi = lo + rows
+            _integrand_block(omega, P, base[lo:hi], edges[lo:hi], dets[lo:hi],
+                             buf, integrand[lo:hi])
     out = row_dot(integrand, W)
     if not with_mass:
         return out

@@ -23,7 +23,10 @@ block size may move a bit.  Nor may the memory layout: coefficient arrays
 are column-major, and the points may come in either order.  Nor may the read set: the kernels build only the
 coordinates a form reads, contract a constant form once per row, and
 convolve by evaluating each distinct shift once and gathering, while the
-references build and evaluate every coordinate of every node.
+references build and evaluate every coordinate of every node.  Nor may the
+rough-face screen, wherever each jump of a face's integrand leaves a
+screen node on each side: the pullback evaluates a stratified face at all
+its nodes only when its 65 screen nodes disagree.
 
 The sampler's row arithmetic works one coordinate column at a time: its
 row norm, row all and row product give the bits of numpy's reductions over
@@ -83,6 +86,7 @@ from formflux.simplex import (
     edge_integrals,
     integrate_form,
     monte_carlo_rule,
+    stratified_segment_rule,
 )
 
 PROPERTY = settings(max_examples=60, deadline=2000)
@@ -145,7 +149,9 @@ def reference_edge_integrals(F, base, edges, unit_vectors=None, with_mass=False,
     P, W = F.rule.points, F.rule.weights
     disp = np.einsum("qk,nkd->nqd", P, edges)
     pos = (base[:, np.newaxis, :] + disp).reshape(-1, n)
-    coeffs = reference_coefficients(F.omega, pos).reshape(len(base), len(P), -1)
+    coeffs = reference_coefficients(F.omega, pos).reshape(
+        len(base), len(P), len(F.omega.indices)
+    )
     det_source = edges if unit_vectors is None else unit_vectors
     dets = np.empty((len(base), len(F.omega.indices)))
     for col, idx in enumerate(F.omega.indices):
@@ -741,6 +747,191 @@ def test_integrate_form_is_a_batch_of_one(case):
     value = integrate_form(F.omega, pts, F.rule)
     assert value == kernel[0]
     assert F.evaluate(pts) == value
+
+
+# -- the rough-face screen --------------------------------------------------
+#
+# On a stratified segment rule edge_integrals first evaluates each row at
+# the screen nodes 0, 16, 32, ..., 1008 and 1023 (simplex._SCREEN), and at
+# every node only when those values differ.  The references evaluate every
+# node, so a face whose integrand is constant between jumps, each jump
+# seen by the screen, keeps their bits.
+
+SCREEN = list(range(0, 1024, 16)) + [1023]
+
+
+def _jump_component(terms):
+    """sum of c sign(a . x + b) over terms (a, b, c), elementwise."""
+    def component(p):
+        out = np.zeros(len(p))
+        for a, b, c in terms:
+            level = np.full(len(p), b)
+            for j, aj in enumerate(a):
+                level += aj * p[:, j]
+            out += c * np.sign(level)
+        return out
+    return component
+
+
+# jump heights from 8 down to 1e-30, which any tolerance would flatten
+levels = st.one_of(coefficients, st.floats(1e-30, 1e-20))
+
+
+@st.composite
+def jump_forms(draw, n):
+    """A rough 1-form in R^n whose components each jump across 1-3 random
+    lines (planes in R^3) through the sampled region."""
+    unit = st.floats(-1.0, 1.0, width=64)
+    return FormField.from_callables(n, 1, {
+        idx: _jump_component([
+            (draw(hnp.arrays(np.float64, n, elements=unit)), draw(unit),
+             draw(levels))
+            for _ in range(draw(st.integers(1, 3)))
+        ])
+        for idx in draw(basis_indices(n, 1))
+    })
+
+
+def _screen_case(omega, rows, seed):
+    """omega and `rows` segments drawn from a seed.  Radii are 0, about
+    1e-300, short (rarely straddling a jump) or up to 2 (mostly straddling)."""
+    n = omega.dimension
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-1.5, 1.5, size=(rows, n))
+    vs = rng.normal(size=(rows, 1, n))
+    vs /= np.linalg.norm(vs, axis=2, keepdims=True)
+    kind = rng.integers(0, 4, size=(rows, 1))
+    u = rng.random((rows, 1))
+    rs = np.choose(kind, [0.0 * u, 1e-300 * u, 0.05 * u, 2.0 * u])
+    F = IntegrationMultifunction(omega, default_rule(1, smooth=False))
+    return F, x0, vs, rs
+
+
+@st.composite
+def screen_cases(draw):
+    """A jump form and N segments: N = 0, 1, a few, or more than the 32
+    rows of one node block."""
+    omega = draw(jump_forms(draw(st.integers(2, 3))))
+    rows = draw(st.sampled_from([0, 1, 2, 5, 33, 50, 80]))
+    return _screen_case(omega, rows, draw(st.integers(0, 2**32 - 1)))
+
+
+# more than one node block of refined rows, plain and scaled
+@settings(max_examples=40, deadline=5000)
+@given(screen_cases())
+@example(_screen_case(FormField.from_callables(2, 1, {
+    (1,): _jump_component([((1.0, 0.5), 0.1, 2.0)]),
+    (2,): _jump_component([((0.0, 1.0), -0.2, -1.5), ((1.0, 1.0), 0.0, 1e-25)]),
+}), 120, 0))
+def test_screened_faces_match_the_reference(case):
+    """Plain, scaled and with mass: the bits of evaluating every node."""
+    F, x0, vs, rs = case
+    edges = rs[..., np.newaxis] * vs
+    for args, unit in (((x0, vs), None), ((x0, edges), vs)):
+        want = reference_edge_integrals(F, *args, unit_vectors=unit, with_mass=True)
+        got = edge_integrals(F.omega, F.rule, *args, unit_vectors=unit)
+        got_mass = edge_integrals(F.omega, F.rule, *args, unit_vectors=unit,
+                                  with_mass=True)
+        assert np.array_equal(got, want[0])
+        assert np.array_equal(got_mass[0], want[0])
+        assert np.array_equal(got_mass[1], want[1])
+
+
+def _screened_segments(component, lengths, rule=None):
+    """edge_integrals of component dx1 over the segments from 0 along x1,
+    the reference's, and the x1 of every point the kernel evaluated."""
+    rule = rule or default_rule(1, smooth=False)
+    calls = []
+    omega = FormField.from_callables(2, 1, {
+        (1,): lambda p: calls.append(p.copy()) or component(p),
+    })
+    base = np.zeros((len(lengths), 2))
+    edges = np.zeros((len(lengths), 1, 2))
+    edges[:, 0, 0] = lengths
+    got = edge_integrals(omega, rule, base, edges)
+    seen = np.concatenate(calls)[:, 0]
+    want = reference_edge_integrals(
+        IntegrationMultifunction(omega, rule), base, edges
+    )
+    return got, want, seen
+
+
+def test_screen_refines_only_the_rows_it_sees_change():
+    """sign(x1 - 0.5) is constant on [0, 0.3]: 65 evaluations, at the
+    screen nodes.  On [0, 1] the screen sees the jump, and all 1,024 nodes
+    are evaluated after it; so is a one-ulp step."""
+    s = default_rule(1, smooth=False).points[:, 0]
+    got, want, seen = _screened_segments(lambda p: np.sign(p[:, 0] - 0.5), [0.3])
+    assert np.array_equal(got, want)
+    assert np.array_equal(seen, 0.3 * s[SCREEN])
+    for step in (lambda p: np.sign(p[:, 0] - 0.5),
+                 lambda p: np.where(p[:, 0] > 0.5, np.nextafter(1.0, 2.0), 1.0)):
+        got, want, seen = _screened_segments(step, [1.0])
+        assert np.array_equal(got, want)
+        assert np.array_equal(seen, np.concatenate([s[SCREEN], s]))
+    got, want, seen = _screened_segments(
+        lambda p: np.sign(p[:, 0] - 0.5), [0.3, 1.0, 0.2]
+    )
+    assert np.array_equal(got, want)
+    assert len(seen) == 3 * len(SCREEN) + 1024
+
+
+@pytest.mark.parametrize("rule", [monte_carlo_rule(1, samples=1024),
+                                  stratified_segment_rule(samples=32)],
+                         ids=["monte-carlo", "32-node-stratified"])
+def test_only_a_long_stratified_rule_is_screened(rule):
+    got, want, seen = _screened_segments(lambda p: np.sign(p[:, 0] - 0.5), [0.3],
+                                         rule)
+    assert np.array_equal(got, want)
+    assert np.array_equal(seen, 0.3 * rule.points[:, 0])
+
+
+@pytest.mark.parametrize("node", [0, 1023])
+def test_the_screen_reads_both_end_nodes(node):
+    """A jump between the first two nodes, or the last two, is refined."""
+    s = default_rule(1, smooth=False).points[:, 0]
+    cut = (s[node] + s[node + (1 if node == 0 else -1)]) / 2
+    got, want, seen = _screened_segments(lambda p: np.sign(p[:, 0] - cut), [1.0])
+    assert np.array_equal(got, want)
+    assert len(seen) == len(SCREEN) + 1024
+
+
+# (0.52, 0.552) falls between the screen nodes of a 64-node stride
+@settings(max_examples=40, deadline=5000)
+@given(st.floats(0.0, 1.0), st.floats(2 * 16 / 1024, 0.9), st.floats(1e-3, 8.0))
+@example(0.52 / (1 - 1 / 32), 1 / 32, 1.0)
+def test_an_interval_spanning_two_screen_gaps_is_refined(at, width, length):
+    """The indicator of a stretch of the segment at least two screen gaps
+    (2 x 16/1024) wide, and at most 0.9 of it, holds a screen node and
+    leaves one out: always refined, with the reference's bits."""
+    lo = at * (1.0 - width) * length
+    hi = lo + width * length
+    got, want, seen = _screened_segments(
+        lambda p: ((p[:, 0] > lo) & (p[:, 0] < hi)).astype(float), [length]
+    )
+    assert np.array_equal(got, want)
+    assert len(seen) == len(SCREEN) + 1024
+
+
+def test_a_nan_coefficient_still_gives_nan():
+    rule = default_rule(1, smooth=False)
+    base, edges = np.zeros((1, 2)), np.array([[[1.0, 0.0]]])
+    for component in (lambda p: np.where(p[:, 0] > 0.5, np.nan, 1.0),
+                      lambda p: np.full(len(p), np.nan)):
+        omega = FormField.from_callables(2, 1, {(1,): component})
+        value, mass = edge_integrals(omega, rule, base, edges, with_mass=True)
+        assert np.isnan(value[0]) and np.isnan(mass[0])
+
+
+def test_a_sliver_between_screen_nodes_is_missed():
+    """The screen's documented blind spot (README, "Rough faces"): the
+    indicator of 0.502 < x1 < 0.514 covers 12 of the 1,024 nodes on the
+    segment from (0, 0) to (1, 0) but no screen node, so it integrates to
+    0 where evaluating every node gives 12/1024."""
+    sliver = lambda p: ((p[:, 0] > 0.502) & (p[:, 0] < 0.514)).astype(float)
+    got, want, seen = _screened_segments(sliver, [1.0])
+    assert got[0] == 0.0 and want[0] == 12 / 1024
+    assert len(seen) == len(SCREEN)
 
 
 def _row_by_row(n, degree, shift):

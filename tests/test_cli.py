@@ -1,5 +1,6 @@
 import json
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,20 @@ def test_seminorm_inefficient_config_exits_3(fixtures, capsys):
     )
     assert main(args) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_seminorm_overflowing_weights_exit_2(fixtures, capsys):
+    """At p = 1e6 every weight |g|^p overflows: a configuration the
+    estimator cannot represent, reported on one error line without numpy
+    warnings, not an assertion failure."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(seminorm_args(fixtures, "--p", "1e6")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: 4000 of 4000 weights are not finite at theta=0.9\n"
+    )
 
 
 def test_sweep_reports_extrapolation_and_plot(fixtures, capsys, tmp_path):

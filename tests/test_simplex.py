@@ -189,3 +189,37 @@ def test_pullback_memory_is_the_integrand_and_one_node_block():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 2048 * 1024 * 8
+
+
+@pytest.mark.parametrize("refined", [True, False], ids=["every-row", "no-row"])
+def test_screened_pullback_memory_is_the_integrand_and_one_node_block(refined):
+    # The same 2048 segments through the rough-face screen: a smooth
+    # component changes along every segment, so every row is refined one
+    # node block at a time; jump lines the segments never reach leave every
+    # row constant on its 65 screen nodes.
+    rng = np.random.default_rng(3)
+    points = []
+
+    def counted(f):
+        return lambda p: points.append(len(p)) or f(p)
+
+    if refined:
+        comps = {(1,): lambda p: np.sign(p[:, 0] - 0.1),
+                 (2,): lambda p: np.sin(3.0 * p[:, 1])}
+    else:
+        comps = {(1,): lambda p: np.sign(p[:, 0] - 100.0),
+                 (2,): lambda p: np.sign(p[:, 1] + 100.0)}
+    omega = FormField.from_callables(2, 1, {
+        (1,): counted(comps[(1,)]), (2,): comps[(2,)],
+    })
+    base = rng.uniform(-1.0, 1.0, size=(2048, 2))
+    edges = rng.normal(size=(2048, 1, 2))
+    tracemalloc.start()
+    try:
+        edge_integrals(omega, default_rule(1, smooth=False), base, edges,
+                       with_mass=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2048 * 1024 * 8
+    assert sum(points) == 2048 * (65 + 1024 if refined else 65)
