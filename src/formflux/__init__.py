@@ -14,7 +14,6 @@ from .alexander_spanier import (
     Multifunction,
     StokesResult,
     UserMultifunction,
-    as_differential,
     stokes_residual,
 )
 from .domains import (

@@ -42,7 +42,6 @@ __all__ = [
     "IntegrationMultifunction",
     "CoboundaryMultifunction",
     "DifferentialMultifunction",
-    "as_differential",
     "stokes_residual",
     "StokesResult",
 ]
@@ -86,12 +85,11 @@ def _over_radii(values, rs):
 class Multifunction:
     """Base class: a measurable function of (degree+1) points in R^n."""
 
-    def __init__(self, dimension, degree, provenance="user"):
+    def __init__(self, dimension, degree):
         if degree < 0:
             raise ArgumentError("multifunction degree must be >= 0")
         self.dimension = int(dimension)
         self.degree = int(degree)
-        self.provenance = provenance
 
     @property
     def arity(self):
@@ -138,7 +136,7 @@ class UserMultifunction(Multifunction):
     """Wraps a caller-supplied evaluator; batch form optional."""
 
     def __init__(self, dimension, degree, func, batch_func=None):
-        super().__init__(dimension, degree, provenance="user")
+        super().__init__(dimension, degree)
         self._func = func
         self._batch = batch_func
 
@@ -163,7 +161,7 @@ class _Combination(Multifunction):
         for _, f in terms:
             if f.dimension != base.dimension or f.degree != base.degree:
                 raise ArgumentError("combined multifunctions must match in shape")
-        super().__init__(base.dimension, base.degree, provenance="user")
+        super().__init__(base.dimension, base.degree)
         self.terms = terms
 
     def evaluate_batch(self, tuples):
@@ -187,8 +185,7 @@ class IntegrationMultifunction(Multifunction):
     """
 
     def __init__(self, omega: FormField, rule=None):
-        super().__init__(omega.dimension, omega.degree,
-                         provenance="integration-of-form")
+        super().__init__(omega.dimension, omega.degree)
         self.omega = omega
         self.rule = rule or default_rule(
             omega.degree, smooth=omega.backend != "rough"
@@ -229,8 +226,7 @@ class DifferentialMultifunction(Multifunction):
     """
 
     def __init__(self, base: Multifunction):
-        super().__init__(base.dimension, base.degree + 1,
-                         provenance="differential-of")
+        super().__init__(base.dimension, base.degree + 1)
         self.base = base
 
     def evaluate_batch(self, tuples):
@@ -312,13 +308,6 @@ class CoboundaryMultifunction(DifferentialMultifunction):
         total = _alternating_sum(vals)
         total = np.where(np.abs(total) < self.snap_tol * mass, 0.0, total)
         return _over_radii(total, rs)
-
-
-def as_differential(F: Multifunction) -> Multifunction:
-    """dF; integration multifunctions get the specialized coboundary."""
-    if isinstance(F, IntegrationMultifunction):
-        return CoboundaryMultifunction(F.omega, face_rule=F.rule)
-    return DifferentialMultifunction(F)
 
 
 class StokesResult(float):

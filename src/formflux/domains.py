@@ -23,10 +23,10 @@ one BLAS call whose bits depend on the BLAS kernel; a column-wise sum
 would move them.
 
 Distances to simplices go through one batched kernel, `_dist_to_simplices`:
-the annulus hull check (the center against every tuple), a polytope hole
-(each point against the hull facets kept at construction) and
-`dist_point_to_simplex` (a batch of one).  A point with no negative margin
-to a polytope hole is in the closed hole, at distance exactly 0.
+the annulus hull check (the center against every tuple) and a polytope hole
+(each point against the hull facets kept at construction).  A point with no
+negative margin to a polytope hole is in the closed hole, at distance
+exactly 0.
 """
 
 from __future__ import annotations
@@ -49,11 +49,20 @@ __all__ = [
     "SetDifference",
     "domain_from_json",
     "unit_ball_volume",
-    "dist_point_to_simplex",
 ]
 
 _REJECTION_FLOOR = 1e-3
 _MIN_ATTEMPTS = 20000
+
+
+def _finite(value, name, ndim=0):
+    """value as a float (ndim 0), vector (1) or matrix (2) of finite
+    entries; anything else is an ArgumentError that names the parameter."""
+    out = np.asarray(value, dtype=float)
+    if out.ndim != ndim or not np.all(np.isfinite(out)):
+        kind = ("number", "vector", "matrix")[ndim]
+        raise ArgumentError(f"{name} must be a finite {kind}, got {out.tolist()}")
+    return float(out) if ndim == 0 else out
 
 
 def unit_ball_volume(n):
@@ -195,12 +204,6 @@ def _dist_to_simplices(x, verts):
     return out
 
 
-def dist_point_to_simplex(x, vertices):
-    """Exact Euclidean distance from x to the convex hull of `vertices`:
-    `_dist_to_simplices` on a batch of one."""
-    return float(_dist_to_simplices([x], [vertices])[0])
-
-
 def _skip_uniform(rng, rows, lo, hi):
     """Move rng past rng.uniform(lo, hi, size=(rows, len(lo))): by advance
     where that equals drawing (PCG64 and PCG64DXSM step once per double,
@@ -331,10 +334,8 @@ class Ball(Domain):
     shape_name = "ball"
 
     def __init__(self, center, radius):
-        self.center = np.asarray(center, dtype=float)
-        self.radius = float(radius)
-        if self.center.ndim != 1:
-            raise ArgumentError("ball center must be a vector")
+        self.center = _finite(center, "ball center", 1)
+        self.radius = _finite(radius, "ball radius")
         if self.radius <= 0:
             raise ArgumentError("ball radius must be positive")
         self.dimension = len(self.center)
@@ -368,10 +369,10 @@ class AxisBox(Domain):
     shape_name = "axis-box"
 
     def __init__(self, lo, hi):
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
-        if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
-            raise ArgumentError("box corners must be vectors of equal length")
+        self.lo = _finite(lo, "box lo", 1)
+        self.hi = _finite(hi, "box hi", 1)
+        if self.lo.shape != self.hi.shape:
+            raise ArgumentError("box lo and hi must have equal length")
         if np.any(self.hi <= self.lo):
             raise ArgumentError("box must have positive side lengths")
         self.dimension = len(self.lo)
@@ -431,9 +432,9 @@ class ConvexPolytope(Domain):
     shape_name = "convex-polytope"
 
     def __init__(self, normals, offsets):
-        a = np.asarray(normals, dtype=float)
-        b = np.asarray(offsets, dtype=float)
-        if a.ndim != 2 or b.shape != (a.shape[0],):
+        a = _finite(normals, "polytope normals", 2)
+        b = _finite(offsets, "polytope offsets", 1)
+        if b.shape != (a.shape[0],):
             raise ArgumentError("need (m, n) normals and (m,) offsets")
         norms = row_norm(a)
         if np.any(norms <= 0):
@@ -516,9 +517,9 @@ class Annulus(Domain):
     shape_name = "annulus"
 
     def __init__(self, center, r_in, r_out):
-        self.center = np.asarray(center, dtype=float)
-        self.r_in = float(r_in)
-        self.r_out = float(r_out)
+        self.center = _finite(center, "annulus center", 1)
+        self.r_in = _finite(r_in, "annulus r_in")
+        self.r_out = _finite(r_out, "annulus r_out")
         if not 0.0 < self.r_in < self.r_out:
             raise ArgumentError("need 0 < r_in < r_out")
         self.dimension = len(self.center)
@@ -565,9 +566,9 @@ class SlitBox(Domain):
 
     def __init__(self, lo, hi, seg_start, seg_end, delta=0.0):
         self.box = AxisBox(lo, hi)
-        self.seg_start = np.asarray(seg_start, dtype=float)
-        self.seg_end = np.asarray(seg_end, dtype=float)
-        self.delta = float(delta)
+        self.seg_start = _finite(seg_start, "slit seg_start", 1)
+        self.seg_end = _finite(seg_end, "slit seg_end", 1)
+        self.delta = _finite(delta, "slit delta")
         self.dimension = self.box.dimension
         if self.seg_start.shape != (self.dimension,) or self.seg_end.shape != (
             self.dimension,

@@ -81,17 +81,21 @@ class ExperimentSpec:
     tolerance: float = 0.10
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ArgumentError("tolerance must be > 0")
+        if not 0 < self.tolerance < math.inf:
+            raise ArgumentError(f"tolerance must be finite and > 0, "
+                                f"got {self.tolerance!r}")
         if not self.thetas:
             raise ArgumentError("theta grid must be non-empty")
         if not all(isinstance(t, numbers.Real) and not isinstance(t, bool)
-                   for t in self.thetas):
-            raise ArgumentError(f"thetas must be numbers, got {list(self.thetas)!r}")
+                   and 0 < t < 1 for t in self.thetas):
+            raise ArgumentError(f"thetas must be numbers in (0, 1): {self.thetas!r}")
         if self.expected_kind not in ("closed-form", "oracle", "qualitative"):
             raise ArgumentError(f"unknown expected_kind {self.expected_kind!r}")
-        if self.expected_kind == "closed-form" and self.expected_value is None:
-            raise ArgumentError("closed-form target needs expected_value")
+        value = self.expected_value
+        if self.expected_kind == "closed-form" and not (
+                isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise ArgumentError(f"closed-form target needs a finite expected_value, "
+                                f"got {value!r}")
 
     def to_json(self):
         """The spec as a JSON document; the config keeps every field but

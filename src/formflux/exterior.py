@@ -3,8 +3,8 @@
 A covector of degree k is stored as coefficients over strictly increasing
 multi-indices (the basis dx_{I_1} ^ ... ^ dx_{I_k}).  Evaluation on k vectors
 sums coefficient times the determinant minor selected by the index.  The
-module also provides the wedge product, the Euclidean coefficient norm and
-the directional sphere norm
+module also provides the Euclidean coefficient norm and the directional
+sphere norm
 
     |alpha|_{S,p}^p = int_{(S^{n-1})^k} |alpha(v_1,...,v_k)|^p dH(v_1)...dH(v_k)
 
@@ -33,7 +33,6 @@ from .estimates import Estimate, check_exponent, delta_method_root
 
 __all__ = [
     "Covector",
-    "wedge",
     "euclidean_norm",
     "sphere_norm",
     "sphere_power_constant",
@@ -113,31 +112,6 @@ class Covector:
 
     def is_zero(self):
         return not self.coeffs
-
-    def __add__(self, other):
-        if (
-            not isinstance(other, Covector)
-            or other.dimension != self.dimension
-            or other.degree != self.degree
-        ):
-            raise ArgumentError("can only add covectors of equal dimension and degree")
-        out = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            out[idx] = out.get(idx, 0.0) + c
-        return Covector(self.dimension, self.degree, out)
-
-    def __sub__(self, other):
-        return self + (other * -1.0)
-
-    def __mul__(self, scalar):
-        scalar = float(scalar)
-        return Covector(
-            self.dimension,
-            self.degree,
-            {idx: c * scalar for idx, c in self.coeffs.items()},
-        )
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         if not self.coeffs:
@@ -222,24 +196,6 @@ def contract_minors(coeffs, dets, out=None):
     for col in range(dets.shape[-1]):
         out += np.multiply(coeffs[..., col], dets[..., col], out=product)
     return out
-
-
-def wedge(alpha: Covector, beta: Covector) -> Covector:
-    """Wedge product of two covectors on the same R^n."""
-    if alpha.dimension != beta.dimension:
-        raise ArgumentError("wedge requires covectors on the same space")
-    n = alpha.dimension
-    degree = alpha.degree + beta.degree
-    if degree > n:
-        return Covector.zero(n, degree)
-    out = {}
-    for ia, ca in alpha.coeffs.items():
-        for ib, cb in beta.coeffs.items():
-            merged, sign = sort_with_sign(ia + ib)
-            if sign == 0:
-                continue
-            out[merged] = out.get(merged, 0.0) + sign * ca * cb
-    return Covector(n, degree, out)
 
 
 def euclidean_norm(alpha: Covector) -> float:

@@ -51,6 +51,8 @@ class Polynomial:
             if len(powers) != self.dimension or any(e < 0 for e in powers):
                 raise ArgumentError(f"bad exponent tuple {powers}")
             c = float(c)
+            if not math.isfinite(c):
+                raise ArgumentError(f"coefficient of {powers} must be finite, got {c}")
             if c != 0.0:
                 clean[powers] = clean.get(powers, 0.0) + c
         self.terms = clean
@@ -112,46 +114,12 @@ class Polynomial:
             out[powers] = out.get(powers, 0.0) + c
         return Polynomial(self.dimension, out)
 
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            if other.dimension != self.dimension:
-                raise ArgumentError("polynomial dimension mismatch")
-            out = {}
-            for pa, ca in self.terms.items():
-                for pb, cb in other.terms.items():
-                    key = tuple(a + b for a, b in zip(pa, pb))
-                    out[key] = out.get(key, 0.0) + ca * cb
-            return Polynomial(self.dimension, out)
+    def __mul__(self, scalar):
         return Polynomial(
-            self.dimension, {p: c * float(other) for p, c in self.terms.items()}
+            self.dimension, {p: c * float(scalar) for p, c in self.terms.items()}
         )
 
     __rmul__ = __mul__
-
-    def compose_affine(self, base, edges):
-        """The polynomial s -> self(base + s @ edges), in the s variables.
-
-        edges has shape (k, n); the result lives in dimension k.  Exact
-        (symbolic expansion), used as the reference for quadrature tests.
-        """
-        base = np.asarray(base, dtype=float)
-        edges = np.atleast_2d(np.asarray(edges, dtype=float))
-        k = edges.shape[0]
-        lines = []
-        for j in range(self.dimension):
-            terms = {(0,) * k: float(base[j])}
-            for i in range(k):
-                key = tuple(1 if t == i else 0 for t in range(k))
-                terms[key] = float(edges[i, j])
-            lines.append(Polynomial(k, terms))
-        out = Polynomial(k, {})
-        for powers, c in self.terms.items():
-            term = Polynomial.constant(k, c)
-            for j, e in enumerate(powers):
-                for _ in range(e):
-                    term = term * lines[j]
-            out = out + term
-        return out
 
     def is_zero(self):
         return not self.terms
@@ -184,6 +152,9 @@ class FormField:
         self.partials = partials  # {(index, axis): callable pts -> (N,)} or None
         if support is not None and support.dimension != dimension:
             raise ArgumentError("support domain dimension mismatch")
+        if partials is not None and backend != "analytic":
+            raise ArgumentError(f"partials apply only to the analytic backend, "
+                                f"not {backend!r}")
         if partials is not None:
             need = {(idx, j) for idx in self.indices
                     for j in range(1, self.dimension + 1) if j not in idx}
@@ -222,6 +193,7 @@ class FormField:
         """Form from {index: callable pts -> (N,)}; a smooth form's partials
         map (index, axis) to d/dx_axis of that component, pts -> (N,), for
         every axis not in the index (1-based, as in Polynomial.partial).
+        Partials given to a form that is not smooth are an ArgumentError.
 
         The callables receive an (N, n) float array in an unspecified memory
         order; the pullback and the mollifier convolution pass column-major
@@ -230,11 +202,8 @@ class FormField:
         reproducible bits, compute each row on its own (numpy elementwise
         operations do; a matrix product may not).
         """
-        backend = "analytic" if smooth else "rough"
-        if backend == "rough":
-            partials = None
-        return cls(dimension, degree, components, backend, support=support,
-                   partials=partials)
+        return cls(dimension, degree, components, "analytic" if smooth else "rough",
+                   support=support, partials=partials)
 
     def with_support(self, domain):
         return FormField(self.dimension, self.degree, self.components,

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError
-from .exterior import _batch_det, contract_minors, minor_dets
-from .forms import Polynomial, _block_rows, row_dot
+from .exterior import contract_minors, minor_dets
+from .forms import _block_rows, row_dot
 
 __all__ = [
     "SimplexQuadratureRule",
@@ -30,8 +30,6 @@ __all__ = [
     "default_rule",
     "integrate_form",
     "edge_integrals",
-    "integrate_polynomial_form_exact",
-    "reference_monomial_integral",
 ]
 
 
@@ -292,49 +290,3 @@ def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False)
         return out
     return out, row_dot(np.abs(integrand, out=integrand), np.abs(W))
 
-
-def reference_monomial_integral(alpha):
-    """Exact integral of prod s_i^{alpha_i} over Delta_k:
-    prod(alpha_i!) / (|alpha| + k)!."""
-    alpha = tuple(int(a) for a in alpha)
-    k = len(alpha)
-    num = 1
-    for a in alpha:
-        num *= math.factorial(a)
-    return num / math.factorial(sum(alpha) + k)
-
-
-def integrate_polynomial_form_exact(omega, simplex):
-    """Symbolic reference for integrate_form on polynomial backends.
-
-    Expands the pullback coefficients in the simplex coordinates and
-    integrates monomial by monomial.
-    """
-    if omega.backend != "polynomial":
-        raise ArgumentError("exact integration needs a polynomial backend")
-    pts = _points(simplex)
-    k = pts.shape[0] - 1
-    if omega.degree != k:
-        raise ArgumentError("form degree does not match simplex order")
-    base = pts[0]
-    edges = pts[1:] - pts[0]
-    total = 0.0
-    for idx in omega.indices:
-        poly = omega.components[idx]
-        if not isinstance(poly, Polynomial):
-            raise ArgumentError("exact integration needs polynomial coefficients")
-        if k == 0:
-            total += sum(
-                c * float(np.prod(base ** np.asarray(p)))
-                for p, c in poly.terms.items()
-            )
-            continue
-        cols = [i - 1 for i in idx]
-        det = float(_batch_det(edges[:, cols][np.newaxis, :, :])[0])
-        if det == 0.0:
-            continue
-        pulled = poly.compose_affine(base, edges)
-        total += det * sum(
-            c * reference_monomial_integral(p) for p, c in pulled.terms.items()
-        )
-    return total

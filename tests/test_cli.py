@@ -1,4 +1,5 @@
 import json
+import math
 import shlex
 import warnings
 from pathlib import Path
@@ -287,16 +288,16 @@ def _spec_with(tmp_path, **changes):
     config keys replaced."""
     doc = default_spec("bbm-square-x1dx2").to_json()
     for key, value in changes.items():
-        (doc if key == "thetas" else doc["config"])[key] = value
+        (doc if key in doc else doc["config"])[key] = value
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
     return ["experiment", "--spec", str(path)]
 
 
-def _with_domain(fixtures, tmp_path, params):
-    """seminorm argv whose --domain is an axis box with the given params."""
-    path = tmp_path / "box.json"
-    path.write_text(json.dumps({"shape": "axis-box", "params": params}))
+def _with_domain(fixtures, tmp_path, params, shape="axis-box"):
+    """seminorm argv whose --domain is the shape with the given params."""
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps({"shape": shape, "params": params}))
     args = seminorm_args(fixtures)
     args[args.index("--domain") + 1] = str(path)
     return args
@@ -357,6 +358,34 @@ def _with_domain(fixtures, tmp_path, params):
                  None, "finite R", id="ball-R-nan"),
     pytest.param(lambda f, t: seminorm_args(f, "--variant", "cone", "--c", "inf"),
                  None, "finite c", id="cone-c-inf"),
+    pytest.param(lambda f, t: _spec_with(t, tolerance=math.inf, expected={
+        "kind": "closed-form", "value": 1e9}), None, "tolerance",
+                 id="spec-inf-tolerance"),
+    pytest.param(lambda f, t: _spec_with(t, tolerance=math.nan), None, "tolerance",
+                 id="spec-nan-tolerance"),
+    pytest.param(lambda f, t: _spec_with(t, expected={
+        "kind": "closed-form", "value": math.inf}), None, "expected_value",
+                 id="spec-inf-target"),
+    pytest.param(lambda f, t: _spec_with(t, expected={
+        "kind": "closed-form", "value": math.nan}), None, "expected_value",
+                 id="spec-nan-target"),
+    pytest.param(lambda f, t: _with_domain(f, t, {"lo": [0, 0], "hi": [1, math.inf]}),
+                 None, "box hi", id="box-inf-hi"),
+    pytest.param(lambda f, t: _with_domain(f, t, {"center": [0.5, 0.5],
+                                                  "radius": math.inf}, "ball"),
+                 None, "ball radius", id="ball-inf-radius"),
+    pytest.param(lambda f, t: _with_domain(f, t, {"center": [0, math.nan],
+                                                  "radius": 1}, "ball"),
+                 None, "ball center", id="ball-nan-center"),
+    pytest.param(lambda f, t: _with_domain(f, t, {"center": [0, 0], "r_in": 0.5,
+                                                  "r_out": math.inf}, "annulus"),
+                 None, "annulus r_out", id="annulus-inf-r_out"),
+    pytest.param(lambda f, t: _with_domain(f, t, {"center": [[0, 0]], "r_in": 0.5,
+                                                  "r_out": 1}, "annulus"),
+                 None, "annulus center", id="annulus-matrix-center"),
+    pytest.param(lambda f, t: _with_domain(f, t, {
+        "lo": [0, 0], "hi": [1, 1], "seg_start": [0.5, 0], "seg_end": [0.5, 0.5],
+        "delta": math.nan}, "slit-box"), None, "slit delta", id="slit-nan-delta"),
 ])
 def test_bad_seed_samples_or_thetas_is_config_error(fixtures, tmp_path, capsys,
                                                    monkeypatch, argv, env, field):

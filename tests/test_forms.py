@@ -259,6 +259,24 @@ def test_partials_must_cover_every_axis_that_d_reads():
                           -np.cos(pts[:, 1]))
 
 
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda f, d: FormField.from_callables(2, 1, f, smooth=False,
+                                                       partials=d),
+                 id="not-smooth"),
+    pytest.param(lambda f, d: FormField(2, 1, f, "rough", partials=d), id="rough"),
+    pytest.param(lambda f, d: FormField(2, 1, {(1,): Polynomial(2, {(0, 1): 1.0})},
+                                        "polynomial", partials=d),
+                 id="polynomial"),
+])
+def test_partials_off_the_analytic_backend_are_refused(build):
+    """Only an analytic form reads its partials; given to any other, they
+    would be dropped or ignored without a word."""
+    f = {(1,): lambda pts: np.sin(pts[:, 1])}
+    d = {((1,), 2): lambda pts: np.cos(pts[:, 1])}
+    with pytest.raises(ArgumentError, match="partials apply only to the analytic"):
+        build(f, d)
+
+
 def test_mollified_d_runs_one_vector_product_per_partial_it_reads(monkeypatch):
     """d of a mollified 1-form in R^3 reads d_j omega_i for the 6 pairs with
     j != i: one convolution each, reduced against one weight column."""

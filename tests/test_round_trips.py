@@ -1,0 +1,238 @@
+"""JSON round trips of domains, forms and experiment specs, as properties.
+
+A document that to_json writes and the matching from_json reads back must
+rebuild the same object: the same document again, and for a domain the
+same membership and boundary-distance bits.  Replacing any one numeric
+parameter of a valid document with NaN or an infinity must be refused as an
+ArgumentError, never accepted into a domain, form or spec that then
+measures nonsense.  The integers that give a form its shape (n, k, index
+entries and powers) are not parameters: they are read with int().
+"""
+
+import copy
+import json
+import math
+from itertools import combinations
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from formflux.domains import (
+    Annulus,
+    AxisBox,
+    Ball,
+    ConvexPolytope,
+    SetDifference,
+    domain_from_json,
+)
+from formflux.errors import ArgumentError
+from formflux.experiments import ExperimentSpec
+from formflux.forms import FormField, Polynomial, form_from_json, form_to_json
+from formflux.seminorms import VARIANTS, SeminormConfig
+
+PROPERTY = settings(max_examples=60, deadline=5000)
+
+coordinate = st.floats(-2.0, 2.0, allow_nan=False, width=64)
+length = st.floats(0.125, 3.0, allow_nan=False, width=64)
+fraction = st.floats(0.1, 0.9, allow_nan=False, width=64)
+dimension = st.sampled_from([2, 3])
+
+
+def vectors(n, elements=coordinate):
+    return st.lists(elements, min_size=n, max_size=n)
+
+
+@st.composite
+def balls(draw, n=None):
+    n = n or draw(dimension)
+    return Ball(draw(vectors(n)), draw(length))
+
+
+@st.composite
+def boxes(draw, n=None):
+    n = n or draw(dimension)
+    lo = draw(vectors(n))
+    return AxisBox(lo, [a + w for a, w in zip(lo, draw(vectors(n, length)))])
+
+
+@st.composite
+def annuli(draw, n=None):
+    n = n or draw(dimension)
+    r_in = draw(length)
+    return Annulus(draw(vectors(n)), r_in, r_in + draw(length))
+
+
+@st.composite
+def polytopes(draw, n=None):
+    """The box [-1, 1]^n cut by up to two halfspaces that keep the ball of
+    radius 0.2 about the origin."""
+    n = n or draw(dimension)
+    normals = [row for j in range(n) for row in (np.eye(n)[j], -np.eye(n)[j])]
+    offsets = [1.0] * (2 * n)
+    for _ in range(draw(st.integers(0, 2))):
+        a = np.array(draw(vectors(n, st.floats(-1.0, 1.0, allow_nan=False))))
+        if np.linalg.norm(a) < 0.1:
+            continue
+        normals.append(a)
+        offsets.append(draw(st.floats(0.2, 2.0)) * float(np.linalg.norm(a)))
+    return ConvexPolytope(np.array(normals), offsets)
+
+
+@st.composite
+def box_minus_ball(draw, n=None):
+    box = draw(boxes(n))
+    center = [a + t * (b - a) for a, b, t in
+              zip(box.lo, box.hi, draw(vectors(box.dimension, fraction)))]
+    margin = float(box.dist_to_boundary(np.array(center)))
+    return SetDifference(box, Ball(center, draw(fraction) * margin))
+
+
+def domains(n=None):
+    return st.one_of(balls(n), boxes(n), annuli(n), polytopes(n), box_minus_ball(n))
+
+
+@st.composite
+def polynomial_forms(draw):
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(0, n))
+    every = list(combinations(range(1, n + 1), k))
+    indices = draw(st.lists(st.sampled_from(every), min_size=1, max_size=len(every),
+                            unique=True))
+    powers = st.tuples(*[st.integers(0, 3)] * n)
+    coeff = st.floats(allow_nan=False, allow_infinity=False, width=64).filter(bool)
+    comps = {idx: Polynomial(n, draw(st.dictionaries(powers, coeff, max_size=4)))
+             for idx in indices}
+    support = draw(st.none() | domains(n)) if n > 1 else None
+    return FormField.from_polynomials(n, k, comps, support=support)
+
+
+@st.composite
+def specs(draw):
+    n = 2
+    form = FormField.from_polynomials(
+        n, 1, {(2,): {(1, 0): draw(st.floats(-4.0, 4.0).filter(bool))}})
+    variant = draw(st.sampled_from(VARIANTS))
+    config = SeminormConfig(
+        p=draw(st.floats(1.0, 6.0)),
+        variant=variant,
+        samples=draw(st.integers(2, 10**6)),
+        seed=draw(st.integers(0, 2**32)),
+        R=draw(length) if "ball" in variant else None,
+        c=draw(length) if "cone" in variant else None,
+    )
+    thetas = draw(st.lists(st.floats(0.5, 0.999), min_size=1, max_size=5,
+                           unique=True))
+    kind = draw(st.sampled_from(["closed-form", "oracle", "qualitative"]))
+    value = draw(st.floats(-10.0, 10.0)) if kind == "closed-form" else None
+    return ExperimentSpec(
+        name=draw(st.text(min_size=1, max_size=12)), form=form,
+        domain=draw(domains(n)), config=config, thetas=tuple(sorted(thetas)),
+        expected_kind=kind, expected_value=value,
+        tolerance=draw(st.floats(1e-6, 1.0)),
+    )
+
+
+def through_text(doc):
+    return json.loads(json.dumps(doc))
+
+
+SHAPE_KEYS = {"n", "k", "index", "powers"}
+
+
+def numeric_leaves(doc, path=()):
+    """The paths to every numeric parameter in a JSON document."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from numeric_leaves(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from numeric_leaves(value, path + (i,))
+    elif (isinstance(doc, (int, float)) and not isinstance(doc, bool)
+          and not SHAPE_KEYS & set(path)):
+        yield path
+
+
+def with_one_number(data, doc):
+    """A copy of doc with one of its numeric parameters, drawn by data,
+    made NaN or infinite."""
+    paths = list(numeric_leaves(doc))
+    assume(paths)
+    path = data.draw(st.sampled_from(paths), label="path")
+    bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]), label="value")
+    out = copy.deepcopy(doc)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = bad
+    return out
+
+
+@PROPERTY
+@given(domains(), st.integers(0, 2**32))
+def test_domain_round_trip_keeps_the_document_and_the_bits(domain, seed):
+    back = domain_from_json(through_text(domain.to_json()))
+    assert type(back) is type(domain)
+    assert back.to_json() == domain.to_json()
+    lo, hi = domain.bounding_box()
+    pad = 0.1 * (hi - lo)
+    rng = np.random.default_rng(seed)
+    pts = (lo - pad) + (hi - lo + 2 * pad) * rng.random((64, domain.dimension))
+    assert np.array_equal(back.contains_batch(pts), domain.contains_batch(pts))
+    assert np.array_equal(back.dist_to_boundary_batch(pts),
+                          domain.dist_to_boundary_batch(pts))
+
+
+@PROPERTY
+@given(polynomial_forms())
+def test_form_round_trip_keeps_every_term(omega):
+    back = form_from_json(through_text(form_to_json(omega)))
+    assert (back.dimension, back.degree, back.indices) == (
+        omega.dimension, omega.degree, omega.indices)
+    for idx in omega.indices:
+        assert back.components[idx].terms == omega.components[idx].terms
+    assert form_to_json(back) == form_to_json(omega)
+
+
+@PROPERTY
+@given(specs())
+def test_spec_round_trip_keeps_the_spec(spec):
+    back = ExperimentSpec.from_json(through_text(spec.to_json()))
+    assert back.to_json() == spec.to_json()
+    assert (back.name, back.config, back.thetas, back.expected_kind,
+            back.expected_value, back.tolerance) == (
+        spec.name, spec.config, spec.thetas, spec.expected_kind,
+        spec.expected_value, spec.tolerance)
+
+
+@PROPERTY
+@given(domains(), st.data())
+def test_a_non_finite_domain_parameter_is_refused(domain, data):
+    doc = with_one_number(data, domain.to_json())
+    try:
+        domain_from_json(doc)
+    except ArgumentError:
+        return
+    raise AssertionError(f"accepted {doc}")
+
+
+@PROPERTY
+@given(polynomial_forms(), st.data())
+def test_a_non_finite_form_number_is_refused(omega, data):
+    doc = with_one_number(data, form_to_json(omega))
+    try:
+        form_from_json(doc)
+    except ArgumentError:
+        return
+    raise AssertionError(f"accepted {doc}")
+
+
+@PROPERTY
+@given(specs(), st.data())
+def test_a_non_finite_spec_number_is_refused(spec, data):
+    doc = with_one_number(data, spec.to_json())
+    try:
+        ExperimentSpec.from_json(doc)
+    except ArgumentError:
+        return
+    raise AssertionError(f"accepted {doc}")

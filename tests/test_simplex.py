@@ -14,10 +14,9 @@ from formflux.simplex import (
     edge_integrals,
     grundmann_moller_rule,
     integrate_form,
-    integrate_polynomial_form_exact,
     monte_carlo_rule,
-    reference_monomial_integral,
 )
+from oracles import integrate_polynomial_form_exact, reference_monomial_integral
 
 
 def random_polynomial_form(rng, n, k, max_degree=3):
