@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import ArgumentError
@@ -12,6 +13,20 @@ def check_exponent(p):
     """Raise ArgumentError unless the exponent p is finite and >= 1."""
     if not (math.isfinite(p) and p >= 1):
         raise ArgumentError(f"p must be >= 1 and finite, got {p!r}")
+
+
+def check_integer(value, what):
+    """value as an int.  An integral float such as 2.0 is accepted; a bool,
+    a fraction, a non-finite value or a non-number is an ArgumentError that
+    names `what`, never truncated as int() would."""
+    if type(value) is int:
+        return value
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and float(value).is_integer()):
+        return int(value)
+    raise ArgumentError(f"{what} must be an integer, got {value!r}")
 
 
 def delta_method_root(power, power_err, p):

@@ -69,6 +69,8 @@ class ExperimentSpec:
     expected_kind is one of closed-form (expected_value holds the limit of
     the p-th power), oracle (the target is computed from the constant K and
     a sphere-norm integral of d omega), or qualitative (report only).
+    Only a closed-form target reads expected_value; the other kinds refuse
+    one, as SeminormConfig refuses an R or c that its variant ignores.
     """
 
     name: str
@@ -96,6 +98,9 @@ class ExperimentSpec:
                 isinstance(value, numbers.Real) and math.isfinite(value)):
             raise ArgumentError(f"closed-form target needs a finite expected_value, "
                                 f"got {value!r}")
+        if self.expected_kind != "closed-form" and value is not None:
+            raise ArgumentError(f"expected_value applies only to a closed-form "
+                                f"target, not {self.expected_kind!r}")
 
     def to_json(self):
         """The spec as a JSON document; the config keeps every field but

@@ -29,7 +29,7 @@ import numpy as np
 
 from .domains import normalize_rows
 from .errors import ArgumentError
-from .estimates import Estimate, check_exponent, delta_method_root
+from .estimates import Estimate, check_exponent, check_integer, delta_method_root
 
 __all__ = [
     "Covector",
@@ -44,8 +44,8 @@ __all__ = [
 
 
 def _normalize_index(entries, n, k=None):
-    """Validate a multi-index: strictly increasing ints in [1, n]."""
-    idx = tuple(int(i) for i in entries)
+    """Validate a multi-index: strictly increasing integers in [1, n]."""
+    idx = tuple(check_integer(i, "multi-index entry") for i in entries)
     if k is not None and len(idx) != k:
         raise ArgumentError(f"multi-index {idx} has length {len(idx)}, expected {k}")
     for i in idx:

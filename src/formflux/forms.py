@@ -19,7 +19,12 @@ import os
 import numpy as np
 
 from .errors import ArgumentError, UnsupportedOperationError
-from .estimates import SeminormEstimate, check_exponent, delta_method_root
+from .estimates import (
+    SeminormEstimate,
+    check_exponent,
+    check_integer,
+    delta_method_root,
+)
 from .exterior import (
     Covector,
     _normalize_index,
@@ -44,10 +49,10 @@ class Polynomial:
     """Sparse multivariate polynomial: {exponent tuple: coefficient}."""
 
     def __init__(self, dimension, terms=None):
-        self.dimension = int(dimension)
+        self.dimension = check_integer(dimension, "polynomial dimension")
         clean = {}
         for powers, c in (terms or {}).items():
-            powers = tuple(int(e) for e in powers)
+            powers = tuple(check_integer(e, "exponent") for e in powers)
             if len(powers) != self.dimension or any(e < 0 for e in powers):
                 raise ArgumentError(f"bad exponent tuple {powers}")
             c = float(c)
@@ -56,6 +61,22 @@ class Polynomial:
             if c != 0.0:
                 clean[powers] = clean.get(powers, 0.0) + c
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, dimension, terms):
+        """The polynomial of terms keyed by distinct valid exponent tuples
+        with float coefficients, as __init__ builds it (zeros dropped, the
+        rest in their order, a non-finite one refused) without checking
+        the keys again: partial, + and * build through here."""
+        poly = cls.__new__(cls)
+        poly.dimension = dimension
+        poly.terms = clean = {}
+        for powers, c in terms.items():
+            if not math.isfinite(c):
+                raise ArgumentError(f"coefficient of {powers} must be finite, got {c}")
+            if c != 0.0:
+                clean[powers] = c
+        return poly
 
     @classmethod
     def constant(cls, dimension, value):
@@ -68,13 +89,16 @@ class Polynomial:
         powers[j - 1] = 1
         return cls(dimension, {tuple(powers): 1.0})
 
-    def evaluate_batch(self, pts):
-        """Values at pts (N, dimension): sum over terms of c * monomial.
+    def evaluate_batch(self, pts, out=None):
+        """Values at pts (N, dimension): sum over terms of c * monomial,
+        added in term order to zeros, into out (N,) when it is given.
 
         A monomial is the left-to-right product of its powers x_j^e (zero
-        exponents skipped), and x_j^e = x_j^(e-1) * x_j is built once per
-        coordinate up to its top exponent.  No pow: products are correctly
-        rounded, while numpy's pow gives bits that depend on the host.
+        exponents skipped), then times c, and x_j^e = x_j^(e-1) * x_j is
+        built once per coordinate up to its top exponent.  No pow: products
+        are correctly rounded, while numpy's pow gives bits that depend on
+        the host.  The terms share one scratch column; with out given, the
+        powers above 1 are the only other arrays a call allocates.
         """
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dimension:
@@ -85,10 +109,24 @@ class Polynomial:
             for _ in range(1, top):
                 ladder.append(ladder[-1] * pts[:, j])
             powers_of.append(ladder)
-        out = np.zeros(pts.shape[0])
+        if out is None:
+            out = np.zeros(pts.shape[0])
+        else:
+            out.fill(0.0)
+        term = np.empty(pts.shape[0])
         for powers, c in self.terms.items():
             factors = [powers_of[j][e] for j, e in enumerate(powers) if e]
-            out += c * functools.reduce(np.multiply, factors) if factors else c
+            if not factors:
+                out += c
+                continue
+            if len(factors) == 1:
+                np.multiply(factors[0], c, out=term)
+            else:
+                np.multiply(factors[0], factors[1], out=term)
+                for factor in factors[2:]:
+                    term *= factor
+                term *= c
+            out += term
         return out
 
     def __call__(self, x):
@@ -103,20 +141,24 @@ class Polynomial:
                 continue
             lowered = list(powers)
             lowered[j - 1] = e - 1
-            out[tuple(lowered)] = out.get(tuple(lowered), 0.0) + c * e
-        return Polynomial(self.dimension, out)
+            out[tuple(lowered)] = c * e
+        return Polynomial._trusted(self.dimension, out)
 
     def __add__(self, other):
         if isinstance(other, (int, float)):
             other = Polynomial.constant(self.dimension, other)
+        if other.dimension != self.dimension:
+            raise ArgumentError(f"cannot add polynomials in {self.dimension} and "
+                                f"{other.dimension} variables")
         out = dict(self.terms)
         for powers, c in other.terms.items():
             out[powers] = out.get(powers, 0.0) + c
-        return Polynomial(self.dimension, out)
+        return Polynomial._trusted(self.dimension, out)
 
     def __mul__(self, scalar):
-        return Polynomial(
-            self.dimension, {p: c * float(scalar) for p, c in self.terms.items()}
+        scalar = float(scalar)
+        return Polynomial._trusted(
+            self.dimension, {p: c * scalar for p, c in self.terms.items()}
         )
 
     __rmul__ = __mul__
@@ -136,12 +178,12 @@ class FormField:
 
     def __init__(self, dimension, degree, components, backend, support=None,
                  partials=None):
+        self.dimension = dimension = check_integer(dimension, "form dimension")
+        self.degree = degree = check_integer(degree, "form degree")
         if degree < 0:
             raise ArgumentError("degree must be >= 0")
         if degree > dimension and components:
             raise ArgumentError("forms of degree above n are identically zero")
-        self.dimension = int(dimension)
-        self.degree = int(degree)
         self.backend = backend
         if backend not in ("polynomial", "analytic", "rough"):
             raise ArgumentError(f"unknown backend {backend!r}")
@@ -211,24 +253,30 @@ class FormField:
 
     # -- evaluation ----------------------------------------------------------
 
-    def coefficients_batch(self, pts):
-        """Column-major coefficient values (N, m) at pts (N, n), by self.indices."""
+    def coefficients_batch(self, pts, out=None):
+        """Coefficient values (N, m) at pts (N, n), by self.indices, into out
+        when it is given; a new array is column-major."""
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dimension:
             raise ArgumentError(f"expected points of shape (N, {self.dimension})")
-        out = np.empty((len(self.indices), pts.shape[0])).T
+        if out is None:
+            out = np.empty((len(self.indices), pts.shape[0])).T
         for col, idx in enumerate(self.indices):
-            out[:, col] = self._component_batch(idx, pts)
+            self._component_batch(idx, pts, out[:, col])
         if self.support is not None:
             out *= self.support.contains_batch(pts)[:, np.newaxis]
         return out
 
-    def _component_batch(self, idx, pts):
-        """Values (N,) of the component idx at pts (N, n), support ignored."""
+    def _component_batch(self, idx, pts, out=None):
+        """Values (N,) of the component idx at pts (N, n), support ignored,
+        into out when it is given."""
         comp = self.components[idx]
         if isinstance(comp, Polynomial):
-            return comp.evaluate_batch(pts)
-        return np.asarray(comp(pts), dtype=float)
+            return comp.evaluate_batch(pts, out)
+        if out is None:
+            return np.asarray(comp(pts), dtype=float)
+        out[...] = comp(pts)
+        return out
 
     @functools.cached_property
     def _reads(self):
@@ -334,14 +382,18 @@ class FormField:
 # node blocks
 
 # Quadrature nodes evaluated per block by the pullback (simplex.edge_integrals)
-# and the mollifier convolution: a block's node positions and coefficient
-# temporaries stay within a few MB, whatever the batch size.
-_NODE_BLOCK = 1 << 15
+# and the mollifier convolution.  An array of one double per node of a block
+# is 64 KiB, under glibc's default mmap threshold of 128 KiB, so the blocks'
+# temporaries come from the heap instead of freshly mapped, faulted pages.
+# Rows of more than 2^8 nodes (the 1,024-node rough rule) still get
+# _MIN_BLOCK_ROWS rows per block, so their blocks do not multiply.
+_NODE_BLOCK = 1 << 13
+_MIN_BLOCK_ROWS = 32
 
 
 def _block_rows(nodes):
     """Rows per node block when each row carries `nodes` quadrature nodes."""
-    return max(1, _NODE_BLOCK // max(1, nodes))
+    return max(_MIN_BLOCK_ROWS, _NODE_BLOCK // max(1, nodes))
 
 
 def _blas_threads():
@@ -598,15 +650,16 @@ def form_to_json(omega):
 def form_from_json(doc):
     from .domains import domain_from_json
 
-    n = int(doc["n"])
-    k = int(doc["k"])
+    n = check_integer(doc["n"], "n")
+    k = check_integer(doc["k"], "k")
     comps = {}
     for term in doc.get("terms", []):
-        idx = tuple(int(i) for i in term["index"])
+        idx = tuple(check_integer(i, "index entry") for i in term["index"])
         poly = Polynomial(
             n,
             {
-                tuple(int(e) for e in mono["powers"]): float(mono["coeff"])
+                tuple(check_integer(e, "powers entry") for e in mono["powers"]):
+                    float(mono["coeff"])
                 for mono in term.get("monomials", [])
             },
         )

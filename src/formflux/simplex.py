@@ -191,26 +191,34 @@ def integrate_form(omega, simplex, rule=None):
 _SCREEN = 16
 
 
+def _block_buffer(omega, rows, Q):
+    """Scratch for _integrand_block on blocks of up to `rows` rows of Q nodes."""
+    return np.empty((omega.dimension + 1 + len(omega.indices)) * rows * Q)
+
+
 def _integrand_block(omega, P, base, edges, dets, buf, out):
     """The integrand at the nodes P (Q, k) of a block of rows, into out (rows, Q).
 
-    buf is scratch of at least n * rows * Q doubles.  pos[c] = sum_j
-    outer(edges[:, j, c], P[:, j]) + base[:, c], summed in order j = 0, 1,
-    ... without fused multiply-adds, for each coordinate c the coefficients
-    read (FormField._reads).  Coordinate-major, so the coefficients read the
-    column-major (rows * Q, n) view and return column-major (rows * Q, m)
-    values.
+    buf is from _block_buffer.  pos[c] = sum_j outer(edges[:, j, c], P[:, j])
+    + base[:, c], summed in order j = 0, 1, ... without fused multiply-adds,
+    for each coordinate c the coefficients read (FormField._reads).
+    Coordinate-major, so the coefficients read the column-major (rows * Q,
+    n) view, and write column-major (rows * Q, m) values.  The positions,
+    the outer-product term and the values all live in buf.
     """
-    n = omega.dimension
+    n, m = omega.dimension, len(omega.indices)
     rows, Q = out.shape
-    pos = buf[: n * rows * Q].reshape(n, rows, Q)
+    size = rows * Q
+    pos = buf[: n * size].reshape(n, rows, Q)
+    term = buf[n * size : (n + 1) * size].reshape(rows, Q)
+    coeffs = buf[(n + 1) * size : (n + 1 + m) * size].reshape(m, size).T
     for c in omega._reads:
         np.multiply.outer(edges[:, 0, c], P[:, 0], out=pos[c])
         for j in range(1, P.shape[1]):
-            pos[c] += np.multiply.outer(edges[:, j, c], P[:, j])
+            pos[c] += np.multiply.outer(edges[:, j, c], P[:, j], out=term)
         pos[c] += base[:, c, np.newaxis]
-    coeffs = omega.coefficients_batch(pos.reshape(n, -1).T).reshape(rows, Q, -1)
-    contract_minors(coeffs, dets[:, np.newaxis], out=out)
+    omega.coefficients_batch(pos.reshape(n, -1).T, out=coeffs)
+    contract_minors(coeffs.reshape(rows, Q, m), dets[:, np.newaxis], out=out)
 
 
 def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False):
@@ -221,8 +229,10 @@ def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False)
     factored out analytically).  With with_mass, also returns the quadrature
     mass sum_q |w_q| |integrand_q|.
 
-    The nodes are evaluated one block of rows at a time (forms._NODE_BLOCK
-    nodes), so the positions and coefficients never exist for the whole
+    The nodes are evaluated one block of rows at a time (forms._block_rows:
+    forms._NODE_BLOCK nodes, or forms._MIN_BLOCK_ROWS rows of a long rule),
+    in one scratch buffer per call, so the positions and coefficients never
+    exist for the whole
     batch; only the (N, Q) integrand does, reduced in one forms.row_dot
     call.  Every step computes row by row, so a simplex gets the same bits
     in any batch.  Positions are built only for
@@ -233,7 +243,8 @@ def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False)
 
     On a stratified segment rule of more than 2 * _SCREEN nodes each row is
     first evaluated at the screen nodes 0, _SCREEN, 2 * _SCREEN, ... and
-    Q - 1 (65 of the default rule's 1,024).  A row whose screen values are
+    Q - 1 (65 of the default rule's 1,024), in blocks of as many nodes as a
+    block of the full rule holds.  A row whose screen values are
     all equal (==, so a NaN never is) takes that value at every node; only
     the other rows are evaluated at all Q nodes, gathered and scattered one
     node block at a time.  This keeps the bits of evaluating every node
@@ -258,21 +269,19 @@ def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False)
     rows = _block_rows(Q)
     if not omega._reads:  # one contraction per row, broadcast to its nodes
         const = omega.coefficients_batch(np.zeros((1, n)))
-        for lo in range(0, N, rows):
-            hi = lo + rows
-            integrand[lo:hi] = contract_minors(const, dets[lo:hi, np.newaxis])
+        integrand[...] = contract_minors(const, dets[:, np.newaxis])
     elif rule.kind == "stratified" and Q > 2 * _SCREEN:
         screen = np.concatenate([P[:-1:_SCREEN], P[-1:]])
         vals = np.empty((N, len(screen)))
-        step = _block_rows(len(screen))
-        buf = np.empty(n * min(step, N) * len(screen))
+        step = rows * Q // len(screen)
+        buf = _block_buffer(omega, min(step, N), len(screen))
         for lo in range(0, N, step):
             hi = lo + step
             _integrand_block(omega, screen, base[lo:hi], edges[lo:hi],
                              dets[lo:hi], buf, vals[lo:hi])
         integrand[...] = vals[:, :1]
         busy = np.flatnonzero((vals != vals[:, :1]).any(axis=1))
-        buf = np.empty(n * min(rows, len(busy)) * Q)
+        buf = _block_buffer(omega, min(rows, len(busy)), Q)
         block = np.empty((min(rows, len(busy)), Q))
         for lo in range(0, len(busy), rows):
             at = busy[lo:lo + rows]
@@ -280,7 +289,7 @@ def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False)
                              block[: len(at)])
             integrand[at] = block[: len(at)]
     else:
-        buf = np.empty(n * min(rows, N) * Q)
+        buf = _block_buffer(omega, min(rows, N), Q)
         for lo in range(0, N, rows):
             hi = lo + rows
             _integrand_block(omega, P, base[lo:hi], edges[lo:hi], dets[lo:hi],

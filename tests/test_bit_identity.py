@@ -20,7 +20,8 @@ row by row.  The pullback and the convolution do, so any split of a batch
 gives the same bits, and the estimator evaluates only the accepted tuples.
 Likewise they evaluate their nodes in blocks of forms._NODE_BLOCK, and no
 block size may move a bit.  Nor may the memory layout: coefficient arrays
-are column-major, and the points may come in either order.  Nor may the read set: the kernels build only the
+are column-major, the points may come in either order, and a polynomial or
+a form may write into a column of a caller's buffer.  Nor may the read set: the kernels build only the
 coordinates a form reads, contract a constant form once per row, and
 convolve by evaluating each distinct shift once and gathering, while the
 references build and evaluate every coordinate of every node.  Nor may the
@@ -67,6 +68,7 @@ from formflux.domains import (
 from formflux.exterior import (
     Covector,
     _batch_det,
+    sort_with_sign,
     sphere_norm,
     unit_sphere_area,
 )
@@ -79,6 +81,7 @@ from formflux.forms import (
     mollify,
     row_dot,
 )
+from formflux.errors import ArgumentError
 from formflux.estimates import SeminormEstimate
 from formflux.seminorms import SeminormConfig
 from formflux.simplex import (
@@ -256,6 +259,144 @@ def test_coefficients_are_column_major_whatever_the_point_layout(case):
     assert np.array_equal(rows, columns)
 
 
+def bits(a):
+    """The float64 bit patterns of a, so that -0.0 differs from 0.0 and a NaN
+    equals itself."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def with_negative_zeros(draw, pts):
+    """pts with a drawn set of its entries replaced by -0.0."""
+    mask = draw(hnp.arrays(np.bool_, pts.shape))
+    return np.where(mask, -0.0, pts)
+
+
+@st.composite
+def column_buffers(draw, rows, width):
+    """A column-major (rows, width + extra) buffer of drawn bits (NaNs and
+    -0.0 among them) and the column offset at which width columns start."""
+    extra = draw(st.integers(0, 3))
+    filler = st.floats(width=64) | st.sampled_from([-0.0, np.nan])
+    buf = np.asfortranarray(
+        draw(hnp.arrays(np.float64, (rows, width + extra), elements=filler)))
+    return buf, draw(st.integers(0, extra))
+
+
+@PROPERTY
+@given(polynomial_cases(), st.data())
+def test_polynomial_into_a_column_keeps_the_bits(case, data):
+    poly, pts = case
+    pts = with_negative_zeros(data.draw, pts)
+    buf, col = data.draw(column_buffers(len(pts), 1))
+    before = bits(buf).copy()
+    got = poly.evaluate_batch(pts, out=buf[:, col])
+    assert np.shares_memory(got, buf)
+    assert np.array_equal(bits(buf[:, col]), bits(poly.evaluate_batch(pts)))
+    assert np.array_equal(bits(buf[:, col]), bits(reference_polynomial(poly, pts)))
+    others = np.arange(buf.shape[1]) != col
+    assert np.array_equal(bits(buf)[:, others], before[:, others])
+
+
+@PROPERTY
+@given(layout_cases(), st.data())
+def test_coefficients_into_a_buffer_keep_the_bits(case, data):
+    omega, pts = case
+    pts = with_negative_zeros(data.draw, pts)
+    m = len(omega.indices)
+    buf, lo = data.draw(column_buffers(len(pts), m))
+    before = bits(buf).copy()
+    omega.coefficients_batch(np.asfortranarray(pts), out=buf[:, lo : lo + m])
+    assert np.array_equal(bits(buf[:, lo : lo + m]),
+                          bits(omega.coefficients_batch(pts)))
+    others = (np.arange(buf.shape[1]) < lo) | (np.arange(buf.shape[1]) >= lo + m)
+    assert np.array_equal(bits(buf)[:, others], before[:, others])
+
+
+# Polynomial.partial, + and * skip __init__'s checks of the exponent tuples.
+# The references build through __init__ as before; the term order is the
+# order in which evaluate_batch adds the terms, so it must match too.
+def validated_partial(poly, j):
+    out = {}
+    for powers, c in poly.terms.items():
+        if powers[j - 1]:
+            lowered = list(powers)
+            lowered[j - 1] -= 1
+            out[tuple(lowered)] = out.get(tuple(lowered), 0.0) + c * powers[j - 1]
+    return Polynomial(poly.dimension, out)
+
+
+def validated_sum(a, b):
+    out = dict(a.terms)
+    for powers, c in b.terms.items():
+        out[powers] = out.get(powers, 0.0) + c
+    return Polynomial(a.dimension, out)
+
+
+def validated_scaled(poly, scalar):
+    return Polynomial(poly.dimension,
+                      {p: c * float(scalar) for p, c in poly.terms.items()})
+
+
+def validated_derivative(omega):
+    out = {}
+    for idx, poly in omega.components.items():
+        for j in range(1, omega.dimension + 1):
+            dj = validated_partial(poly, j)
+            merged, sign = sort_with_sign((j,) + idx)
+            if dj.terms and sign:
+                cur = out.get(merged)
+                dj = validated_scaled(dj, sign)
+                out[merged] = dj if cur is None else validated_sum(cur, dj)
+    return {idx: p for idx, p in out.items() if p.terms}
+
+
+def outcome(build):
+    """The terms of build(), in order, or the type of what it raised."""
+    try:
+        return list(build().terms.items())
+    except ArgumentError as exc:
+        return type(exc)
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """Two polynomials in n variables and an axis; the second negates some
+    terms of the first, so that their sum drops those terms."""
+    n = draw(st.integers(1, 3))
+    a, b = draw(sparse_polynomials(n)), draw(sparse_polynomials(n))
+    cancel = {p: -c for p, c in a.terms.items() if draw(st.booleans())}
+    return a, Polynomial(n, {**b.terms, **cancel}), draw(st.integers(1, n))
+
+
+# a product that overflows to inf is refused on both sides; one that
+# underflows to zero drops its term
+scalars = coefficients | st.sampled_from([0.0, -0.0, 3, 1e-320, 4e307, -1.5e308])
+
+
+@PROPERTY
+@given(polynomial_pairs(), scalars)
+def test_derived_polynomials_keep_the_validated_terms(case, scalar):
+    a, b, j = case
+    assert outcome(lambda: a.partial(j)) == outcome(lambda: validated_partial(a, j))
+    assert outcome(lambda: a + b) == outcome(lambda: validated_sum(a, b))
+    assert outcome(lambda: a * scalar) == outcome(lambda: validated_scaled(a, scalar))
+    assert outcome(lambda: scalar * b) == outcome(lambda: validated_scaled(b, scalar))
+
+
+@PROPERTY
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n - 1))).flatmap(lambda nk: st.tuples(
+        st.just(nk), basis_indices(*nk), st.data())))
+def test_exterior_derivative_keeps_the_validated_terms(case):
+    (n, k), indices, data = case
+    omega = data.draw(polynomial_forms(n, k, indices, data.draw(polynomial_kinds)))
+    got = omega.exterior_derivative()
+    want = validated_derivative(omega)
+    assert list(got.components) == list(want)
+    for idx, poly in want.items():
+        assert list(got.components[idx].terms.items()) == list(poly.terms.items())
+
+
 def test_lp_norm_keeps_its_bits_on_column_major_coefficients():
     omega = FormField.from_polynomials(3, 2, {
         (1, 2): {(1, 0, 0): 1.5, (0, 2, 1): -0.7},
@@ -339,11 +480,13 @@ def test_scaled_integration_matches_ordered_reference(case):
 
 def _node_block(rows, nodes):
     """Patch the node block to `rows` rows of `nodes` nodes, or to a single
-    node (one row per block) when rows is 0.  The convolution counts a
-    block's nodes in distinct shifts, so a component it evaluates at m of
-    its `nodes` nodes gets rows * nodes // m rows per block; rows = 0 still
-    gives one row per block."""
-    return mock.patch.object(forms, "_NODE_BLOCK", max(1, rows * nodes))
+    node (one row per block) when rows is 0, with no floor on the rows of a
+    block (forms._MIN_BLOCK_ROWS), which would lift them all to 32.  The
+    convolution counts a block's nodes in distinct shifts, so a component
+    it evaluates at m of its `nodes` nodes gets rows * nodes // m rows per
+    block; rows = 0 still gives one row per block."""
+    return mock.patch.multiple(forms, _NODE_BLOCK=max(1, rows * nodes),
+                               _MIN_BLOCK_ROWS=1)
 
 
 # rows per block: 1 node, and 1, 2 or 4 rows, which leave a partial last
@@ -372,6 +515,28 @@ def test_pullback_node_blocks_keep_the_bits(case, rows):
     for got, want in ((plain_mass, want_plain), (scaled_mass, want_scaled)):
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, 4])
+def test_the_patched_node_block_has_the_rows_it_names(rows):
+    """The block properties above run on blocks of 1, 2 and 4 rows, not on
+    the floor's 32."""
+    omega = FormField.from_polynomials(2, 1, {(1,): {(1, 0): 1.0},
+                                              (2,): {(0, 2): -0.5}})
+    rule = default_rule(1)
+    seen = []
+    coefficients = FormField.coefficients_batch
+
+    def counted(self, pts, out=None):
+        seen.append(len(pts))
+        return coefficients(self, pts, out)
+
+    Q = len(rule.weights)
+    with _node_block(rows, Q), mock.patch.object(
+            FormField, "coefficients_batch", counted):
+        edge_integrals(omega, rule, np.zeros((9, 2)), np.ones((9, 1, 2)))
+    step = max(1, rows)
+    assert seen == [Q * min(step, 9 - lo) for lo in range(0, 9, step)]
 
 
 # mollify before the coordinate-major layout: row-major shifted nodes, whose

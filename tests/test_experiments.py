@@ -89,10 +89,16 @@ def test_closed_form_expectation_needs_a_value():
     pytest.param({"expected_value": math.nan}, "expected_value", id="nan-target"),
     pytest.param({"thetas": (0.9, math.nan)}, "thetas", id="nan-theta"),
     pytest.param({"thetas": (0.9, 1.0)}, "thetas", id="theta-one"),
+    pytest.param({"expected_kind": "oracle"}, "expected_value",
+                 id="oracle-target"),
+    pytest.param({"expected_kind": "qualitative"}, "expected_value",
+                 id="qualitative-target"),
 ])
 def test_spec_refuses_what_would_pass_any_measurement(change, field):
     """An infinite tolerance or target passes whatever is measured; a NaN
-    one fails whatever is measured.  Both are refused at construction."""
+    one fails whatever is measured; an oracle or qualitative spec never
+    reads its target, so one given would pass unchecked.  All are refused
+    at construction."""
     spec = replace(small_scalar_spec(), expected_kind="closed-form",
                    expected_value=math.pi / 2)
     with pytest.raises(ArgumentError, match=field):
@@ -252,7 +258,11 @@ def test_experiment_and_suite_names_keep_their_order():
 
 def test_every_spec_name_builds_its_own_spec():
     for name in EXPERIMENT_NAMES[:-len(SUITE_NAMES)]:
-        assert default_spec(name).name == name
+        spec = default_spec(name)
+        assert spec.name == name
+        if spec.form.backend == "polynomial":
+            doc = json.loads(json.dumps(spec.to_json()))
+            assert ExperimentSpec.from_json(doc).to_json() == spec.to_json()
     with pytest.raises(ArgumentError, match="unknown experiment"):
         default_spec("stokes")
 

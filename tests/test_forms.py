@@ -56,6 +56,28 @@ def test_polynomial_batch_rejects_wrong_point_shape(shape):
         p.evaluate_batch(np.ones(shape))
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda: Polynomial(2, {(1.5, 0): 1.0}), "exponent"),
+    (lambda: Polynomial(2, {(True, 0): 1.0}), "exponent"),
+    (lambda: Polynomial(2.5, {}), "polynomial dimension"),
+    (lambda: FormField.from_polynomials(2, 1, {(1.7,): 1.0}), "multi-index entry"),
+    (lambda: FormField.from_polynomials(2, 1, {(math.nan,): 1.0}),
+     "multi-index entry"),
+    (lambda: FormField.from_polynomials(2, 1.5, {}), "form degree"),
+])
+def test_integer_fields_are_never_truncated(build, field):
+    with pytest.raises(ArgumentError, match=f"^{field} must be an integer"):
+        build()
+
+
+def test_integral_floats_read_as_integers():
+    omega = FormField.from_polynomials(2.0, 1.0, {(2.0,): {(1.0, np.int64(0)): 1.0}})
+    assert (omega.dimension, omega.degree, omega.indices) == (2, 1, [(2,)])
+    assert omega.components[(2,)].terms == {(1, 0): 1.0}
+    assert type(omega.dimension) is int
+    assert all(type(e) is int for e in next(iter(omega.components[(2,)].terms)))
+
+
 def test_polynomial_batch_leaves_no_reference_cycle():
     # the power ladder is a plain loop; a self-referencing helper would leave
     # one cycle per call for the collector, which the pullback calls per block
@@ -340,7 +362,8 @@ def test_convolution_evaluates_each_distinct_shift_once(monkeypatch, case,
     rows = []
     evaluate = Polynomial.evaluate_batch
     monkeypatch.setattr(Polynomial, "evaluate_batch",
-                        lambda poly, pts: rows.append(len(pts)) or evaluate(poly, pts))
+                        lambda poly, pts, *out: rows.append(len(pts))
+                        or evaluate(poly, pts, *out))
     closure(np.random.default_rng(0).uniform(0.0, 1.0, size=(7, 2)))
     assert sum(rows) == 7 * per_point
 

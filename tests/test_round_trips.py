@@ -6,12 +6,15 @@ same membership and boundary-distance bits.  Replacing any one numeric
 parameter of a valid document with NaN or an infinity must be refused as an
 ArgumentError, never accepted into a domain, form or spec that then
 measures nonsense.  The integers that give a form its shape (n, k, index
-entries and powers) are not parameters: they are read with int().
+entries and powers) must be integers: a fraction, a NaN, an infinity or a
+bool there is refused as an ArgumentError that names the field, never
+truncated, while an integral float such as 2.0 reads as its integer.
 """
 
 import copy
 import json
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -225,6 +228,55 @@ def test_a_non_finite_form_number_is_refused(omega, data):
     except ArgumentError:
         return
     raise AssertionError(f"accepted {doc}")
+
+
+def shape_leaves(doc):
+    """The paths to the integers that shape a form document, each with the
+    field name its refusal gives."""
+    yield ("n",), "n"
+    yield ("k",), "k"
+    for i, term in enumerate(doc["terms"]):
+        for j, _ in enumerate(term["index"]):
+            yield ("terms", i, "index", j), "index entry"
+        for m, mono in enumerate(term["monomials"]):
+            for j, _ in enumerate(mono["powers"]):
+                yield ("terms", i, "monomials", m, "powers", j), "powers entry"
+
+
+def replaced(doc, path, value):
+    out = copy.deepcopy(doc)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value(node[path[-1]])
+    return out
+
+
+@PROPERTY
+@given(polynomial_forms(), st.data())
+def test_a_non_integral_form_shape_is_refused_by_name(omega, data):
+    doc = form_to_json(omega)
+    path, name = data.draw(st.sampled_from(list(shape_leaves(doc))), label="path")
+    bad = data.draw(st.sampled_from([
+        lambda e: e + 0.5, lambda e: e - 1e-9, lambda e: math.nan,
+        lambda e: math.inf, lambda e: -math.inf, lambda e: bool(e % 2),
+    ]), label="value")
+    doc = replaced(doc, path, bad)
+    try:
+        form_from_json(doc)
+    except ArgumentError as exc:
+        assert re.match(f"{name} must be an integer", str(exc)), exc
+        return
+    raise AssertionError(f"accepted {doc}")
+
+
+@PROPERTY
+@given(polynomial_forms())
+def test_an_integral_float_reads_as_its_integer(omega):
+    doc = form_to_json(omega)
+    for path, _ in shape_leaves(form_to_json(omega)):
+        doc = replaced(doc, path, float)
+    assert form_to_json(form_from_json(doc)) == form_to_json(omega)
 
 
 @PROPERTY
