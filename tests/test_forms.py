@@ -70,6 +70,12 @@ def test_integer_fields_are_never_truncated(build, field):
         build()
 
 
+def test_adding_polynomials_in_other_variables_is_refused():
+    # + builds without checking exponent tuples, so it checks the dimension
+    with pytest.raises(ArgumentError, match="cannot add polynomials in 2 and 3"):
+        Polynomial(2, {(1, 0): 1.0}) + Polynomial(3, {(0, 0, 1): 1.0})
+
+
 def test_integral_floats_read_as_integers():
     omega = FormField.from_polynomials(2.0, 1.0, {(2.0,): {(1.0, np.int64(0)): 1.0}})
     assert (omega.dimension, omega.degree, omega.indices) == (2, 1, [(2,)])
