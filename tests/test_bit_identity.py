@@ -21,8 +21,9 @@ gives the same bits, and the estimator evaluates only the accepted tuples.
 Likewise they evaluate their nodes in blocks of forms._NODE_BLOCK, and no
 block size may move a bit.  Nor may the memory layout: coefficient arrays
 are column-major, the points may come in either order, and a polynomial or
-a form may write into a column of a caller's buffer.  Nor may the read set: the kernels build only the
-coordinates a form reads, contract a constant form once per row, and
+a form may write into a column of a caller's buffer.  Nor may the read
+set: the kernels build only the coordinates a form reads, contract a
+constant form once per row, and
 convolve by evaluating each distinct shift once and gathering, while the
 references build and evaluate every coordinate of every node.  Nor may the
 rough-face screen, wherever each jump of a face's integrand leaves a
@@ -383,13 +384,18 @@ def test_derived_polynomials_keep_the_validated_terms(case, scalar):
     assert outcome(lambda: scalar * b) == outcome(lambda: validated_scaled(b, scalar))
 
 
+@st.composite
+def differentiable_forms(draw):
+    """A polynomial form of any kind and of a degree below n."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(0, n - 1))
+    return draw(polynomial_forms(n, k, draw(basis_indices(n, k)),
+                                 draw(polynomial_kinds)))
+
+
 @PROPERTY
-@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
-    st.just(n), st.integers(0, n - 1))).flatmap(lambda nk: st.tuples(
-        st.just(nk), basis_indices(*nk), st.data())))
-def test_exterior_derivative_keeps_the_validated_terms(case):
-    (n, k), indices, data = case
-    omega = data.draw(polynomial_forms(n, k, indices, data.draw(polynomial_kinds)))
+@given(differentiable_forms())
+def test_exterior_derivative_keeps_the_validated_terms(omega):
     got = omega.exterior_derivative()
     want = validated_derivative(omega)
     assert list(got.components) == list(want)

@@ -140,19 +140,15 @@ def through_text(doc):
     return json.loads(json.dumps(doc))
 
 
-SHAPE_KEYS = {"n", "k", "index", "powers"}
-
-
 def numeric_leaves(doc, path=()):
-    """The paths to every numeric parameter in a JSON document."""
+    """The paths to every number in a JSON document."""
     if isinstance(doc, dict):
         for key, value in doc.items():
             yield from numeric_leaves(value, path + (key,))
     elif isinstance(doc, list):
         for i, value in enumerate(doc):
             yield from numeric_leaves(value, path + (i,))
-    elif (isinstance(doc, (int, float)) and not isinstance(doc, bool)
-          and not SHAPE_KEYS & set(path)):
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
         yield path
 
 
@@ -163,11 +159,16 @@ def with_one_number(data, doc):
     assume(paths)
     path = data.draw(st.sampled_from(paths), label="path")
     bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]), label="value")
+    return replaced(doc, path, lambda _: bad)
+
+
+def replaced(doc, path, value):
+    """A copy of doc with the leaf at path replaced by value(leaf)."""
     out = copy.deepcopy(doc)
     node = out
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = bad
+    node[path[-1]] = value(node[path[-1]])
     return out
 
 
@@ -241,15 +242,6 @@ def shape_leaves(doc):
         for m, mono in enumerate(term["monomials"]):
             for j, _ in enumerate(mono["powers"]):
                 yield ("terms", i, "monomials", m, "powers", j), "powers entry"
-
-
-def replaced(doc, path, value):
-    out = copy.deepcopy(doc)
-    node = out
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value(node[path[-1]])
-    return out
 
 
 @PROPERTY
