@@ -85,12 +85,12 @@ class Covector:
     """
 
     def __init__(self, dimension, degree, coeffs=None):
-        if dimension < 1:
+        self.dimension = check_integer(dimension, "dimension")
+        self.degree = check_integer(degree, "degree")
+        if self.dimension < 1:
             raise ArgumentError("dimension must be >= 1")
-        if degree < 0:
+        if self.degree < 0:
             raise ArgumentError("degree must be >= 0")
-        self.dimension = int(dimension)
-        self.degree = int(degree)
         clean = {}
         if coeffs and self.degree <= self.dimension:
             for idx, c in coeffs.items():

@@ -450,9 +450,9 @@ class Mollifier:
     """
 
     def __init__(self, dimension, radius, nodes=48):
-        self.dimension = int(dimension)
+        self.dimension = check_integer(dimension, "mollifier dimension")
         self.radius = float(radius)
-        self.nodes = int(nodes)
+        self.nodes = check_integer(nodes, "mollifier nodes")
         if self.dimension < 1 or self.nodes < 1 or not 0 < self.radius < math.inf:
             raise ArgumentError("mollifier needs dimension, nodes >= 1 and a finite "
                                 f"radius > 0, got {dimension}, {nodes}, {radius}")
@@ -582,9 +582,10 @@ def lp_norm(omega, domain, p, samples=20000, seed=0):
     """(int_Omega |omega_x|^p dx)^{1/p} with |.| the coefficient norm,
     estimated from `samples` uniform points of the domain."""
     check_exponent(p)
+    samples = check_integer(samples, "samples")
+    seed = check_integer(seed, "seed")
     if samples < 2:
         raise ArgumentError("need at least 2 samples")
-    samples, seed = int(samples), int(seed)
     pts = domain.sample_uniform(samples, seed=seed)
     values = omega.euclidean_norm_batch(pts) ** p
     volume = domain.volume()

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError
+from .estimates import check_integer
 from .exterior import contract_minors, minor_dets
 from .forms import _block_rows, row_dot
 
@@ -77,6 +78,8 @@ def grundmann_moller_rule(k, degree=7):
     Exact for polynomials of total degree <= degree; weights (which mix
     signs) sum to 1/k!.
     """
+    k = check_integer(k, "simplex order")
+    degree = check_integer(degree, "grundmann-moller degree")
     if k < 0:
         raise ArgumentError("simplex order must be >= 0")
     if k == 0:
@@ -108,6 +111,9 @@ def grundmann_moller_rule(k, degree=7):
 
 def monte_carlo_rule(k, samples=1024, seed=0):
     """Uniform nodes on Delta_k by sorted-uniform spacings, equal weights."""
+    k = check_integer(k, "simplex order")
+    samples = check_integer(samples, "samples")
+    seed = check_integer(seed, "seed")
     if k < 0:
         raise ArgumentError("simplex order must be >= 0")
     if k == 0:
@@ -136,6 +142,8 @@ def stratified_segment_rule(samples=1024, seed=0):
     for every piece that covers a screen node; a piece between two screen
     nodes of a face that is otherwise constant is not seen.
     """
+    samples = check_integer(samples, "samples")
+    seed = check_integer(seed, "seed")
     if samples < 1:
         raise ArgumentError("need at least one sample")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -187,7 +195,8 @@ def integrate_form(omega, simplex, rule=None):
 
 
 # Stride of the rough-face screen: every _SCREEN-th node of a stratified
-# segment rule, and its last node, are evaluated before the rest.
+# segment rule, and its last node, are evaluated first.  The nodes strictly
+# between two adjacent screen nodes form a stretch.
 _SCREEN = 16
 
 
@@ -197,14 +206,15 @@ def _block_buffer(omega, rows, Q):
 
 
 def _integrand_block(omega, P, base, edges, dets, buf, out):
-    """The integrand at the nodes P (Q, k) of a block of rows, into out (rows, Q).
+    """The integrand at the nodes P of a block of rows, into out (rows, Q).
 
-    buf is from _block_buffer.  pos[c] = sum_j outer(edges[:, j, c], P[:, j])
-    + base[:, c], summed in order j = 0, 1, ... without fused multiply-adds,
-    for each coordinate c the coefficients read (FormField._reads).
-    Coordinate-major, so the coefficients read the column-major (rows * Q,
-    n) view, and write column-major (rows * Q, m) values.  The positions,
-    the outer-product term and the values all live in buf.
+    P is (Q, k), the same nodes for every row, or (rows, Q, k), each row's
+    own nodes.  buf is from _block_buffer.  pos[c] = sum_j edges[:, j, c] *
+    P[..., j] + base[:, c], summed in order j = 0, 1, ... without fused
+    multiply-adds, for each coordinate c the coefficients read
+    (FormField._reads).  Coordinate-major, so the coefficients read the
+    column-major (rows * Q, n) view, and write column-major (rows * Q, m)
+    values.  The positions, the product term and the values all live in buf.
     """
     n, m = omega.dimension, len(omega.indices)
     rows, Q = out.shape
@@ -213,12 +223,77 @@ def _integrand_block(omega, P, base, edges, dets, buf, out):
     term = buf[n * size : (n + 1) * size].reshape(rows, Q)
     coeffs = buf[(n + 1) * size : (n + 1 + m) * size].reshape(m, size).T
     for c in omega._reads:
-        np.multiply.outer(edges[:, 0, c], P[:, 0], out=pos[c])
-        for j in range(1, P.shape[1]):
-            pos[c] += np.multiply.outer(edges[:, j, c], P[:, j], out=term)
+        np.multiply(edges[:, 0, c, np.newaxis], P[..., 0], out=pos[c])
+        for j in range(1, P.shape[-1]):
+            pos[c] += np.multiply(edges[:, j, c, np.newaxis], P[..., j], out=term)
         pos[c] += base[:, c, np.newaxis]
     omega.coefficients_batch(pos.reshape(n, -1).T, out=coeffs)
     contract_minors(coeffs.reshape(rows, Q, m), dets[:, np.newaxis], out=out)
+
+
+def _crossed_integrand(omega, P, stops, base, edges, dets, vals):
+    """The (rows, Q) integrand of rows whose values `vals` at the screen
+    nodes `stops` differ.
+
+    A stretch whose two end values are equal (==) takes that value at every
+    node; the others are evaluated, a node block of stretches at a time, as
+    rows of their own nodes.  A row's screen and evaluated nodes are each
+    computed once.
+    """
+    rows, Q = len(vals), len(P)
+    integrand = np.empty((rows, Q))
+    whole = (Q - 1) // _SCREEN  # stretches of the full stride
+    integrand[:, : whole * _SCREEN].reshape(rows, whole, _SCREEN)[...] = (
+        vals[:, :whole, np.newaxis])
+    integrand[:, whole * _SCREEN :] = vals[:, whole, np.newaxis]
+    integrand[:, -1] = vals[:, -1]
+    changed = vals[:, 1:] != vals[:, :-1]
+    gaps = np.diff(stops)
+    # the last stretch may be shorter than the rest: one pass per length
+    for gap in np.unique(gaps[gaps > 1]):
+        # each changed stretch of this length as row * len(gaps) + stretch
+        pairs = np.flatnonzero(changed & (gaps == gap))
+        step = _block_rows(gap - 1)
+        buf = _block_buffer(omega, min(step, len(pairs)), gap - 1)
+        block = np.empty((min(step, len(pairs)), gap - 1))
+        for lo in range(0, len(pairs), step):
+            r, j = np.divmod(pairs[lo : lo + step], len(gaps))
+            nodes = stops[j, np.newaxis] + np.arange(1, gap)
+            _integrand_block(omega, P[nodes], base[r], edges[r], dets[r], buf,
+                             block[: len(r)])
+            integrand[r[:, np.newaxis], nodes] = block[: len(r)]
+    return integrand
+
+
+def _screen_values(omega, P, stops, base, edges, dets):
+    """The (N, len(stops)) integrand at the screen nodes P[stops], in blocks
+    of as many nodes as a block of the whole rule holds."""
+    vals = np.empty((len(base), len(stops)))
+    step = _block_rows(len(P)) * len(P) // len(stops)
+    buf = _block_buffer(omega, min(step, len(base)), len(stops))
+    for lo in range(0, len(base), step):
+        hi = lo + step
+        _integrand_block(omega, P[stops], base[lo:hi], edges[lo:hi],
+                         dets[lo:hi], buf, vals[lo:hi])
+    return vals
+
+
+def _screened_integrals(omega, rule, base, edges, dets, with_mass):
+    """edge_integrals on a stratified segment rule of more than 2 * _SCREEN
+    nodes, for a form whose coefficients read the positions."""
+    P, W = rule.points, rule.weights
+    stops = np.append(np.arange(0, len(P) - 1, _SCREEN), len(P) - 1)
+    vals = _screen_values(omega, P, stops, base, edges, dets)
+    busy = np.flatnonzero((vals != vals[:, :1]).any(axis=1))
+    integrand = _crossed_integrand(omega, P, stops, base[busy], edges[busy],
+                                   dets[busy], vals[busy])
+    out = vals[:, 0] * W.sum()
+    out[busy] = row_dot(integrand, W)
+    if not with_mass:
+        return out
+    mass = np.abs(vals[:, 0]) * np.abs(W).sum()
+    mass[busy] = row_dot(np.abs(integrand, out=integrand), np.abs(W))
+    return out, mass
 
 
 def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False):
@@ -232,11 +307,10 @@ def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False)
     The nodes are evaluated one block of rows at a time (forms._block_rows:
     forms._NODE_BLOCK nodes, or forms._MIN_BLOCK_ROWS rows of a long rule),
     in one scratch buffer per call, so the positions and coefficients never
-    exist for the whole
-    batch; only the (N, Q) integrand does, reduced in one forms.row_dot
-    call.  Every step computes row by row, so a simplex gets the same bits
-    in any batch.  Positions are built only for
-    the coordinates the coefficients read (FormField._reads).  Constant
+    exist for the whole batch; only the (N, Q) integrand does, reduced in
+    one forms.row_dot call.  Every step computes row by row, so a simplex
+    gets the same bits in any batch.  Positions are built only for the
+    coordinates the coefficients read (FormField._reads).  Constant
     coefficients read none: they are evaluated once, and each row's
     contraction is broadcast across its Q nodes, with the bits of
     contracting every node.
@@ -244,14 +318,18 @@ def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False)
     On a stratified segment rule of more than 2 * _SCREEN nodes each row is
     first evaluated at the screen nodes 0, _SCREEN, 2 * _SCREEN, ... and
     Q - 1 (65 of the default rule's 1,024), in blocks of as many nodes as a
-    block of the full rule holds.  A row whose screen values are
-    all equal (==, so a NaN never is) takes that value at every node; only
-    the other rows are evaluated at all Q nodes, gathered and scattered one
-    node block at a time.  This keeps the bits of evaluating every node
-    unless a stretch between two screen nodes (at most 17/1024 of a segment
-    under the default rule) holds a value that differs from the equal
-    values at all of them.  Other rules have no node order along the
-    simplex that would make a sparse screen safe, and are evaluated whole.
+    block of the full rule holds.  A row whose screen values are all equal
+    (==, so a NaN never is) integrates in closed form: its value v gives
+    v * sum(W), and its mass |v| * sum(|W|); under the default rule sum(W)
+    is exactly 1.  Only the other rows, the crossed ones, get an (rows, Q)
+    integrand.  In it each stretch between two adjacent screen nodes takes
+    the value of its ends when they are equal, and only the stretches whose
+    ends differ are evaluated, in node blocks.  A crossed row keeps the bits
+    of evaluating every node unless a stretch (at most 15 nodes, 16/1024 of
+    a segment under the default rule) holds a value that differs from its
+    equal ends; a constant row is within rounding of summing its nodes.
+    Other rules have no node order along the simplex that would make a
+    sparse screen safe, and are evaluated whole.
     """
     n = omega.dimension
     k = omega.degree
@@ -265,30 +343,14 @@ def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False)
     N, Q = len(base), len(P)
     det_source = edges if unit_vectors is None else unit_vectors
     dets = minor_dets(omega.indices, det_source)
+    if omega._reads and rule.kind == "stratified" and Q > 2 * _SCREEN:
+        return _screened_integrals(omega, rule, base, edges, dets, with_mass)
     integrand = np.empty((N, Q))
-    rows = _block_rows(Q)
     if not omega._reads:  # one contraction per row, broadcast to its nodes
         const = omega.coefficients_batch(np.zeros((1, n)))
         integrand[...] = contract_minors(const, dets[:, np.newaxis])
-    elif rule.kind == "stratified" and Q > 2 * _SCREEN:
-        screen = np.concatenate([P[:-1:_SCREEN], P[-1:]])
-        vals = np.empty((N, len(screen)))
-        step = rows * Q // len(screen)
-        buf = _block_buffer(omega, min(step, N), len(screen))
-        for lo in range(0, N, step):
-            hi = lo + step
-            _integrand_block(omega, screen, base[lo:hi], edges[lo:hi],
-                             dets[lo:hi], buf, vals[lo:hi])
-        integrand[...] = vals[:, :1]
-        busy = np.flatnonzero((vals != vals[:, :1]).any(axis=1))
-        buf = _block_buffer(omega, min(rows, len(busy)), Q)
-        block = np.empty((min(rows, len(busy)), Q))
-        for lo in range(0, len(busy), rows):
-            at = busy[lo:lo + rows]
-            _integrand_block(omega, P, base[at], edges[at], dets[at], buf,
-                             block[: len(at)])
-            integrand[at] = block[: len(at)]
     else:
+        rows = _block_rows(Q)
         buf = _block_buffer(omega, min(rows, N), Q)
         for lo in range(0, N, rows):
             hi = lo + rows
@@ -298,4 +360,3 @@ def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False)
     if not with_mass:
         return out
     return out, row_dot(np.abs(integrand, out=integrand), np.abs(W))
-

@@ -8,7 +8,11 @@ ArgumentError, never accepted into a domain, form or spec that then
 measures nonsense.  The integers that give a form its shape (n, k, index
 entries and powers) must be integers: a fraction, a NaN, an infinity or a
 bool there is refused as an ArgumentError that names the field, never
-truncated, while an integral float such as 2.0 reads as its integer.
+truncated, while an integral float such as 2.0 reads as its integer.  So
+are the integer arguments of the library's other entry points: a
+covector's shape, a mollifier's dimension and node count, lp_norm's
+samples and seed, and the orders, degrees, sample counts and seeds of the
+simplex rules.
 """
 
 import copy
@@ -18,6 +22,7 @@ import re
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +36,20 @@ from formflux.domains import (
 )
 from formflux.errors import ArgumentError
 from formflux.experiments import ExperimentSpec
-from formflux.forms import FormField, Polynomial, form_from_json, form_to_json
+from formflux.exterior import Covector
+from formflux.forms import (
+    FormField,
+    Mollifier,
+    Polynomial,
+    form_from_json,
+    form_to_json,
+    lp_norm,
+)
+from formflux.simplex import (
+    grundmann_moller_rule,
+    monte_carlo_rule,
+    stratified_segment_rule,
+)
 from formflux.seminorms import VARIANTS, SeminormConfig
 
 PROPERTY = settings(max_examples=60, deadline=5000)
@@ -280,3 +298,58 @@ def test_a_non_finite_spec_number_is_refused(spec, data):
     except ArgumentError:
         return
     raise AssertionError(f"accepted {doc}")
+
+
+_SQUARE = AxisBox(np.zeros(2), np.ones(2))
+_X1 = FormField.from_polynomials(2, 0, {(): {(1, 0): 1.0}})
+
+# each integer argument of an entry point: the name its refusal gives, an
+# integer it accepts, and the call with that argument replaced
+INTEGER_ARGUMENTS = {
+    "covector dimension": ("dimension", 2, lambda v: Covector(v, 1, {(1,): 1.0})),
+    "covector degree": ("degree", 1, lambda v: Covector(2, v, {(2,): 1.0})),
+    "mollifier dimension": ("mollifier dimension", 2,
+                            lambda v: Mollifier(v, 0.05)),
+    "mollifier nodes": ("mollifier nodes", 48,
+                        lambda v: Mollifier(2, 0.05, nodes=v)),
+    "lp_norm samples": ("samples", 100,
+                        lambda v: lp_norm(_X1, _SQUARE, 2.0, samples=v)),
+    "lp_norm seed": ("seed", 3, lambda v: lp_norm(_X1, _SQUARE, 2.0, 100, seed=v)),
+    "stratified samples": ("samples", 64, lambda v: stratified_segment_rule(v)),
+    "stratified seed": ("seed", 3, lambda v: stratified_segment_rule(64, seed=v)),
+    "monte-carlo order": ("simplex order", 2, lambda v: monte_carlo_rule(v, 64)),
+    "monte-carlo samples": ("samples", 64, lambda v: monte_carlo_rule(2, v)),
+    "monte-carlo seed": ("seed", 3, lambda v: monte_carlo_rule(2, 64, seed=v)),
+    "grundmann-moller order": ("simplex order", 2,
+                               lambda v: grundmann_moller_rule(v)),
+    "grundmann-moller degree": ("grundmann-moller degree", 5,
+                                lambda v: grundmann_moller_rule(2, v)),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0 + 1e-9, math.nan, math.inf, True,
+                                 "3"])
+@pytest.mark.parametrize("argument", list(INTEGER_ARGUMENTS))
+def test_a_non_integral_argument_is_refused_by_name(argument, bad):
+    name, _, call = INTEGER_ARGUMENTS[argument]
+    with pytest.raises(ArgumentError, match=f"^{name} must be an integer"):
+        call(bad)
+
+
+def _held(obj):
+    """What an entry point's result holds, as comparable plain values."""
+    if isinstance(obj, Covector):
+        return obj.dimension, obj.degree, obj.coeffs
+    if isinstance(obj, Mollifier):
+        return obj.dimension, obj.nodes, obj.convolution_rule()[1].tobytes()
+    if hasattr(obj, "power_value"):
+        return obj.value, obj.stderr, obj.samples, obj.config
+    return obj.kind, obj.order, obj.points.tobytes(), obj.weights.tobytes()
+
+
+@pytest.mark.parametrize("argument", list(INTEGER_ARGUMENTS))
+def test_an_integral_float_argument_reads_as_its_integer(argument):
+    _, value, call = INTEGER_ARGUMENTS[argument]
+    want = _held(call(value))
+    assert _held(call(float(value))) == want
+    assert _held(call(np.int64(value))) == want

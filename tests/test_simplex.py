@@ -172,7 +172,9 @@ def test_form_rule_mismatch_raises():
 
 def test_pullback_memory_is_the_integrand_and_one_node_block():
     # 2048 segments on the 1024-node rough rule: 2^21 nodes, a 16 MiB
-    # integrand.  Positions and coefficients exist one node block at a time.
+    # integrand.  sin(3 x2) changes along every segment, so every row is
+    # crossed and keeps its integrand; positions and coefficients exist one
+    # node block at a time.
     rng = np.random.default_rng(3)
     omega = FormField.from_callables(2, 1, {
         (1,): lambda p: np.sign(p[:, 0] - 0.1),
@@ -193,9 +195,13 @@ def test_pullback_memory_is_the_integrand_and_one_node_block():
 @pytest.mark.parametrize("refined", [True, False], ids=["every-row", "no-row"])
 def test_screened_pullback_memory_is_the_integrand_and_one_node_block(refined):
     # The same 2048 segments through the rough-face screen: a smooth
-    # component changes along every segment, so every row is refined one
-    # node block at a time; jump lines the segments never reach leave every
-    # row constant on its 65 screen nodes.
+    # component changes along every segment, so every stretch of every row
+    # is evaluated after the screen, one node block at a time, and each node
+    # once; jump lines the segments never reach leave every row constant on
+    # its 65 screen nodes, and no (N, Q) array exists: the peak is the
+    # (N, 65) screen values and one node block of 32 x 1024 nodes, whose
+    # scratch holds 5 doubles a node (2 coordinates, a product term and 2
+    # coefficient columns), and as much again for the callables' temporaries.
     rng = np.random.default_rng(3)
     points = []
 
@@ -220,5 +226,9 @@ def test_screened_pullback_memory_is_the_integrand_and_one_node_block(refined):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 2048 * 1024 * 8
-    assert sum(points) == 2048 * (65 + 1024 if refined else 65)
+    if refined:
+        assert peak < 1.5 * 2048 * 1024 * 8
+        assert sum(points) == 2048 * 1024
+    else:
+        assert peak < 2048 * 65 * 8 + 2 * 5 * 32 * 1024 * 8
+        assert sum(points) == 2048 * 65
