@@ -263,11 +263,13 @@ class CoboundaryMultifunction(DifferentialMultifunction):
     where the Stokes route gives 0.8411 and 1.1800.
 
     Each face is integrated by simplex.edge_integrals, which screens it at
-    every 16th stratified node and the last, and evaluates all of them only
-    on the faces whose screen values differ: a face that crosses a jump.
-    The face sums have the bits of evaluating every node, unless a jump
-    pair closer together than the screen spacing hides between two screen
-    nodes of a face.
+    every 16th stratified node and the last.  A face whose screen values
+    agree integrates in closed form, its value times sum(W) (exactly the
+    value under the default rule, within rounding of summing every node).
+    On a face that crosses a jump only the stretches between two screen
+    nodes whose values differ are evaluated, and the face keeps the bits of
+    evaluating every node, unless a jump pair closer together than the
+    screen spacing hides between two screen nodes with equal values.
     """
 
     def __init__(self, omega: FormField, face_rule=None):

@@ -138,9 +138,11 @@ def stratified_segment_rule(samples=1024, seed=0):
     That hard bound (against the soft 1/sqrt(samples) of iid sampling) is
     what lets the coboundary snap guard separate quadrature noise from
     genuine jump signal.  edge_integrals screens a face at every 16th node
-    and the last before evaluating the rest, so under it the bound holds
-    for every piece that covers a screen node; a piece between two screen
-    nodes of a face that is otherwise constant is not seen.
+    and the last, and evaluates the nodes between two adjacent screen nodes
+    only when the values at those two differ.  So under it the bound holds
+    wherever each jump lies between two screen nodes whose values differ; a
+    piece that lies between two screen nodes with equal values on both
+    sides is not seen, whether or not the face crosses a jump elsewhere.
     """
     samples = check_integer(samples, "samples")
     seed = check_integer(seed, "seed")
