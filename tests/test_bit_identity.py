@@ -1136,22 +1136,35 @@ cut_lists = st.lists(st.floats(0.0, 1.2), min_size=1, max_size=6)
 
 
 @settings(max_examples=40, deadline=5000)
-@given(cut_lists, st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8,
-                           unique=True))
+@given(cut_lists, st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8))
 @example([0.5, 0.502, 0.8], [1.0, 0.3])
 def test_no_node_is_evaluated_twice(cuts, lengths):
     """A step function of x1 that jumps at each cut, over segments of
-    several lengths: each segment's screen and the inside of each of its
-    stretches whose ends differ are evaluated, each node once."""
-    edges = np.sort(cuts)
-    step = lambda p: np.searchsorted(edges, p[:, 0]).astype(float)
-    _, _, seen = _screened_segments(step, lengths)
-    s = default_rule(1, smooth=False).points
+    several lengths, segment i from (0, i) along x1: each segment's screen
+    and the inside of each of its stretches whose ends differ are
+    evaluated, each node once."""
+    steps = np.sort(cuts)
+    step = lambda p: np.searchsorted(steps, p[:, 0]).astype(float)
+    calls = []
+    omega = FormField.from_callables(2, 1, {
+        (1,): lambda p: calls.append(p.copy()) or step(p),
+    })
+    rule = default_rule(1, smooth=False)
+    base = np.zeros((len(lengths), 2))
+    base[:, 1] = np.arange(len(lengths))
+    edges = np.zeros((len(lengths), 1, 2))
+    edges[:, 0, 0] = lengths
+    edge_integrals(omega, rule, base, edges)
+    seen = np.concatenate(calls)
+    s = rule.points
     want = np.concatenate([
-        length * s[_evaluated_nodes(step(length * s)), 0] for length in lengths
+        np.column_stack([length * s[nodes, 0], np.full(len(nodes), float(i))])
+        for i, length in enumerate(lengths)
+        for nodes in [_evaluated_nodes(step(length * s))]
     ])
-    assert np.array_equal(np.sort(seen), np.sort(want))
-    assert len(np.unique(seen)) == len(seen)
+    assert len(np.unique(seen, axis=0)) == len(seen)
+    assert np.array_equal(np.unique(seen, axis=0), np.unique(want, axis=0))
+    assert len(seen) == len(want)
 
 
 # values of a face, away from underflow, so that v * w_q = v / 1024 is exact
