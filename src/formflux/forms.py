@@ -488,9 +488,13 @@ class Mollifier:
         return out
 
     def profile(self, y):
-        """The normalized kernel eta(y)."""
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        return self._bump(y) / self._mass_raw
+        """The normalized kernel eta(y) at a point (n,) or at points (N, n)."""
+        y = np.asarray(y, dtype=float)
+        if y.ndim not in (1, 2) or y.shape[-1] != self.dimension:
+            raise ArgumentError(f"expected a point ({self.dimension},) or points "
+                                f"(N, {self.dimension}), got shape {y.shape}")
+        values = self._bump(np.atleast_2d(y)) / self._mass_raw
+        return values if y.ndim == 2 else float(values[0])
 
     def convolution_rule(self):
         """Nodes y_q and weights w_q with sum_q w_q = 1, so that
@@ -507,71 +511,66 @@ class Mollifier:
 
 
 def mollify(omega, eta):
-    """The convolved form (eta * omega), coefficient-wise.
-
+    """The convolved form (eta * omega), coefficient-wise: each component at
+    its distinct shifts, against weights summed per shift (_distinct_shifts).
     Returns an analytic-backend field with exact-to-quadrature partials
     (derivatives hit the kernel), one per (index, axis), so the result
     always supports exterior_derivative, even when omega is rough.
     """
     if eta.dimension != omega.dimension:
         raise ArgumentError("mollifier and form dimension mismatch")
-    ys, ws = eta.convolution_rule()
-    n, nodes = omega.dimension, len(ys)
+    (ys, ws), n = eta.convolution_rule(), omega.dimension
 
-    def convolve(idx, reads, shifts, index, weights, pts):
-        """sum_q omega_idx(pts - y_q) weights[q] for a weight vector (Q,).
+    def convolve(idx, reads, shifts, weights, pts):
+        """sum_s omega_idx(pts - s) weights[s] over the component's m distinct
+        shifts s, for weights (m,) aggregated per shift.
 
-        The component is evaluated only at x - s for the m distinct rows s of
-        the nodes on the coordinates it reads (`shifts`, _distinct_shifts), one
-        block of points at a time (at most a node block of shifts and 2^22
-        gathered nodes), built one read coordinate at a time into a reused
-        (n, rows, m) buffer, whose column-major (rows * m, n) view the
-        component reads.  np.take gathers the values into the block's
-        (rows, nodes) `vals` by `index`, in place with mode="clip"; the default
-        "raise" writes through a temporary.  row_dot reduces each block, so
-        each point's bits are the same in any batch.
+        One block of points (a node block of shifts) at a time, the shifted
+        points are built one read coordinate at a time into a reused
+        (n, rows, m) buffer.  The component reads its column-major
+        (rows * m, n) view into a reused contiguous column, masked in place
+        by the support, and row_dot reduces that (rows, m) block, so a
+        point's bits do not depend on its batch.
         """
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != n:
             raise ArgumentError(f"expected points of shape (N, {n})")
-        m = len(shifts)
+        m, rows = len(shifts), _block_rows(len(shifts))
         out = np.empty(len(pts))
-        rows = min(_block_rows(m), max(1, (1 << 22) // nodes))
-        vals = np.empty((min(rows, len(pts)), nodes))
-        buf = np.empty(n * min(rows, len(pts)) * m)
+        col = np.empty(min(rows, len(pts)) * m)
+        buf = np.empty(n * len(col))
         for lo in range(0, len(pts), rows):
             part = pts[lo : lo + rows]
             shifted = buf[: n * len(part) * m].reshape(n, len(part), m)
             for c in reads:
                 np.subtract.outer(part[:, c], shifts[:, c], out=shifted[c])
             at = shifted.reshape(n, -1).T
-            u = omega._component_batch(idx, at)
+            u = omega._component_batch(idx, at, out=col[: len(at)])
             if omega.support is not None:
-                u = u * omega.support.contains_batch(at)
-            block = vals[: len(part)]
-            np.take(u.reshape(-1, m), index, axis=1, mode="clip", out=block)
-            out[lo : lo + len(part)] = row_dot(block, weights)
+                u *= omega.support.contains_batch(at)
+            out[lo : lo + len(part)] = row_dot(u.reshape(-1, m), weights)
         return out
 
-    axis_ws = [np.ascontiguousarray(col) for col in eta.gradient_rule()[1].T]
+    rules = [ws, *eta.gradient_rule()[1].T]
     comps, partials = {}, {}
     for idx in omega.indices:
         reads = omega._reads_of([idx])
-        rule = (idx, reads, *_distinct_shifts(ys, reads))
-        comps[idx] = functools.partial(convolve, *rule, ws)
-        for j, weights in enumerate(axis_ws, start=1):
-            partials[(idx, j)] = functools.partial(convolve, *rule, weights)
+        shifts, aggregated = _distinct_shifts(ys, reads, rules)
+        comps[idx], *axes = [functools.partial(convolve, idx, reads, shifts, w)
+                             for w in aggregated]
+        partials.update({(idx, j): f for j, f in enumerate(axes, start=1)})
     return FormField(omega.dimension, omega.degree, comps, "analytic",
                      partials=partials)
 
 
-def _distinct_shifts(ys, reads):
+def _distinct_shifts(ys, reads, rules):
     """The nodes ys at their distinct rows on the coordinates `reads`, and
-    the row of each node.  Rows are told apart by their bits, so 0.0 and
-    -0.0 differ."""
+    each weight vector (Q,) of `rules` aggregated per row: np.bincount sums
+    a row's node weights in node order.  Rows are told apart by their bits,
+    so 0.0 and -0.0 differ."""
     bits = np.ascontiguousarray(ys[:, list(reads)]).view(np.uint64)
     _, first, index = np.unique(bits, axis=0, return_index=True, return_inverse=True)
-    return ys[first], index.reshape(-1)
+    return ys[first], [np.bincount(index.reshape(-1), w, len(first)) for w in rules]
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,27 @@ def test_mollifier_profile_properties():
     assert np.allclose(eta.profile(far), 0.0)
 
 
+@pytest.mark.parametrize("n,bad", [
+    pytest.param(2, [0.1, 0.2, 0.3], id="3-vector in the plane"),
+    pytest.param(1, [0.0, 0.1, 0.2], id="3-vector on the line"),
+    pytest.param(2, 0.1, id="scalar"),
+    pytest.param(2, np.zeros((2, 3)), id="wide batch"),
+    pytest.param(2, np.zeros((1, 2, 2)), id="3-d array"),
+])
+def test_mollifier_profile_refuses_what_is_not_a_point_or_a_batch(n, bad):
+    with pytest.raises(ArgumentError, match=rf"\(N, {n}\)"):
+        Mollifier(n, 0.5).profile(bad)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_mollifier_profile_of_a_point_is_its_value_in_a_batch(n):
+    eta = Mollifier(n, 0.5)
+    pts = np.random.default_rng(n).uniform(-0.3, 0.3, size=(3, n))
+    values = eta.profile(pts)
+    assert values.shape == (3,) and np.all(values > 0.0)
+    assert [eta.profile(x) for x in pts] == list(values)
+
+
 def test_mollify_constant_form_is_identity():
     eta = Mollifier(2, 0.25)
     w = FormField.constant_form(2, {(1,): 1.0})
