@@ -211,11 +211,12 @@ class IntegrationMultifunction(Multifunction):
     def evaluate_scaled_batch(self, x0, vs, rs):
         """I_omega / prod r_i with the radii cancelled inside the pullback:
         the determinant uses the unit directions, positions use r_i v_i.
-        Finite for every r_i >= 0, including 0."""
+        Finite for every r_i >= 0, including 0.  A constant form needs only
+        the determinants, so r_i v_i is built only for one that reads x."""
         vs = np.asarray(vs, dtype=float)
-        rs = np.asarray(rs, dtype=float)
+        rs = np.asarray(rs, dtype=float)[..., np.newaxis]
         return edge_integrals(self.omega, self.rule, np.asarray(x0, dtype=float),
-                              rs[..., np.newaxis] * vs, unit_vectors=vs)
+                              rs * vs if self.omega._reads else vs, unit_vectors=vs)
 
 
 class DifferentialMultifunction(Multifunction):

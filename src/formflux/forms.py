@@ -441,12 +441,37 @@ def row_dot(a, w):
 # mollification
 
 
+def _grid(dimension, radius, m):
+    """(nodes, weights): m Gauss-Legendre nodes per axis, in the open ball."""
+    x, w = (a * radius for a in np.polynomial.legendre.leggauss(m))
+    grids = np.meshgrid(*([x] * dimension), indexing="ij")
+    ys = np.stack([g.reshape(-1) for g in grids], axis=1)
+    ws = functools.reduce(np.multiply.outer, [w] * dimension).reshape(-1)
+    keep = np.linalg.norm(ys, axis=1) < radius
+    return ys[keep], ws[keep]
+
+
+def _bump(ys, radius):
+    u = np.sum((ys / radius) ** 2, axis=1)
+    out = np.zeros(len(ys))
+    inside = u < 1.0
+    out[inside] = np.exp(-1.0 / (1.0 - u[inside]))
+    return out
+
+
+@functools.lru_cache(maxsize=32)
+def _refined_mass(dimension, radius, nodes):
+    """The raw mass on 2 * nodes per axis that Mollifier checks, once per shape."""
+    ys, ws = _grid(dimension, radius, 2 * nodes)
+    return float(np.sum(ws * _bump(ys, radius)))
+
+
 class Mollifier:
     """The standard bump exp(-1/(1 - |y/eps|^2)) on |y| < eps, unit mass.
 
     Quadrature nodes for convolutions are a tensor Gauss-Legendre grid on
     [-eps, eps]^n restricted to the open ball; the normalization is fixed at
-    construction and verified against a refined grid to 1e-6.
+    construction and checked to 1e-6 against a refined grid's cached mass.
     """
 
     def __init__(self, dimension, radius, nodes=48):
@@ -456,36 +481,17 @@ class Mollifier:
         if self.dimension < 1 or self.nodes < 1 or not 0 < self.radius < math.inf:
             raise ArgumentError("mollifier needs dimension, nodes >= 1 and a finite "
                                 f"radius > 0, got {dimension}, {nodes}, {radius}")
-        self._ys, self._wraw = self._grid(self.nodes)
-        raw = self._bump(self._ys)
+        self._ys, self._wraw = _grid(self.dimension, self.radius, self.nodes)
+        raw = _bump(self._ys, self.radius)
         self._mass_raw = float(np.sum(self._wraw * raw))
         if self._mass_raw <= 0:
             raise ArgumentError("degenerate mollifier grid")
-        # verify the normalized mass against a refined grid
-        ys2, w2 = self._grid(2 * self.nodes)
-        mass2 = float(np.sum(w2 * self._bump(ys2)))
+        mass2 = _refined_mass(self.dimension, self.radius, self.nodes)
         if abs(mass2 / self._mass_raw - 1.0) > 1e-6:
             raise ArgumentError(
                 "mollifier quadrature has not converged; increase nodes"
             )
         self._weights = self._wraw * raw / self._mass_raw  # sum = 1
-
-    def _grid(self, m):
-        x, w = np.polynomial.legendre.leggauss(m)
-        x = x * self.radius
-        w = w * self.radius
-        grids = np.meshgrid(*([x] * self.dimension), indexing="ij")
-        ys = np.stack([g.reshape(-1) for g in grids], axis=1)
-        ws = functools.reduce(np.multiply.outer, [w] * self.dimension).reshape(-1)
-        keep = np.linalg.norm(ys, axis=1) < self.radius
-        return ys[keep], ws[keep]
-
-    def _bump(self, ys):
-        u = np.sum((ys / self.radius) ** 2, axis=1)
-        out = np.zeros(len(ys))
-        inside = u < 1.0
-        out[inside] = np.exp(-1.0 / (1.0 - u[inside]))
-        return out
 
     def profile(self, y):
         """The normalized kernel eta(y) at a point (n,) or at points (N, n)."""
@@ -493,7 +499,7 @@ class Mollifier:
         if y.ndim not in (1, 2) or y.shape[-1] != self.dimension:
             raise ArgumentError(f"expected a point ({self.dimension},) or points "
                                 f"(N, {self.dimension}), got shape {y.shape}")
-        values = self._bump(np.atleast_2d(y)) / self._mass_raw
+        values = _bump(np.atleast_2d(y), self.radius) / self._mass_raw
         return values if y.ndim == 2 else float(values[0])
 
     def convolution_rule(self):

@@ -178,12 +178,15 @@ def _tuples(domain, cfg, R, x0, vs, u):
 
 def _weights(F, cfg, scale, x0, vs, rs, r_eff, keep):
     """w = scale r_eff^{p(1-theta) k} |g|^p, where g = F / prod r_i on the
-    kept tuples, which alone F sees, and g = 0 on the others.  Overflow and
-    0 * inf are left silent: _estimate raises on every non-finite weight."""
-    g = np.zeros(len(x0))
-    g[keep] = F.evaluate_scaled_batch(
-        x0.take(keep, axis=0), vs.take(keep, axis=0), rs.take(keep, axis=0)
-    )
+    kept tuples, which alone F sees, and g = 0 on the others.  With every
+    tuple kept F sees the block's own arrays, read-only, with no gather or
+    scatter.  Overflow and 0 * inf are left silent: _estimate raises on
+    every non-finite weight."""
+    g, every = np.zeros(len(x0)), len(keep) == len(x0)
+    for a in (x0, vs, rs):  # so an F that writes into them raises
+        a.setflags(write=False)
+    g[slice(None) if every else keep] = F.evaluate_scaled_batch(
+        *(a if every else a.take(keep, axis=0) for a in (x0, vs, rs)))
     a = cfg.p * (1.0 - cfg.theta)
     with np.errstate(over="ignore", invalid="ignore"):
         return scale * r_eff**(a * rs.shape[1]) * np.abs(g) ** cfg.p

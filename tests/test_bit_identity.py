@@ -507,8 +507,24 @@ def test_integration_batch_matches_ordered_reference(case):
     assert_matches_references(F.evaluate_batch(tuples), F, x0, edges)
 
 
+# 1.5 dx1^dx2 - 2 dx1^dx3 has constant coefficients and reads no coordinate
+# (FormField._reads is empty), so its scaled integral builds no scaled edges
+CONSTANT_CASE = (
+    IntegrationMultifunction(FormField.constant_form(3, {(1, 2): 1.5, (1, 3): -2.0})),
+    np.array([[0.1, -0.4, 2.0], [3.0, 1.0, -1.0], [0.0, 0.0, 0.0]]),
+    np.array([[[0.6, 0.8, 0.0], [0.0, 0.6, -0.8]], [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+              [[0.0, 1.0, 0.0], [0.6, 0.0, 0.8]]]),
+    np.array([[0.25, 1e-300], [0.0, 2.0], [1.5, 0.75]]),
+)
+
+
+def test_the_constant_example_reads_no_coordinate():
+    assert CONSTANT_CASE[0].omega._reads == ()
+
+
 @PROPERTY
 @given(integration_cases())
+@example(CONSTANT_CASE)
 def test_scaled_integration_matches_ordered_reference(case):
     F, x0, vs, rs = case
     assert_matches_references(
@@ -735,7 +751,7 @@ def test_convolution_node_blocks_keep_the_bits(blocked):
 
 
 def meshgrid_grid(eta, m):
-    """Mollifier._grid with its tensor weights as np.prod over stacked
+    """forms._grid with its tensor weights as np.prod over stacked
     meshgrids, the reference."""
     x, w = np.polynomial.legendre.leggauss(m)
     x = x * eta.radius
@@ -756,11 +772,12 @@ def test_mollifier_rule_keeps_the_meshgrid_bits(n, nodes):
     """Every grid the constructor may build, and the rule of each node count
     that converges; (3, 96) would check its mass on a 192^3 grid."""
     eta = _mollifier(n)
-    assert all(map(same_bits, eta._grid(nodes), meshgrid_grid(eta, nodes)))
+    assert all(map(same_bits, forms._grid(n, eta.radius, nodes),
+                   meshgrid_grid(eta, nodes)))
     if nodes >= 48 and (n, nodes) != (3, 96):
         eta = Mollifier(n, eta.radius, nodes)
         ys, ws = meshgrid_grid(eta, nodes)
-        raw = eta._bump(ys)
+        raw = forms._bump(ys, eta.radius)
         weights = ws * raw / float(np.sum(ws * raw))
         assert all(map(same_bits, eta.convolution_rule(), (ys, weights)))
 
@@ -1643,6 +1660,12 @@ def test_estimate_keeps_the_row_major_bits(case, k, split, seed):
             D, F = Recorder(domain), Recorder(_multifunction(k))
             runs.append((estimate(F, D, cfg, split_radius), D.seen, F.seen))
     (got, got_pts, got_args), (want, want_pts, want_args) = runs
+    # the annulus cone keeps every tuple, so F sees the blocks' own arrays;
+    # the square ball rejects some, so F sees the gathered kept rows
+    if case == "annulus cone":
+        assert all(g.acceptance_ratio == 1.0 for g in got)
+    if case == "square ball" and k:
+        assert all(g.acceptance_ratio < 1.0 for g in got)
     assert len(got_pts) == len(want_pts) and len(got_args) == len(want_args)
     assert all(same_bits(g, w) for g, w in zip(got_pts + got_args, want_pts + want_args))
     for g, w in zip(got, want):

@@ -355,6 +355,25 @@ def test_mollifier_rejects_bad_arguments(args):
         Mollifier(*args)
 
 
+def test_mollifier_checks_its_mass_against_a_cached_refined_grid():
+    """The refined grid of a shape (dimension, radius, nodes) is built once;
+    every construction still checks its own grid against it, and keeps the
+    nodes and weights of a construction with nothing cached."""
+    forms._refined_mass.cache_clear()
+    cold = Mollifier(2, 0.05)
+    warm = Mollifier(2, 0.05)
+    info = forms._refined_mass.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    for a, b in zip(cold.convolution_rule(), warm.convolution_rule()):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    # a grid that has not converged is refused on every construction, the
+    # refined mass being cached after the first
+    for _ in range(3):
+        with pytest.raises(ArgumentError, match="has not converged"):
+            Mollifier(2, 0.05, nodes=16)
+    assert forms._refined_mass.cache_info().hits == 3
+
+
 def convolution_closure(smooth, part):
     """The mollified dx2 component's value closure, or its partial in x1."""
     if part == "components":

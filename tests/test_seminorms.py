@@ -379,6 +379,25 @@ def test_rejected_tuples_are_never_evaluated():
     assert math.isfinite(est.value) and math.isfinite(est.stderr)
 
 
+@pytest.mark.parametrize("arg", [0, 1, 2], ids=["x0", "vs", "rs"])
+def test_a_multifunction_that_writes_into_a_kept_block_raises(arg):
+    """The annulus cone with c = 0.5 keeps every tuple, so F is handed the
+    block's own x0, vs and rs, read-only: a write fails loudly instead of
+    moving the radii that the estimator reads after F."""
+    class Scribbler(UserMultifunction):
+        def evaluate_scaled_batch(self, x0, vs, rs):
+            (x0, vs, rs)[arg][0] *= 2.0
+            return np.ones(len(x0))
+
+    annulus = Annulus([0.0, 0.0], 0.5, 1.0)
+    cfg = SeminormConfig(theta=0.9, samples=400, seed=3, variant="cone", c=0.5)
+    assert fixed_theta_seminorm(
+        UserMultifunction(2, 1, None, lambda t: t[:, 1, 0]), annulus, cfg
+    ).acceptance_ratio == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        fixed_theta_seminorm(Scribbler(2, 1, None), annulus, cfg)
+
+
 def test_non_finite_values_fail_the_estimate():
     """F is inf on every tuple whose x0 has x0_1 < 0.25 (369 accepted ones):
     the estimate fails instead of counting them as 0."""
