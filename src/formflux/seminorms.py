@@ -183,10 +183,10 @@ def _weights(F, cfg, scale, x0, vs, rs, r_eff, keep):
     scatter.  Overflow and 0 * inf are left silent: _estimate raises on
     every non-finite weight."""
     g, every = np.zeros(len(x0)), len(keep) == len(x0)
-    for a in (x0, vs, rs):  # so an F that writes into them raises
-        a.setflags(write=False)
+    for arr in (x0, vs, rs):  # so an F that writes into them raises
+        arr.setflags(write=False)
     g[slice(None) if every else keep] = F.evaluate_scaled_batch(
-        *(a if every else a.take(keep, axis=0) for a in (x0, vs, rs)))
+        *(arr if every else arr.take(keep, axis=0) for arr in (x0, vs, rs)))
     a = cfg.p * (1.0 - cfg.theta)
     with np.errstate(over="ignore", invalid="ignore"):
         return scale * r_eff**(a * rs.shape[1]) * np.abs(g) ** cfg.p
