@@ -33,8 +33,9 @@ import numpy as np
 
 from .domains import _face_index, row_product
 from .errors import ArgumentError
+from .estimates import check_integer
 from .forms import FormField
-from .simplex import default_rule, edge_integrals, integrate_form
+from .simplex import _form_rule, edge_integrals, integrate_form
 
 __all__ = [
     "Multifunction",
@@ -86,10 +87,10 @@ class Multifunction:
     """Base class: a measurable function of (degree+1) points in R^n."""
 
     def __init__(self, dimension, degree):
-        if degree < 0:
+        self.dimension = check_integer(dimension, "multifunction dimension")
+        self.degree = check_integer(degree, "multifunction degree")
+        if self.degree < 0:
             raise ArgumentError("multifunction degree must be >= 0")
-        self.dimension = int(dimension)
-        self.degree = int(degree)
 
     @property
     def arity(self):
@@ -187,9 +188,7 @@ class IntegrationMultifunction(Multifunction):
     def __init__(self, omega: FormField, rule=None):
         super().__init__(omega.dimension, omega.degree)
         self.omega = omega
-        self.rule = rule or default_rule(
-            omega.degree, smooth=omega.backend != "rough"
-        )
+        self.rule = rule or _form_rule(omega)
         if self.rule.order != omega.degree:
             raise ArgumentError("rule order must equal the form degree")
 
@@ -244,7 +243,8 @@ class CoboundaryMultifunction(DifferentialMultifunction):
 
     Two scaled routes.  When omega carries a derivative and is not
     truncated by a support domain, dI_omega = I_{d omega} identically, so
-    the scaled evaluation reuses the integration route on d omega.
+    the scaled evaluation reuses the integration route on d omega, under
+    its simplex._form_rule (exact up to rounding for a polynomial omega).
     Otherwise the alternating face sum is formed explicitly; a snap guard
     floors sums below the rule resolution, measured against the quadrature
     mass of the faces, to zero.  Scaled face sums divide by prod(r_i), so
@@ -277,13 +277,9 @@ class CoboundaryMultifunction(DifferentialMultifunction):
         super().__init__(IntegrationMultifunction(omega, face_rule))
         self.omega = omega
         self.face_rule = self.base.rule
-        smooth = omega.backend != "rough"
         self.stokes_route = omega.has_derivative() and omega.support is None
         if self.stokes_route:
-            self._volume = IntegrationMultifunction(
-                omega.exterior_derivative(),
-                default_rule(omega.degree + 1, smooth=smooth),
-            )
+            self._volume = IntegrationMultifunction(omega.exterior_derivative())
         else:
             self._volume = None
         nodes = len(self.face_rule.weights)
@@ -348,12 +344,8 @@ def stokes_residual(omega, points, rule=None):
     k = omega.degree
     if points.shape != (k + 2, omega.dimension):
         raise ArgumentError(f"need {k + 2} points of dimension {omega.dimension}")
-    dI = DifferentialMultifunction(IntegrationMultifunction(omega, rule))
-    lhs = dI.evaluate(points)
-    rhs = integrate_form(
-        omega.exterior_derivative(), points,
-        default_rule(k + 1, smooth=omega.backend != "rough"),
-    )
+    lhs = DifferentialMultifunction(IntegrationMultifunction(omega, rule))(points)
+    rhs = integrate_form(omega.exterior_derivative(), points)
     if omega.support is None:
         containment = True
     elif omega.support.is_convex:

@@ -163,11 +163,13 @@ class Polynomial:
 
     __rmul__ = __mul__
 
+    @functools.cached_property
+    def total_degree(self):
+        """The largest exponent sum of a term (0 with no terms), found once."""
+        return max(map(sum, self.terms), default=0)
+
     def is_zero(self):
         return not self.terms
-
-    def is_constant(self):
-        return all(sum(p) == 0 for p in self.terms)
 
     def __repr__(self):
         return f"Polynomial({self.dimension}, {self.terms})"
@@ -309,7 +311,7 @@ class FormField:
 
     def is_constant(self):
         return self.backend == "polynomial" and all(
-            p.is_constant() for p in self.components.values()
+            p.total_degree == 0 for p in self.components.values()
         )
 
     def is_zero(self):
@@ -334,18 +336,19 @@ class FormField:
         if self.degree >= self.dimension:
             return FormField(self.dimension, self.degree + 1, {}, "polynomial")
         if self.backend == "polynomial":
-            out = {}
+            out = {}  # merged index -> terms, in the order partial, * and + give
             for idx, poly in self.components.items():
                 for j in range(1, self.dimension + 1):
-                    dj = poly.partial(j)
-                    if dj.is_zero():
-                        continue
                     merged, sign = sort_with_sign((j,) + idx)
-                    if sign == 0:
-                        continue
-                    cur = out.get(merged)
-                    out[merged] = dj * sign if cur is None else cur + dj * sign
-            out = {idx: p for idx, p in out.items() if not p.is_zero()}
+                    dj = [(p[: j - 1] + (p[j - 1] - 1,) + p[j:], c * p[j - 1] * sign)
+                          for p, c in poly.terms.items() if p[j - 1] and sign]
+                    terms = out.setdefault(merged, {}) if dj else {}
+                    for powers, c in dj:
+                        terms[powers] = terms.get(powers, 0.0) + c
+                        if not terms[powers]:  # + drops a cancelled term
+                            del terms[powers]
+            out = {idx: Polynomial._trusted(self.dimension, t)
+                   for idx, t in out.items() if t}
             return FormField(self.dimension, self.degree + 1, out, "polynomial",
                              support=self.support)
         if self.partials is None:

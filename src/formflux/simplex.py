@@ -5,8 +5,9 @@ Lebesgue measure m_k(Delta_k) = 1/k!.  A simplex in R^n is the ordered tuple
 (x_0, ..., x_k); quadrature happens on Delta_k through the affine chart
 phi(s) = x_0 + sum_i s_i (x_i - x_0).
 
-Three rules: Grundmann-Moller (odd degree, default 7) for smooth
-integrands, jittered-stratified nodes for rough segment integrands, and a
+Three rules: Grundmann-Moller (odd degree: an unsupported polynomial
+form's own, so exact up to rounding, else 7) for smooth integrands,
+jittered-stratified nodes for rough segment integrands, and a
 sorted-uniform-spacings Monte Carlo rule for rough higher orders.
 """
 
@@ -154,16 +155,19 @@ def stratified_segment_rule(samples=1024, seed=0):
     return SimplexQuadratureRule("stratified", 1, pts, wts)
 
 
-@functools.lru_cache(maxsize=32)
-def default_rule(k, smooth=True):
-    """Grundmann-Moller degree 7 for smooth integrands; stratified nodes
-    for rough segments, plain MC 1024 for rough higher orders.
+@functools.lru_cache(maxsize=64)
+def default_rule(k, smooth=True, degree=7):
+    """Grundmann-Moller of odd `degree` for smooth integrands; stratified
+    nodes for rough segments, plain MC 1024 for rough higher orders.
 
-    The rules are deterministic (the rough ones use seed 0), so each is
-    built once and shared; its points and weights are read-only.
+    A lower degree is better conditioned: sum|w| * k! is 1.0 at degree 1,
+    6.2 / 8.7 / 11.9 at 7 (k = 1 / 2 / 3), and about doubles with each step
+    of 2, to 119 / 173 / 251 at 15.  The rules are deterministic (the rough
+    ones use seed 0), so each is built once per call spelling of (k, smooth,
+    degree) and shared; its points and weights are read-only.
     """
     if smooth:
-        rule = grundmann_moller_rule(k, degree=7)
+        rule = grundmann_moller_rule(k, degree=degree)
     elif k == 1:
         rule = stratified_segment_rule(samples=1024)
     else:
@@ -173,12 +177,22 @@ def default_rule(k, smooth=True):
     return rule
 
 
+def _form_rule(omega):
+    """default_rule for omega: degree d | 1, the least odd degree >= max(d,
+    1), for a polynomial form of total degree d with no support, whose
+    pullback it integrates exactly (one node if d <= 1); else the default."""
+    if omega.backend != "polynomial" or omega.support is not None:
+        return default_rule(omega.degree, smooth=omega.backend != "rough")
+    top = max((p.total_degree for p in omega.components.values()), default=0)
+    return default_rule(omega.degree, True, top | 1)
+
+
 def integrate_form(omega, simplex, rule=None):
     """The oriented integral of the k-form omega over the simplex.
 
     Pulls back through the affine chart: sum_q w_q omega_{phi(s_q)}(edges),
-    computed by edge_integrals as a batch of one.  Odd permutations of the
-    corners negate the value.
+    computed by edge_integrals as a batch of one, under _form_rule(omega)
+    when no rule is given.  Odd permutations of the corners negate the value.
     """
     pts = _points(simplex)
     k = pts.shape[0] - 1
@@ -189,7 +203,7 @@ def integrate_form(omega, simplex, rule=None):
     if omega.dimension != pts.shape[1]:
         raise ArgumentError("form and simplex dimension mismatch")
     if rule is None:
-        rule = default_rule(k, smooth=omega.backend != "rough")
+        rule = _form_rule(omega)
     if rule.order != k:
         raise ArgumentError("rule order does not match simplex order")
     edges = (pts[1:] - pts[0])[np.newaxis]
@@ -312,10 +326,7 @@ def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False)
     exist for the whole batch; only the (N, Q) integrand does, reduced in
     one forms.row_dot call.  Every step computes row by row, so a simplex
     gets the same bits in any batch.  Positions are built only for the
-    coordinates the coefficients read (FormField._reads).  Constant
-    coefficients read none: they are evaluated once, and each row's
-    contraction is broadcast across its Q nodes, with the bits of
-    contracting every node.
+    coordinates the coefficients read (FormField._reads).
 
     On a stratified segment rule of more than 2 * _SCREEN nodes each row is
     first evaluated at the screen nodes 0, _SCREEN, 2 * _SCREEN, ... and
@@ -333,7 +344,6 @@ def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False)
     Other rules have no node order along the simplex that would make a
     sparse screen safe, and are evaluated whole.
     """
-    n = omega.dimension
     k = omega.degree
     P, W = rule.points, rule.weights
     if k == 0:
@@ -348,16 +358,12 @@ def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False)
     if omega._reads and rule.kind == "stratified" and Q > 2 * _SCREEN:
         return _screened_integrals(omega, rule, base, edges, dets, with_mass)
     integrand = np.empty((N, Q))
-    if not omega._reads:  # one contraction per row, broadcast to its nodes
-        const = omega.coefficients_batch(np.zeros((1, n)))
-        integrand[...] = contract_minors(const, dets[:, np.newaxis])
-    else:
-        rows = _block_rows(Q)
-        buf = _block_buffer(omega, min(rows, N), Q)
-        for lo in range(0, N, rows):
-            hi = lo + rows
-            _integrand_block(omega, P, base[lo:hi], edges[lo:hi], dets[lo:hi],
-                             buf, integrand[lo:hi])
+    rows = _block_rows(Q)
+    buf = _block_buffer(omega, min(rows, N), Q)
+    for lo in range(0, N, rows):
+        hi = lo + rows
+        _integrand_block(omega, P, base[lo:hi], edges[lo:hi], dets[lo:hi],
+                         buf, integrand[lo:hi])
     out = row_dot(integrand, W)
     if not with_mass:
         return out

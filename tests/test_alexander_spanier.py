@@ -14,7 +14,7 @@ from formflux.alexander_spanier import (
 )
 from formflux.domains import Annulus, Ball, SlitBox
 from formflux.errors import ArgumentError
-from formflux.experiments import dd_zero_residual
+from formflux.experiments import _points_in_unit_ball, _random_form, dd_zero_residual
 from formflux.forms import FormField, Polynomial
 from formflux.simplex import default_rule, monte_carlo_rule
 
@@ -131,6 +131,16 @@ def test_evaluate_rejects_wrong_shape():
         F(np.zeros((3, 2)))
     with pytest.raises(ArgumentError):
         F(np.zeros((2, 3)))
+
+
+def test_multifunction_shape_is_read_as_integers():
+    for dimension, degree, name in ((2.7, 1, "dimension"), (2, 1.2, "degree")):
+        with pytest.raises(ArgumentError, match=f"multifunction {name} must be "
+                                                f"an integer"):
+            UserMultifunction(dimension, degree, lambda p: 0.0)
+    F = UserMultifunction(2.0, 1.0, lambda p: 0.0)
+    assert (F.dimension, F.degree) == (2, 1)
+    assert type(F.dimension) is int and type(F.degree) is int
 
 
 def test_rule_order_must_match_form_degree():
@@ -265,6 +275,28 @@ def test_stokes_residual_random_polynomial_forms():
         center = rng.uniform(-0.3, 0.3, size=2)
         tri = center + 0.5 * rng.uniform(-1, 1, size=(3, 2))
         assert stokes_residual(omega, tri) < 1e-8
+
+
+@st.composite
+def high_degree_stokes_cases(draw):
+    """A polynomial k-form in R^n, n = 2 or 3 and k < n, of total degree at
+    most 0-15, and k + 2 points in the unit ball, from the Stokes suite's
+    generators."""
+    n = draw(st.integers(2, 3))
+    k = draw(st.integers(0, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    omega = _random_form(rng, n, k, max_total_degree=draw(st.integers(0, 15)))
+    return omega, _points_in_unit_ball(rng, k + 2, n)
+
+
+@settings(max_examples=80, deadline=5000)
+@given(high_degree_stokes_cases())
+def test_stokes_residual_is_at_quadrature_precision_at_any_degree(case):
+    """Criterion 5's 1e-8, for forms of any degree: both sides integrate
+    their polynomials exactly.  Degree-7 rules miss it for some forms above
+    degree 7."""
+    omega, pts = case
+    assert stokes_residual(omega, pts) < 1e-8
 
 
 def test_stokes_residual_detects_support_straddling():

@@ -24,8 +24,7 @@ Likewise they evaluate their nodes in blocks of forms._NODE_BLOCK, and no
 block size may move a bit.  Nor may the memory layout: coefficient arrays
 are column-major, the points may come in either order, and a polynomial or
 a form may write into a column of a caller's buffer.  Nor may the read
-set: the kernels build only the coordinates a form reads, contract a
-constant form once per row, and
+set: the kernels build only the coordinates a form reads, and
 convolve by evaluating each distinct shift once, while the references
 build and evaluate every coordinate of every node (for the convolution,
 of every distinct shift).  Nor may the
@@ -508,7 +507,9 @@ def test_integration_batch_matches_ordered_reference(case):
 
 
 # 1.5 dx1^dx2 - 2 dx1^dx3 has constant coefficients and reads no coordinate
-# (FormField._reads is empty), so its scaled integral builds no scaled edges
+# (FormField._reads is empty), so its scaled integral builds no scaled edges.
+# Its own rule has one node; under the 20-node degree-7 rule every node's
+# contraction must still give the reference's bits.
 CONSTANT_CASE = (
     IntegrationMultifunction(FormField.constant_form(3, {(1, 2): 1.5, (1, 3): -2.0})),
     np.array([[0.1, -0.4, 2.0], [3.0, 1.0, -1.0], [0.0, 0.0, 0.0]]),
@@ -520,11 +521,14 @@ CONSTANT_CASE = (
 
 def test_the_constant_example_reads_no_coordinate():
     assert CONSTANT_CASE[0].omega._reads == ()
+    assert len(CONSTANT_CASE[0].rule.weights) == 1
 
 
 @PROPERTY
 @given(integration_cases())
 @example(CONSTANT_CASE)
+@example((IntegrationMultifunction(CONSTANT_CASE[0].omega, default_rule(2)),
+          *CONSTANT_CASE[1:]))
 def test_scaled_integration_matches_ordered_reference(case):
     F, x0, vs, rs = case
     assert_matches_references(
@@ -935,7 +939,7 @@ def test_each_convolution_shifts_what_its_component_reads():
 
 def test_constant_pullback_memory_is_the_integrand():
     """A constant 2-form at N x Q = 2^21 nodes allocates its (N, Q)
-    integrand and little else: no node positions, no per-node coefficients."""
+    integrand and little else: one node block's scratch."""
     rule = monte_carlo_rule(2, samples=32)
     rows = (1 << 21) // 32
     omega = FormField.constant_form(3, {(1, 2): 1.0, (1, 3): -2.0, (2, 3): 0.5})

@@ -3,11 +3,22 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from formflux import simplex
+from formflux.alexander_spanier import (
+    CoboundaryMultifunction,
+    IntegrationMultifunction,
+)
+from formflux.domains import Ball
 from formflux.errors import ArgumentError
+from formflux.experiments import _points_in_unit_ball, _random_form
+from formflux.exterior import _batch_det
 from formflux.forms import FormField, Polynomial
 from formflux.simplex import (
     default_rule,
@@ -16,7 +27,11 @@ from formflux.simplex import (
     integrate_form,
     monte_carlo_rule,
 )
-from oracles import integrate_polynomial_form_exact, reference_monomial_integral
+from oracles import (
+    compose_affine,
+    integrate_polynomial_form_exact,
+    reference_monomial_integral,
+)
 
 
 def random_polynomial_form(rng, n, k, max_degree=3):
@@ -62,6 +77,15 @@ def test_default_rule_is_shared_and_read_only(k, smooth):
         rule.points[0, 0] = 0.0
     with pytest.raises(ValueError):
         rule.weights[0] = 0.0
+
+
+@pytest.mark.parametrize("k,degree", [(1, 1), (2, 3), (3, 15)])
+def test_default_rule_of_a_degree_is_shared_and_read_only(k, degree):
+    rule = default_rule(k, degree=degree)
+    assert default_rule(k, degree=degree) is rule
+    assert rule is not default_rule(k)
+    assert np.array_equal(rule.weights, grundmann_moller_rule(k, degree).weights)
+    assert not rule.points.flags.writeable and not rule.weights.flags.writeable
 
 
 def test_gm_rejects_even_degree():
@@ -139,6 +163,123 @@ def test_gm_exact_on_random_polynomial_forms():
         exact = integrate_polynomial_form_exact(w, pts)
         approx = integrate_form(w, pts, grundmann_moller_rule(k, degree=7))
         assert approx == pytest.approx(exact, rel=1e-10, abs=1e-12)
+
+
+# Nodes per k = 1, 2, 3 of the rule a polynomial form of total degree d
+# gets: Grundmann-Moller of degree d | 1, the least odd degree >= max(d, 1).
+NODES_BY_DEGREE = {0: (1, 1, 1), 1: (1, 1, 1), 2: (3, 4, 5), 3: (3, 4, 5),
+                   4: (6, 10, 15), 5: (6, 10, 15)}
+
+
+def _rule_of_integrate_form(omega, pts, rule=None):
+    """The rule integrate_form hands the pullback kernel."""
+    seen = []
+
+    def kernel(omega, rule, *args, **kwargs):
+        seen.append(rule)
+        return edge_integrals(omega, rule, *args, **kwargs)
+
+    with mock.patch.object(simplex, "edge_integrals", kernel):
+        integrate_form(omega, pts, rule)
+    return seen[0]
+
+
+@pytest.mark.parametrize("d", sorted(NODES_BY_DEGREE))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_polynomial_form_gets_the_rule_of_its_degree(k, d):
+    omega = FormField.from_polynomials(3, k, {
+        tuple(range(1, k + 1)): {(d, 0, 0): 2.0, (0, d // 2, 0): -1.0},
+    })
+    rule = default_rule(k, True, d | 1)
+    assert len(rule.weights) == NODES_BY_DEGREE[d][k - 1]
+    assert IntegrationMultifunction(omega).rule is rule
+    pts = np.eye(4, 3)[: k + 1]
+    assert _rule_of_integrate_form(omega, pts) is rule
+    # d of x1^(d+1) dx2 is (d+1) x1^d dx1^dx2: the Stokes volume's rule
+    lifted = FormField.from_polynomials(2, 1, {(2,): {(d + 1, 0): 1.0}})
+    volume = CoboundaryMultifunction(lifted)._volume
+    assert volume.rule is default_rule(2, True, d | 1)
+    assert len(volume.rule.weights) == NODES_BY_DEGREE[d][1]
+
+
+def test_other_forms_keep_their_rules_and_an_explicit_rule_is_honoured():
+    x1_dx2 = FormField.from_polynomials(2, 1, {(2,): {(1, 0): 1.0}})
+    cases = [
+        (FormField.from_callables(2, 1, {(1,): lambda p: p[:, 0]}, smooth=True),
+         default_rule(1, smooth=True)),
+        (x1_dx2.with_support(Ball(np.zeros(2), 2.0)), default_rule(1, smooth=True)),
+        (FormField.from_callables(2, 1, {(1,): lambda p: np.sign(p[:, 0])}),
+         default_rule(1, smooth=False)),
+        (FormField.from_callables(3, 2, {(1, 2): lambda p: np.sign(p[:, 0])}),
+         default_rule(2, smooth=False)),
+    ]
+    for omega, rule in cases:
+        pts = np.eye(omega.degree + 1, omega.dimension)
+        assert IntegrationMultifunction(omega).rule is rule
+        assert _rule_of_integrate_form(omega, pts) is rule
+    assert len(default_rule(1).weights) == 10
+    assert default_rule(1, smooth=False).kind == "stratified"
+    assert default_rule(2, smooth=False).kind == "monte-carlo"
+    explicit = monte_carlo_rule(1, samples=7)
+    assert IntegrationMultifunction(x1_dx2, explicit).rule is explicit
+    assert _rule_of_integrate_form(x1_dx2, np.eye(2), explicit) is explicit
+    smooth_d = FormField.from_callables(
+        2, 1, {(2,): lambda p: p[:, 0]}, smooth=True,
+        partials={((2,), 1): lambda p: np.ones(len(p))})
+    assert CoboundaryMultifunction(smooth_d)._volume.rule is default_rule(
+        2, smooth=True)
+
+
+def _abs_pullback_integral(omega, idx, pts):
+    """The pullback of the component idx with |base|, |edges| and |c| in
+    place of base, edges and c: a bound on every partial sum the exact
+    oracle adds, so eps times it bounds the oracle's own rounding."""
+    poly = omega.components[idx]
+    base, edges = pts[0], pts[1:] - pts[0]
+    pulled = compose_affine(Polynomial(omega.dimension, {
+        p: abs(c) for p, c in poly.terms.items()}), np.abs(base), np.abs(edges))
+    return sum(c * reference_monomial_integral(p) for p, c in pulled.terms.items())
+
+
+@st.composite
+def high_degree_cases(draw):
+    """A polynomial k-form in R^n, n = 2 or 3, of total degree at most
+    0-15, and a k-simplex in the unit ball, from the Stokes suite's
+    generators."""
+    n = draw(st.integers(2, 3))
+    k = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    omega = _random_form(rng, n, k, max_total_degree=draw(st.integers(0, 15)))
+    return omega, _points_in_unit_ball(rng, k + 1, n)
+
+
+def omega_degree(omega):
+    """The largest exponent sum of a term of any component."""
+    return max((sum(p) for c in omega.components.values() for p in c.terms),
+               default=0)
+
+
+@settings(max_examples=80, deadline=5000)
+@given(high_degree_cases())
+def test_integrate_form_is_exact_at_any_degree(case):
+    """Up to rounding against the symbolic oracle, whose own error is
+    bounded by eps times the absolute-valued pullback: the bound is
+    64 eps k! sum_idx |det_idx| (sum|w| sum|c_idx| + that integral), fixed
+    before the first run.  A degree-7 rule misses x1^8 dx1^dx2 on the unit
+    triangle by 1.6e-3 relative."""
+    omega, pts = case
+    k = omega.degree
+    rule = grundmann_moller_rule(k, omega_degree(omega) | 1)
+    edges = (pts[1:] - pts[0])[np.newaxis]
+    scale = 0.0
+    for idx in omega.indices:
+        det = abs(float(_batch_det(edges[:, :, [i - 1 for i in idx]])[0]))
+        terms = sum(abs(c) for c in omega.components[idx].terms.values())
+        scale += det * (np.abs(rule.weights).sum() * terms
+                        + _abs_pullback_integral(omega, idx, pts))
+    tol = 64 * np.finfo(float).eps * math.factorial(k) * scale
+    exact = integrate_polynomial_form_exact(omega, pts)
+    assert abs(integrate_form(omega, pts) - exact) <= tol
 
 
 def test_mc_rule_rate():
