@@ -103,6 +103,17 @@ def _emit(args, name, csv_text, svg_text=None, report_lines=()):
                 fh.write(svg_text)
 
 
+def _emit_rows(args, name, report):
+    """_emit the report's CSV, or say on stderr that it has no estimate
+    rows, so that no CSV is printed or written."""
+    if report.rows:
+        _emit(args, name, report.to_csv())
+    else:
+        where = f" and nothing was written to {args.out}" if args.out else ""
+        print(f"{name}: the report has no estimate rows, so no CSV is printed"
+              f"{where}", file=sys.stderr)
+
+
 def cmd_seminorm(args):
     form = _load_json(args.form, form_from_json)
     domain = _load_json(args.domain, domain_from_json)
@@ -150,8 +161,7 @@ def cmd_verify(args):
     report = run_experiment(args.suite, samples=args.size,
                             seed=_resolve_seed(args, fallback=None))
     print(report.summary(), file=sys.stderr)
-    if report.rows:
-        _emit(args, "verify-" + args.suite, report.to_csv())
+    _emit_rows(args, "verify-" + args.suite, report)
     return 0 if report.passed else 1
 
 
@@ -167,8 +177,7 @@ def cmd_experiment(args):
         report = run_experiment(args.name, samples=args.samples, seed=seed)
         name = args.name
     print(report.summary(), file=sys.stderr)
-    if report.rows:
-        _emit(args, "experiment-" + name, report.to_csv())
+    _emit_rows(args, "experiment-" + name, report)
     return 0 if report.passed else 1
 
 

@@ -18,9 +18,10 @@ They return the bits of the row-wise numpy code they replace:
 elementwise operations are exact, and numpy sums fewer than 8 entries of
 a row in order.  From 8 coordinates on numpy sums pairwise and its
 unrolled min orders signed zeros its own way, so such rows go back to
-numpy's reductions.  `ConvexPolytope` keeps its margins `pts @ normals.T`,
-one BLAS call whose bits depend on the BLAS kernel; a column-wise sum
-would move them.
+numpy's reductions.  `ConvexPolytope` computes each facet's margin
+b_i - a_i . x as an ordered sum over the coordinate columns too, so a
+row's margins do not depend on its batch, as the rows of a BLAS product
+`pts @ normals.T` do.
 
 Distances to simplices go through one batched kernel, `_dist_to_simplices`:
 the annulus hull check (the center against every tuple) and a polytope hole
@@ -131,11 +132,12 @@ def row_product(x):
     return out
 
 
-def uniform_box(rng, lo, hi, rows):
+def uniform_box(rng, lo, hi, rows, out=None):
     """rng.uniform(lo, hi, size=(rows, len(lo))), bit for bit and leaving
     rng in the same state: numpy draws lo + (hi - lo) * U with U from
-    rng.random() in row-major order; this scales each column in place."""
-    out = rng.random((rows, len(lo)))
+    rng.random() in row-major order; this scales each column in place,
+    of out when given (a C-contiguous (rows, len(lo)) float array)."""
+    out = rng.random((rows, len(lo))) if out is None else rng.random(out=out)
     for j in range(len(lo)):
         col = out[:, j]
         col *= hi[j] - lo[j]
@@ -279,10 +281,11 @@ class Domain:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample_uniform(self, count, seed=0):
+    def sample_uniform(self, count, seed=0, out=None):
         """count i.i.d. uniform points via rejection from the bounding box.
 
-        seed may be an integer or a numpy Generator.  Raises
+        seed may be an integer or a numpy Generator; out, when given, is a
+        C-contiguous (count, n) float array that receives the points.  Raises
         InefficiencyError if the acceptance rate falls below 1e-3.  Each
         round takes max(4 * missing, 4096) candidates from the stream,
         whatever the acceptance, but draws and tests them 4096 rows at a
@@ -292,7 +295,8 @@ class Domain:
         lo, hi = self.bounding_box()
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        out = np.empty((count, self.dimension))
+        if out is None:
+            out = np.empty((count, self.dimension))
         got = 0
         attempts = 0
         while got < count:
@@ -412,9 +416,9 @@ class AxisBox(Domain):
             raise ArgumentError(f"shrink by {eps} empties the box")
         return AxisBox(lo, hi)
 
-    def sample_uniform(self, count, seed=0):
+    def sample_uniform(self, count, seed=0, out=None):
         # a box is its own bounding box, skip the rejection loop
-        return uniform_box(_generator(count, seed), self.lo, self.hi, count)
+        return uniform_box(_generator(count, seed), self.lo, self.hi, count, out)
 
     def _params(self):
         return {"lo": self.lo.tolist(), "hi": self.hi.tolist()}
@@ -487,13 +491,19 @@ class ConvexPolytope(Domain):
         diffs = self.vertices[:, np.newaxis, :] - self.vertices[np.newaxis, :, :]
         self._diameter = float(np.sqrt(np.max(np.sum(diffs**2, axis=-1))))
 
+    def _margins(self, pts):
+        """The margins b_i - a_i . x of the points, one array per facet,
+        each dot product an ordered sum over the coordinate columns."""
+        pts = np.asarray(pts, dtype=float)
+        cols = [pts[..., j] for j in range(self.dimension)]
+        return [b - _ordered_sum([c * a_j for c, a_j in zip(cols, a)])
+                for a, b in zip(self.normals, self.offsets)]
+
     def contains_batch(self, pts):
-        margins = self.offsets - pts @ self.normals.T
-        return np.all(margins > 0, axis=-1)
+        return functools.reduce(np.logical_and, (m > 0 for m in self._margins(pts)))
 
     def dist_to_boundary_batch(self, pts):
-        margins = self.offsets - pts @ self.normals.T
-        return np.maximum(0.0, np.min(margins, axis=-1))
+        return np.maximum(0.0, functools.reduce(np.minimum, self._margins(pts)))
 
     def volume(self):
         return self._volume
@@ -692,7 +702,7 @@ class SetDifference(Domain):
             ])
         pts = np.asarray(pts, dtype=float)
         outside = np.flatnonzero(
-            np.any(inner.offsets - pts @ inner.normals.T < 0, axis=-1)
+            functools.reduce(np.logical_or, (m < 0 for m in inner._margins(pts)))
         )
         out = np.zeros(len(pts))
         for lo in range(0, len(outside), _HOLE_BLOCK):

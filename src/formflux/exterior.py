@@ -174,11 +174,14 @@ def minor_dets(indices, vectors):
     """The minor table of k-tuples of vectors: (N, k, n) -> (N, len(indices)).
 
     Column m holds det(vectors[:, :, indices[m] - 1]), the value of the basis
-    covector dx_{indices[m]} on each tuple.
+    covector dx_{indices[m]} on each tuple.  A minor that reads every column
+    in order (k = n) takes vectors as they are, with no gathered copy.
     """
     out = np.empty((len(vectors), len(indices)))
+    every = list(range(vectors.shape[-1]))
     for col, idx in enumerate(indices):
-        out[:, col] = _batch_det(vectors[:, :, [i - 1 for i in idx]])
+        cols = [i - 1 for i in idx]
+        out[:, col] = _batch_det(vectors if cols == every else vectors[:, :, cols])
     return out
 
 

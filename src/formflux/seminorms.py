@@ -32,12 +32,29 @@ uniforms from the stream; _tuples places the points and tests them against
 the domain; _weights evaluates F on the accepted tuples and weighs every
 tuple; and _estimate adds the weights and their squares to running sums,
 one row per channel, which become the estimates at the end.
+
+Every stage writes into a workspace (_Workspace), one per thread, whose
+arrays grow to the largest block seen and serve every later block and
+estimate; an F that starts an estimate of its own gets a fresh one.  _draw
+fills the block's arrays from the stream, with the same calls in the same
+order as drawing fresh arrays, and normalizes the directions in place.
+_tuples and _weights then run over tiles of the block (_tile_rows: 4096
+tuples for k = n = 2), so no temporary outgrows a (rows, k, n) array of a
+tile, 128 KiB, and none is block-sized: a block-sized temporary is above
+glibc's mmap and trim thresholds and is faulted in anew for every block.
+Each tile writes its radii, reach, g and weights into the workspace, and F
+gets read-only views.  Every row is computed on its own, F's included
+(evaluate_scaled_batch gives a row the same bits in any batch), and the
+weights and their squares are summed over the whole block, so the estimate
+does not depend on the tiles.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import threading
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -47,7 +64,7 @@ from .domains import normalize_rows, row_all
 from .errors import ArgumentError, InefficiencyError
 from .estimates import SeminormEstimate, check_exponent, delta_method_root
 from .exterior import unit_sphere_area
-from .forms import lp_norm
+from .forms import _NODE_BLOCK, lp_norm
 
 __all__ = [
     "SeminormConfig",
@@ -145,28 +162,98 @@ def _blocks(cfg):
             yield rng, min(_CHUNK, count - done)
 
 
-def _draw(rng, domain, m, k):
-    """(x0, vs, u): m base points uniform in the domain, then k unit
-    directions and k radial uniforms per base point."""
-    x0 = domain.sample_uniform(m, seed=rng)
-    vs = normalize_rows(rng.standard_normal((m, k, domain.dimension)))
-    return x0, vs, rng.random((m, k))
+class _Workspace:
+    """The arrays of an estimate's blocks and tiles, by name: each is a
+    view of one flat buffer that grows to the largest request and is
+    reused by every later one.  The last view of each name is kept, since
+    blocks and tiles mostly repeat their shapes."""
+
+    def __init__(self):
+        self.busy = False
+        self.buffers = {}
+        self.views = {}
+
+    def array(self, name, shape):
+        view = self.views.get(name)
+        if view is None or view.shape != shape:
+            size = math.prod(shape)
+            buf = self.buffers.get(name)
+            if buf is None or buf.size < size:
+                buf = self.buffers[name] = np.empty(size)
+            view = self.views[name] = buf[:size].reshape(shape)
+        return view
 
 
-def _tuples(domain, cfg, R, x0, vs, u):
-    """(rs, r_eff, keep): the radii r_i = r_eff U_i^{1/(p(1-theta))}, the
-    reach r_eff of each tuple, and the indices of the tuples whose points
-    x_i = x0 + r_i v_i all lie in the domain."""
+_local = threading.local()
+
+
+@contextmanager
+def _workspace():
+    """This thread's workspace, or a fresh one while it is in use (an F
+    that runs an estimate of its own)."""
+    ws = getattr(_local, "workspace", None)
+    if ws is None:
+        ws = _local.workspace = _Workspace()
+    elif ws.busy:
+        ws = _Workspace()
+    ws.busy = True
+    try:
+        yield ws
+    finally:
+        ws.busy = False
+
+
+def _tile_rows(k, n):
+    """Tuples per tile: a tile's largest arrays, (rows, k, n) doubles such
+    as its points, hold at most 2 * forms._NODE_BLOCK values, 128 KiB."""
+    return max(1, 2 * _NODE_BLOCK // (max(1, k) * n))
+
+
+def _tiles(m, k, n):
+    """The slices of consecutive tiles that cover m rows."""
+    step = _tile_rows(k, n)
+    return [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
+
+
+def _read_only(arr):
+    """A read-only view of arr."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
+def _draw(rng, domain, m, k, ws, tiles):
+    """(x0, vs, u) in the workspace: m base points uniform in the domain,
+    then k unit directions, normalized tile by tile, and k radial uniforms
+    per base point."""
+    n = domain.dimension
+    x0 = domain.sample_uniform(m, seed=rng, out=ws.array("x0", (m, n)))
+    vs = ws.array("vs", (m, k, n))
+    rng.standard_normal(out=vs)
+    for tile in tiles:
+        normalize_rows(vs[tile])
+    u = ws.array("u", (m, k))
+    rng.random(out=u)
+    return x0, vs, u
+
+
+def _tuples(domain, cfg, R, x0, vs, u, ws):
+    """(rs, r_eff, keep) for a tile: the radii r_i = r_eff U_i^{1/(p(1-theta))},
+    written over u, the reach r_eff of each tuple, and the indices of the
+    tuples whose points x_i = x0 + r_i v_i all lie in the domain."""
     m, k, n = vs.shape
+    r_eff = ws.array("r_eff", (m,))
     if cfg.variant in ("cone", "ball-cone") and k:
-        reach = cfg.c * domain.dist_to_boundary_batch(x0)
-        r_eff = np.minimum(reach, R) if cfg.variant == "ball-cone" else reach
+        np.multiply(cfg.c, domain.dist_to_boundary_batch(x0), out=r_eff)
+        if cfg.variant == "ball-cone":
+            np.minimum(r_eff, R, out=r_eff)
     else:  # with k = 0 no radius is drawn, and r_eff**0 = 1 for any R
-        r_eff = np.full(m, R if k else 1.0)
-    rs = u ** (1.0 / (cfg.p * (1.0 - cfg.theta)))
+        r_eff.fill(R if k else 1.0)
+    rs = u
+    rs **= 1.0 / (cfg.p * (1.0 - cfg.theta))  # numpy's u ** e, in place
     # one coordinate column at a time: the same products and sums as
     # x0[:, None, :] + rs[..., None] * vs
-    pts = np.empty((m, k, n))
+    pts = ws.array("pts", (m, k, n))
     for i in range(k):
         rs[:, i] *= r_eff
         for c in range(n):
@@ -176,20 +263,27 @@ def _tuples(domain, cfg, R, x0, vs, u):
     return rs, r_eff, np.flatnonzero(inside)
 
 
-def _weights(F, cfg, scale, x0, vs, rs, r_eff, keep):
-    """w = scale r_eff^{p(1-theta) k} |g|^p, where g = F / prod r_i on the
-    kept tuples, which alone F sees, and g = 0 on the others.  With every
-    tuple kept F sees the block's own arrays, read-only, with no gather or
-    scatter.  Overflow and 0 * inf are left silent: _estimate raises on
-    every non-finite weight."""
-    g, every = np.zeros(len(x0)), len(keep) == len(x0)
-    for arr in (x0, vs, rs):  # so an F that writes into them raises
-        arr.setflags(write=False)
-    g[slice(None) if every else keep] = F.evaluate_scaled_batch(
-        *(arr if every else arr.take(keep, axis=0) for arr in (x0, vs, rs)))
+def _weights(F, cfg, scale, x0, vs, rs, r_eff, keep, ws, out):
+    """w = scale r_eff^{p(1-theta) k} |g|^p into out for a tile, where
+    g = F / prod r_i on the kept tuples, which alone F sees, and g = 0 on
+    the others.  F gets read-only views: of the tile itself when every
+    tuple is kept, else of its kept rows gathered into the workspace.
+    Overflow and 0 * inf are left silent: _estimate raises on every
+    non-finite weight."""
+    m = len(x0)
+    g = ws.array("g", (m,))
+    args = (x0, vs, rs)
+    if len(keep) == m:
+        g[:] = F.evaluate_scaled_batch(*map(_read_only, args))
+    else:
+        kept = [_read_only(arr.take(keep, axis=0, mode="clip",
+                                    out=ws.array(name, arr.shape)[:len(keep)]))
+                for name, arr in zip(("kept_x0", "kept_vs", "kept_rs"), args)]
+        g.fill(0.0)
+        g[keep] = F.evaluate_scaled_batch(*kept)
     a = cfg.p * (1.0 - cfg.theta)
     with np.errstate(over="ignore", invalid="ignore"):
-        return scale * r_eff**(a * rs.shape[1]) * np.abs(g) ** cfg.p
+        np.multiply(scale * r_eff**(a * rs.shape[1]), np.abs(g) ** cfg.p, out=out)
 
 
 def _estimate(F, domain, cfg, split_radius=None):
@@ -197,22 +291,31 @@ def _estimate(F, domain, cfg, split_radius=None):
     tuples (every radius at most the split) and the far ones."""
     if F.dimension != domain.dimension:
         raise ArgumentError("multifunction and domain dimensions differ")
-    k = F.degree
+    k, n = F.degree, domain.dimension
     R = domain.diameter() if cfg.variant == "full" else cfg.R
-    scale = domain.volume() * (unit_sphere_area(domain.dimension) / cfg.p) ** k
-    sums = np.zeros((1 if split_radius is None else 2, 2))  # sum w, sum w^2
+    scale = domain.volume() * (unit_sphere_area(n) / cfg.p) ** k
+    channels = 1 if split_radius is None else 2
+    sums = np.zeros((channels, 2))  # sum w, sum w^2
     total = accepted = nonfinite = 0
-    for rng, m in _blocks(cfg):
-        x0, vs, u = _draw(rng, domain, m, k)
-        rs, r_eff, keep = _tuples(domain, cfg, R, x0, vs, u)
-        w = _weights(F, cfg, scale, x0, vs, rs, r_eff, keep)
-        total += m
-        accepted += len(keep)
-        nonfinite += np.count_nonzero(~np.isfinite(w))
-        if split_radius is not None:
-            near = np.where(row_all(rs <= split_radius), w, 0.0)
-            w = np.stack((near, w - near))
-        sums += np.stack((np.sum(w, axis=-1), np.sum(w * w, axis=-1)), axis=-1)
+    with _workspace() as ws:
+        for rng, m in _blocks(cfg):
+            tiles = _tiles(m, k, n)
+            x0, vs, u = _draw(rng, domain, m, k, ws, tiles)
+            w = ws.array("w", (channels, m))
+            for tile in tiles:
+                rs, r_eff, keep = _tuples(domain, cfg, R, x0[tile], vs[tile],
+                                          u[tile], ws)
+                _weights(F, cfg, scale, x0[tile], vs[tile], rs, r_eff, keep, ws,
+                         out=w[0, tile])
+                accepted += len(keep)
+                nonfinite += np.count_nonzero(~np.isfinite(w[0, tile]))
+                if split_radius is not None:  # near into row 0, far into row 1
+                    near = np.where(row_all(rs <= split_radius), w[0, tile], 0.0)
+                    np.subtract(w[0, tile], near, out=w[1, tile])
+                    w[0, tile] = near
+            total += m
+            w2 = np.multiply(w, w, out=ws.array("w2", w.shape))
+            sums += np.stack((np.sum(w, axis=-1), np.sum(w2, axis=-1)), axis=-1)
 
     if nonfinite:  # F gave a non-finite value, or |g|^p overflowed
         raise FloatingPointError(

@@ -155,7 +155,6 @@ def stratified_segment_rule(samples=1024, seed=0):
     return SimplexQuadratureRule("stratified", 1, pts, wts)
 
 
-@functools.lru_cache(maxsize=64)
 def default_rule(k, smooth=True, degree=7):
     """Grundmann-Moller of odd `degree` for smooth integrands; stratified
     nodes for rough segments, plain MC 1024 for rough higher orders.
@@ -163,9 +162,15 @@ def default_rule(k, smooth=True, degree=7):
     A lower degree is better conditioned: sum|w| * k! is 1.0 at degree 1,
     6.2 / 8.7 / 11.9 at 7 (k = 1 / 2 / 3), and about doubles with each step
     of 2, to 119 / 173 / 251 at 15.  The rules are deterministic (the rough
-    ones use seed 0), so each is built once per call spelling of (k, smooth,
-    degree) and shared; its points and weights are read-only.
+    ones use seed 0), so each is built once per (k, smooth, degree),
+    however the call spells them, and shared; its points and weights are
+    read-only.
     """
+    return _shared_rule(k, bool(smooth), degree)
+
+
+@functools.lru_cache(maxsize=64)
+def _shared_rule(k, smooth, degree):
     if smooth:
         rule = grundmann_moller_rule(k, degree=degree)
     elif k == 1:

@@ -1678,3 +1678,31 @@ def test_estimate_keeps_the_row_major_bits(case, k, split, seed):
                     w.value, w.stderr, w.power_value, w.power_stderr, w.samples,
                     w.acceptance_ratio, w.config)
         assert math.isfinite(g.value)
+
+
+def _estimate_fields(est):
+    return (est.value, est.stderr, est.power_value, est.power_stderr,
+            est.samples, est.acceptance_ratio, est.config)
+
+
+@pytest.mark.parametrize("case", sorted(ESTIMATE_CASES))
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("split", [False, True])
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_estimate_does_not_depend_on_its_tiles(case, k, split, seed):
+    """Tiles of 1, 97 and 700 rows give the bits of the default tiles.  On
+    700-tuple blocks the default and 700-row tiles cover a block with one
+    tile, 97-row tiles with eight, the last partial, and 1-row tiles with
+    one per tuple."""
+    domain, variant = ESTIMATE_CASES[case]
+    cfg = SeminormConfig(theta=0.95, samples=3001, seed=seed, stream=1, **variant)
+    split_radius = 0.05 if split else None
+    F = _multifunction(k)
+    with mock.patch.object(seminorms, "_CHUNK", 700):
+        want = seminorms._estimate(F, domain, cfg, split_radius)
+        for rows in (1, 97, 700):
+            with mock.patch.object(seminorms, "_tile_rows", lambda k, n: rows):
+                got = seminorms._estimate(F, domain, cfg, split_radius)
+            assert [_estimate_fields(g) for g in got] == [
+                _estimate_fields(w) for w in want]

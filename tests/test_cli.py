@@ -229,6 +229,22 @@ def test_verify_stokes_with_count(capsys):
     assert "[PASS] stokes-suite" in capsys.readouterr().err
 
 
+def test_verify_stokes_says_that_it_writes_no_csv(capsys, tmp_path):
+    """The Stokes suite reports residuals, not estimate rows: stdout stays
+    empty, --out creates nothing, and stderr says so."""
+    out = tmp_path / "stokes-csv"
+    args = ["verify", "stokes", "--count", "30", "--seed", "1"]
+    assert main(args + ["--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"verify-stokes: the report has no estimate rows, so no CSV is "
+            f"printed and nothing was written to {out}") in captured.err
+    assert not out.exists()
+    assert main(args) == 0
+    assert captured.err.replace(f" and nothing was written to {out}", "") \
+        == capsys.readouterr().err
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     assert main(["verify", "unknown-suite"]) == 2
 

@@ -786,6 +786,47 @@ def test_column_wise_predicates_keep_the_row_major_bits(n, name, layout, seed):
     assert bits(domain.dist_to_boundary_batch(pts)) == bits(want_dist)
 
 
+def regular_polytope(facets, turn=0.1):
+    """The polygon whose facet normals point at `facets` equally spaced
+    angles, each facet at distance 1 from the origin."""
+    angles = turn + 2.0 * math.pi * np.arange(facets) / facets
+    return ConvexPolytope(np.c_[np.cos(angles), np.sin(angles)], np.ones(facets))
+
+
+POLYTOPES = {
+    "triangle": TRIANGLE,
+    "pentagon": regular_polytope(5),
+    "octagon": regular_polytope(8),
+    "cube": CUBE_HOLE,
+}
+
+
+@settings(max_examples=10, deadline=5000)
+@given(st.sampled_from(sorted(POLYTOPES)), st.sampled_from(["C", "F", "strided"]),
+       st.integers(1, 700), seeds)
+def test_polytope_margins_do_not_depend_on_the_batch(name, layout, tile, seed):
+    """A polytope's membership and distance of a row are its ordered margin
+    sums b_i - (x_1 a_i1 + x_2 a_i2 + ...), in any batch and layout: the
+    5,000 rows at once, in tiles, and one at a time."""
+    polytope = POLYTOPES[name]
+    n = polytope.dimension
+    pts = np.random.default_rng(seed).uniform(-1.2, 1.2, size=(5000, n))
+    margins = np.empty((len(pts), len(polytope.offsets)))
+    for i, (a, b) in enumerate(zip(polytope.normals, polytope.offsets)):
+        dot = pts[:, 0] * a[0]
+        for j in range(1, n):
+            dot = dot + pts[:, j] * a[j]
+        margins[:, i] = b - dot
+    want_in, want_dist = np.all(margins > 0, axis=-1), np.maximum(0.0, margins.min(-1))
+    pts = in_layout(pts, layout)
+    assert np.array_equal(polytope.contains_batch(pts), want_in)
+    assert bits(polytope.dist_to_boundary_batch(pts)) == bits(want_dist)
+    tiles = [pts[lo:lo + tile] for lo in range(0, len(pts), tile)]
+    assert bits(np.concatenate([polytope.dist_to_boundary_batch(t) for t in tiles])) \
+        == bits(want_dist)
+    assert [polytope.dist_to_boundary(p) for p in pts[:50]] == want_dist[:50].tolist()
+
+
 @settings(max_examples=150, deadline=5000)
 @given(
     st.integers(1, 10),

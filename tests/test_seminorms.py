@@ -1,4 +1,6 @@
 import math
+import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +13,7 @@ from formflux.alexander_spanier import (
 )
 from formflux.domains import Annulus, AxisBox, Ball
 from formflux.errors import ArgumentError, InefficiencyError
+from formflux import seminorms
 from formflux.forms import FormField
 from formflux.seminorms import (
     DEFAULT_THETAS,
@@ -397,6 +400,77 @@ def test_a_multifunction_that_writes_into_a_kept_block_raises(arg):
     ).acceptance_ratio == 1.0
     with pytest.raises(ValueError, match="read-only"):
         fixed_theta_seminorm(Scribbler(2, 1, None), annulus, cfg)
+
+
+def _in_a_new_thread(func):
+    """func() run in a thread of its own, so with a workspace of its own."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(func()))
+    thread.start()
+    thread.join()
+    assert out, "the thread raised"
+    return out[0]
+
+
+def test_a_warm_estimate_allocates_by_the_tile_not_by_the_block():
+    """The annulus cone of criterion 4 on 12,500- and 32,768-tuple blocks:
+    once the workspace is warm, an estimate allocates no more than four of
+    a tile's (rows, k, n) arrays, the 4096-row candidate chunks of the
+    sampler included, whatever the block.  The workspace keeps arrays of
+    at most _CHUNK rows, and the tile's arrays of at most one tile."""
+    annulus = Annulus([0.0, 0.0], 0.5, 1.0)
+    F = CoboundaryMultifunction(FormField.from_polynomials(2, 1, {(2,): {(1, 0): 1.0}}))
+    rows, chunk = seminorms._tile_rows(2, 2), seminorms._CHUNK
+    tile_bytes = rows * 2 * 2 * 8
+
+    def run():
+        peaks = []
+        for samples in (50_000, 140_000):  # blocks of 12,500; 32,768 and 2,232
+            cfg = SeminormConfig(theta=0.99, samples=samples, seed=17,
+                                 variant="cone", c=0.5)
+            warm = fixed_theta_seminorm(F, annulus, cfg)
+            tracemalloc.start()
+            try:
+                est = fixed_theta_seminorm(F, annulus, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert est.power_value == warm.power_value
+        sizes = {name: buf.size
+                 for name, buf in seminorms._local.workspace.buffers.items()}
+        return peaks, sizes
+
+    peaks, sizes = _in_a_new_thread(run)
+    assert max(peaks) <= 4 * tile_bytes
+    per_row = {"x0": 2, "vs": 4, "u": 2, "w": 1, "w2": 1,
+               "r_eff": 1, "g": 1, "pts": 4}
+    assert set(sizes) == set(per_row)
+    for name in ("x0", "vs", "u", "w", "w2"):
+        assert sizes[name] == chunk * per_row[name]
+    for name in ("r_eff", "g", "pts"):
+        assert sizes[name] == rows * per_row[name]
+
+
+def test_an_estimate_inside_f_gets_a_workspace_of_its_own():
+    """An F that runs an estimate of its own, on blocks no larger than the
+    outer ones, which would fit the outer arrays, leaves them alone."""
+    annulus = Annulus([0.0, 0.0], 0.5, 1.0)
+    inner_cfg = SeminormConfig(theta=0.9, samples=1000, seed=2, variant="ball", R=0.2)
+    inner = fixed_theta_seminorm(IntegrationMultifunction(form_dx1()), UNIT_SQUARE,
+                                 inner_cfg)
+    plain = UserMultifunction(2, 1, None, lambda t: t[:, 1, 0] - t[:, 0, 1])
+
+    class Nested(UserMultifunction):
+        def evaluate_scaled_batch(self, x0, vs, rs):
+            est = fixed_theta_seminorm(IntegrationMultifunction(form_dx1()),
+                                       UNIT_SQUARE, inner_cfg)
+            assert est.power_value == inner.power_value
+            return plain.evaluate_scaled_batch(x0, vs, rs)
+
+    cfg = SeminormConfig(theta=0.9, samples=2000, seed=3, variant="cone", c=0.5)
+    want = fixed_theta_seminorm(plain, annulus, cfg)
+    got = fixed_theta_seminorm(Nested(2, 1, None), annulus, cfg)
+    assert (got.value, got.stderr) == (want.value, want.stderr)
 
 
 def test_non_finite_values_fail_the_estimate():

@@ -88,6 +88,14 @@ def test_default_rule_of_a_degree_is_shared_and_read_only(k, degree):
     assert not rule.points.flags.writeable and not rule.weights.flags.writeable
 
 
+def test_default_rule_is_one_rule_however_the_call_spells_it():
+    rule = default_rule(1)
+    assert default_rule(1, True, 7) is rule
+    assert default_rule(1, smooth=True, degree=7) is rule
+    assert default_rule(k=1, degree=7) is rule
+    assert default_rule(2, False) is default_rule(2, smooth=False)
+
+
 def test_gm_rejects_even_degree():
     with pytest.raises(ArgumentError):
         grundmann_moller_rule(2, degree=4)
