@@ -382,7 +382,13 @@ def test_dist_point_to_simplex():
 
 def old_dist_point_to_simplex(x, vertices):
     """The recursive single-point distance that _dist_to_simplices replaced:
-    one lstsq projection, then the facets if it falls outside."""
+    one lstsq projection, then the facets if it falls outside.
+
+    The projection takes one step of iterative refinement, which the old
+    code did not: a plain lstsq misses by a few ulps of the edge length, and
+    on a long segment that can exceed the ulps of the coordinates the test
+    allows (4.4e-15 for the point (-1.75, 1.75, 0.25) on the segment ending
+    there, where the distance is 0)."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(vertices, dtype=float)
     m = len(v)
@@ -390,6 +396,7 @@ def old_dist_point_to_simplex(x, vertices):
         return float(np.linalg.norm(x - v[0]))
     e = (v[1:] - v[0]).T  # (n, m-1)
     s, *_ = np.linalg.lstsq(e, x - v[0], rcond=None)
+    s = s + np.linalg.lstsq(e, (x - v[0]) - e @ s, rcond=None)[0]
     lam0 = 1.0 - float(np.sum(s))
     if lam0 >= -1e-12 and np.all(s >= -1e-12):
         return float(np.linalg.norm(x - (v[0] + e @ s)))
@@ -434,6 +441,7 @@ def simplex_batches(draw):
 @example((np.array([[0.0, 0.0]]), np.array([[[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]]])))
 @example((np.array([[0.5, 0.5]]), np.array([[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]])))
 @example((np.array([[0.0]]), np.array([[[1e-13], [1.0]]])))
+@example((np.array([[-1.75, 1.75, 0.25]]), np.array([[[2.0, -2.0, -0.25], [-1.75, 1.75, 0.25]]])))
 def test_simplex_distance_matches_the_recursive_lstsq(batch):
     x, verts = batch
     got = _dist_to_simplices(x, verts)
