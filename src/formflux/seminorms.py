@@ -26,27 +26,33 @@ floor near theta = 1.
 
 The layout is fixed: the samples are split over _STREAMS independently
 seeded streams, each drawn _CHUNK tuples at a time (_blocks), so the result
-is a deterministic function of the config and its seed.  Each block passes
-through four stages: _draw takes the base points, directions and radial
-uniforms from the stream; _tuples places the points and tests them against
-the domain; _weights evaluates F on the accepted tuples and weighs every
-tuple; and _estimate adds the weights and their squares to running sums,
-one row per channel, which become the estimates at the end.
+is a deterministic function of the config and its seed.  Consecutive blocks
+that fit in one tile together are packed (_packs), and a larger block is a
+pack of its own.  Each pack passes through four stages: _draw takes each
+block's base points, directions and radial uniforms from its stream, into
+the block's own rows of the pack; _tuples places the points and tests them
+against the domain; _weights evaluates F on the accepted tuples and weighs
+every tuple; and _estimate adds each block's weights and their squares,
+summed over the block's own rows, in block order, to running sums, one row
+per channel, which become the estimates at the end.  So an estimate of a
+few hundred samples hands F one batch, not one per block.
 
 Every stage writes into a workspace (_Workspace), one per thread, whose
-arrays grow to the largest block seen and serve every later block and
-estimate; an F that starts an estimate of its own gets a fresh one.  _draw
-fills the block's arrays from the stream, with the same calls in the same
-order as drawing fresh arrays, and normalizes the directions in place.
-_tuples and _weights then run over tiles of the block (_tile_rows: 4096
-tuples for k = n = 2), so no temporary outgrows a (rows, k, n) array of a
-tile, 128 KiB, and none is block-sized: a block-sized temporary is above
-glibc's mmap and trim thresholds and is faulted in anew for every block.
-Each tile writes its radii, reach, g and weights into the workspace, and F
-gets read-only views.  Every row is computed on its own, F's included
-(evaluate_scaled_batch gives a row the same bits in any batch), and the
-weights and their squares are summed over the whole block, so the estimate
-does not depend on the tiles.
+arrays grow to the largest pack seen and serve every later pack and
+estimate; an F that starts an estimate of its own gets a fresh one.  A pack
+holds at most max(_CHUNK, tile) rows, the most a block or a tile holds.
+_draw fills the pack's arrays from the streams, with the same calls in the
+same order as drawing fresh arrays block by block, and normalizes the
+directions in place.  _tuples and _weights then run over tiles of the pack
+(_tile_rows: 4096 tuples for k = n = 2; a pack of small blocks is one
+tile), so no temporary outgrows a (rows, k, n) array of a tile, 128 KiB,
+and none is block-sized: a block-sized temporary is above glibc's mmap and
+trim thresholds and is faulted in anew for every block.  Each tile writes
+its radii, reach, g and weights into the workspace, and F gets read-only
+views.  Every row is computed on its own, F's included
+(evaluate_scaled_batch gives a row the same bits in any batch), and each
+block's sums are taken over its own rows, so the estimate depends neither
+on the tiles nor on the packs.
 """
 
 from __future__ import annotations
@@ -162,11 +168,26 @@ def _blocks(cfg):
             yield rng, min(_CHUNK, count - done)
 
 
+def _packs(cfg, rows):
+    """The blocks of _blocks in packs: consecutive blocks that fit in rows
+    tuples together, and a larger block alone.  A pack is a list of
+    (rng, slice of the pack's rows) per block."""
+    pack = []
+    for rng, m in _blocks(cfg):
+        lo = pack[-1][1].stop if pack else 0
+        if pack and lo + m > rows:
+            yield pack
+            pack, lo = [], 0
+        pack.append((rng, slice(lo, lo + m)))
+    if pack:
+        yield pack
+
+
 class _Workspace:
-    """The arrays of an estimate's blocks and tiles, by name: each is a
+    """The arrays of an estimate's packs and tiles, by name: each is a
     view of one flat buffer that grows to the largest request and is
     reused by every later one.  The last view of each name is kept, since
-    blocks and tiles mostly repeat their shapes."""
+    packs and tiles mostly repeat their shapes."""
 
     def __init__(self):
         self.busy = False
@@ -222,18 +243,20 @@ def _read_only(arr):
     return view
 
 
-def _draw(rng, domain, m, k, ws, tiles):
-    """(x0, vs, u) in the workspace: m base points uniform in the domain,
-    then k unit directions, normalized tile by tile, and k radial uniforms
-    per base point."""
-    n = domain.dimension
-    x0 = domain.sample_uniform(m, seed=rng, out=ws.array("x0", (m, n)))
-    vs = ws.array("vs", (m, k, n))
-    rng.standard_normal(out=vs)
+def _draw(domain, pack, k, ws, tiles):
+    """(x0, vs, u) in the workspace, block after block in the pack's rows:
+    from each block's stream its base points uniform in the domain, then k
+    unit directions and k radial uniforms per base point.  The directions
+    are normalized tile by tile."""
+    n, m = domain.dimension, pack[-1][1].stop
+    x0, vs, u = (ws.array("x0", (m, n)), ws.array("vs", (m, k, n)),
+                 ws.array("u", (m, k)))
+    for rng, block in pack:
+        domain.sample_uniform(block.stop - block.start, seed=rng, out=x0[block])
+        rng.standard_normal(out=vs[block])
+        rng.random(out=u[block])
     for tile in tiles:
         normalize_rows(vs[tile])
-    u = ws.array("u", (m, k))
-    rng.random(out=u)
     return x0, vs, u
 
 
@@ -298,9 +321,10 @@ def _estimate(F, domain, cfg, split_radius=None):
     sums = np.zeros((channels, 2))  # sum w, sum w^2
     total = accepted = nonfinite = 0
     with _workspace() as ws:
-        for rng, m in _blocks(cfg):
+        for pack in _packs(cfg, _tile_rows(k, n)):
+            m = pack[-1][1].stop
             tiles = _tiles(m, k, n)
-            x0, vs, u = _draw(rng, domain, m, k, ws, tiles)
+            x0, vs, u = _draw(domain, pack, k, ws, tiles)
             w = ws.array("w", (channels, m))
             for tile in tiles:
                 rs, r_eff, keep = _tuples(domain, cfg, R, x0[tile], vs[tile],
@@ -315,7 +339,9 @@ def _estimate(F, domain, cfg, split_radius=None):
                     w[0, tile] = near
             total += m
             w2 = np.multiply(w, w, out=ws.array("w2", w.shape))
-            sums += np.stack((np.sum(w, axis=-1), np.sum(w2, axis=-1)), axis=-1)
+            for _, block in pack:  # each block's own sums, in block order
+                sums += np.stack((np.sum(w[:, block], axis=-1),
+                                  np.sum(w2[:, block], axis=-1)), axis=-1)
 
     if nonfinite:  # F gave a non-finite value, or |g|^p overflowed
         raise FloatingPointError(

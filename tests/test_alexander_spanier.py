@@ -396,6 +396,38 @@ def test_dd_vanishes_relative_to_second_faces(case):
     assert value <= 1e-12 * scale
 
 
+def parent_dd_zero_residual(F, points):
+    """dd_zero_residual with F evaluated again on the second-order faces,
+    in combinations order, the reference for its scale."""
+    value = abs(DifferentialMultifunction(DifferentialMultifunction(F)).evaluate(points))
+    m = len(points)
+    keep = [[t for t in range(m) if t not in pair]
+            for pair in combinations(range(m), 2)]
+    faces = np.take(points, np.array(keep, dtype=np.intp), axis=0)
+    return value, 2.0 * float(np.sum(np.abs(F.evaluate_batch(faces))))
+
+
+@PROPERTY
+@given(multifunction_cases())
+def test_dd_scale_is_read_from_the_batch_dd_evaluates(case):
+    F, rng = case
+    points = rng.normal(size=(F.degree + 3, F.dimension))
+    assert dd_zero_residual(F, points) == parent_dd_zero_residual(F, points)
+
+
+def test_dd_zero_residual_evaluates_f_once():
+    """One batch of m(m-1) = 20 second-order faces for m = 5 points."""
+    batches = []
+
+    def batch(tuples):
+        batches.append(len(tuples))
+        return np.cos(tuples[:, 0, 0]) + tuples[:, -1, 1]
+
+    F = UserMultifunction(2, 2, None, batch_func=batch)
+    dd_zero_residual(F, np.random.default_rng(3).normal(size=(5, 2)))
+    assert batches == [20]
+
+
 def _subnormal_case():
     rng = np.random.default_rng(1)
     return _user(2, 1, rng.normal(size=2)), rng

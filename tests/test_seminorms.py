@@ -2,6 +2,7 @@ import math
 import threading
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -413,42 +414,74 @@ def _in_a_new_thread(func):
 
 
 def test_a_warm_estimate_allocates_by_the_tile_not_by_the_block():
-    """The annulus cone of criterion 4 on 12,500- and 32,768-tuple blocks:
-    once the workspace is warm, an estimate allocates no more than four of
-    a tile's (rows, k, n) arrays, the 4096-row candidate chunks of the
-    sampler included, whatever the block.  The workspace keeps arrays of
-    at most _CHUNK rows, and the tile's arrays of at most one tile."""
+    """The annulus cone of criterion 4 on 700-, 12,500- and 32,768-tuple
+    blocks: once the workspace is warm, an estimate allocates no more than
+    four of a tile's (rows, k, n) arrays, the 4096-row candidate chunks of
+    the sampler included, whatever the block.  Packs of small blocks keep
+    the workspace within max(_CHUNK, tile rows) rows; the tile's arrays
+    stay within one tile."""
     annulus = Annulus([0.0, 0.0], 0.5, 1.0)
     F = CoboundaryMultifunction(FormField.from_polynomials(2, 1, {(2,): {(1, 0): 1.0}}))
     rows, chunk = seminorms._tile_rows(2, 2), seminorms._CHUNK
     tile_bytes = rows * 2 * 2 * 8
 
     def run():
-        peaks = []
-        for samples in (50_000, 140_000):  # blocks of 12,500; 32,768 and 2,232
+        peaks, sizes = [], []
+        # blocks of 700 (packed five to a tile), then of 12,500, then of
+        # 32,768 and 2,232
+        for block, samples in ((700, 50_000), (chunk, 50_000), (chunk, 140_000)):
             cfg = SeminormConfig(theta=0.99, samples=samples, seed=17,
                                  variant="cone", c=0.5)
-            warm = fixed_theta_seminorm(F, annulus, cfg)
-            tracemalloc.start()
-            try:
-                est = fixed_theta_seminorm(F, annulus, cfg)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            with mock.patch.object(seminorms, "_CHUNK", block):
+                warm = fixed_theta_seminorm(F, annulus, cfg)
+                tracemalloc.start()
+                try:
+                    est = fixed_theta_seminorm(F, annulus, cfg)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
             assert est.power_value == warm.power_value
-        sizes = {name: buf.size
-                 for name, buf in seminorms._local.workspace.buffers.items()}
+            sizes.append({name: buf.size for name, buf
+                          in seminorms._local.workspace.buffers.items()})
         return peaks, sizes
 
     peaks, sizes = _in_a_new_thread(run)
     assert max(peaks) <= 4 * tile_bytes
     per_row = {"x0": 2, "vs": 4, "u": 2, "w": 1, "w2": 1,
                "r_eff": 1, "g": 1, "pts": 4}
-    assert set(sizes) == set(per_row)
+    assert all(set(s) == set(per_row) for s in sizes)
     for name in ("x0", "vs", "u", "w", "w2"):
-        assert sizes[name] == chunk * per_row[name]
+        assert sizes[0][name] <= max(700, rows) * per_row[name]
+        assert sizes[-1][name] == chunk * per_row[name]
     for name in ("r_eff", "g", "pts"):
-        assert sizes[name] == rows * per_row[name]
+        assert sizes[-1][name] == rows * per_row[name]
+
+
+class _CountedCoboundary(CoboundaryMultifunction):
+    """dI_omega that lists the batch sizes of its scaled evaluations."""
+
+    def __init__(self, omega):
+        super().__init__(omega)
+        self.batches = []
+
+    def evaluate_scaled_batch(self, x0, vs, rs):
+        self.batches.append(len(x0))
+        return super().evaluate_scaled_batch(x0, vs, rs)
+
+
+@pytest.mark.parametrize("samples, batches",
+                         [(200, [200]), (50_000, [4096, 4096, 4096, 212] * 4)])
+def test_small_blocks_share_a_tile(samples, batches):
+    """k = 2 on the annulus cone, which keeps every tuple: the four 50-tuple
+    blocks of 200 samples fit one 4096-row tile, so F is evaluated once;
+    each of the four 12,500-tuple blocks of 50k samples is a pack of its
+    own, four tiles, so F is evaluated 16 times."""
+    F = _CountedCoboundary(FormField.from_polynomials(2, 1, {(2,): {(1, 0): 1.0}}))
+    cfg = SeminormConfig(theta=0.99, samples=samples, seed=17, variant="cone", c=0.5)
+    assert seminorms._tile_rows(F.degree, 2) == 4096
+    est = fixed_theta_seminorm(F, Annulus([0.0, 0.0], 0.5, 1.0), cfg)
+    assert est.acceptance_ratio == 1.0
+    assert F.batches == batches
 
 
 def test_an_estimate_inside_f_gets_a_workspace_of_its_own():
