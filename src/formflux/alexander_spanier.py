@@ -58,10 +58,15 @@ def _faces(tuples):
 
 
 def _alternating_sum(face_values):
-    """sum_i (-1)^i face_values[i], added in the order i = 0, 1, ..."""
-    out = np.zeros(face_values.shape[1:])
-    for i, vals in enumerate(face_values):
-        out += -vals if i % 2 else vals
+    """sum_i (-1)^i face_values[i], added in the order i = 0, 1, ... as if
+    to zeros: 0.0 is added to face 0 (so a -0.0 becomes 0.0), and each odd
+    face is subtracted in place, which is adding its negation."""
+    out = face_values[0] + 0.0
+    for i in range(1, len(face_values)):
+        if i % 2:
+            out -= face_values[i]
+        else:
+            out += face_values[i]
     return out
 
 

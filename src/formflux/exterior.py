@@ -174,9 +174,12 @@ def minor_dets(indices, vectors):
     """The minor table of k-tuples of vectors: (N, k, n) -> (N, len(indices)).
 
     Column m holds det(vectors[:, :, indices[m] - 1]), the value of the basis
-    covector dx_{indices[m]} on each tuple.  A minor that reads every column
-    in order (k = n) takes vectors as they are, with no gathered copy.
+    covector dx_{indices[m]} on each tuple.  For k = 1 each minor is an
+    entry, and the table is one column gather.  A minor that reads every
+    column in order (k = n) takes vectors as they are, with no gathered copy.
     """
+    if vectors.shape[1] == 1:
+        return vectors[:, 0, [i - 1 for i, in indices]]
     out = np.empty((len(vectors), len(indices)))
     every = list(range(vectors.shape[-1]))
     for col, idx in enumerate(indices):
@@ -186,17 +189,24 @@ def minor_dets(indices, vectors):
 
 
 def contract_minors(coeffs, dets, out=None):
-    """sum_m coeffs[..., m] * dets[..., m], added in order m = 0, 1, ...
+    """sum_m coeffs[..., m] * dets[..., m], added in order m = 0, 1, ... as
+    if to zeros.
 
     The one ordered sum behind covector evaluation and the pullback kernel;
-    coeffs and dets broadcast against each other.  A
-    given out is zero-filled and receives the sum.
+    coeffs and dets broadcast against each other.  The first product is
+    written straight into out (a new array when none is given) and 0.0 added
+    to it, the zero fill's own rule, so a -0.0 becomes 0.0; each later
+    product is added from one scratch array.  With no minors out is 0.0.
     """
     if out is None:
         out = np.empty(np.broadcast_shapes(np.shape(coeffs), dets.shape)[:-1])
-    out.fill(0.0)
-    product = np.empty_like(out)
-    for col in range(dets.shape[-1]):
+    if not dets.shape[-1]:
+        out.fill(0.0)
+        return out
+    np.multiply(coeffs[..., 0], dets[..., 0], out=out)
+    out += 0.0
+    product = np.empty_like(out) if dets.shape[-1] > 1 else None
+    for col in range(1, dets.shape[-1]):
         out += np.multiply(coeffs[..., col], dets[..., col], out=product)
     return out
 

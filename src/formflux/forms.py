@@ -45,6 +45,47 @@ __all__ = [
 ]
 
 
+class _memo:
+    """functools.cached_property without its lock: the first read computes
+    the value into the instance's __dict__, which later reads find first.
+    (Before Python 3.12 cached_property takes a lock on each first read.)"""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
+def _power_ladder(pts, tops):
+    """powers_of[j][e] = x_j^e for 1 <= e <= tops[j], x_j^e = x_j^(e-1) * x_j."""
+    powers_of = []
+    for j, top in enumerate(tops):
+        ladder = [None, pts[:, j]]
+        for _ in range(1, top):
+            ladder.append(ladder[-1] * ladder[1])
+        powers_of.append(ladder)
+    return powers_of
+
+
+def _monomial(factors, c, out):
+    """The left-to-right product of factors, then times c, into out."""
+    if len(factors) == 1:
+        return np.multiply(factors[0], c, out=out)
+    np.multiply(factors[0], factors[1], out=out)
+    for factor in factors[2:]:
+        out *= factor
+    out *= c
+    return out
+
+
 class Polynomial:
     """Sparse multivariate polynomial: {exponent tuple: coefficient}."""
 
@@ -89,44 +130,47 @@ class Polynomial:
         powers[j - 1] = 1
         return cls(dimension, {tuple(powers): 1.0})
 
-    def evaluate_batch(self, pts, out=None):
+    def evaluate_batch(self, pts, out=None, *, powers_of=None):
         """Values at pts (N, dimension): sum over terms of c * monomial,
-        added in term order to zeros, into out (N,) when it is given.
+        added in term order as if to zeros, into out (N,) when it is given.
 
         A monomial is the left-to-right product of its powers x_j^e (zero
         exponents skipped), then times c, and x_j^e = x_j^(e-1) * x_j is
-        built once per coordinate up to its top exponent.  No pow: products
-        are correctly rounded, while numpy's pow gives bits that depend on
-        the host.  The terms share one scratch column; with out given, the
-        powers above 1 are the only other arrays a call allocates.
+        built once per coordinate up to its top exponent (_power_ladder),
+        or read from powers_of, the ladder of pts that FormField shares
+        among its components.  No pow: products are correctly rounded,
+        while numpy's pow gives bits that depend on the host.  The first
+        term is written straight into out and 0.0 added to it, the zero
+        fill's own rule, so a -0.0 becomes 0.0; each later monomial is
+        added from one scratch column, allocated only when there is one.
+        With out given, the powers above 1 and that column are the only
+        arrays a call allocates.
         """
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dimension:
             raise ArgumentError(f"expected points of shape (N, {self.dimension})")
-        powers_of = []  # powers_of[j][e] = x_j^e for 1 <= e <= top exponent
-        for j, top in enumerate(map(max, zip(*self.terms))):
-            ladder = [None, pts[:, j]]
-            for _ in range(1, top):
-                ladder.append(ladder[-1] * pts[:, j])
-            powers_of.append(ladder)
         if out is None:
-            out = np.zeros(pts.shape[0])
-        else:
+            out = np.empty(pts.shape[0])
+        if not self.terms:
             out.fill(0.0)
-        term = np.empty(pts.shape[0])
-        for powers, c in self.terms.items():
+            return out
+        if powers_of is None:
+            powers_of = _power_ladder(pts, self._tops)
+        scratch = None
+        for i, (powers, c) in enumerate(self.terms.items()):
             factors = [powers_of[j][e] for j, e in enumerate(powers) if e]
             if not factors:
-                out += c
-                continue
-            if len(factors) == 1:
-                np.multiply(factors[0], c, out=term)
+                if i:
+                    out += c
+                else:
+                    out.fill(c)  # c is nonzero, so 0.0 + c is c
+            elif i:
+                if scratch is None:
+                    scratch = np.empty(len(out))
+                out += _monomial(factors, c, scratch)
             else:
-                np.multiply(factors[0], factors[1], out=term)
-                for factor in factors[2:]:
-                    term *= factor
-                term *= c
-            out += term
+                _monomial(factors, c, out)
+                out += 0.0
         return out
 
     def __call__(self, x):
@@ -163,10 +207,15 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    @functools.cached_property
+    @_memo
     def total_degree(self):
         """The largest exponent sum of a term (0 with no terms), found once."""
         return max(map(sum, self.terms), default=0)
+
+    @_memo
+    def _tops(self):
+        """The top exponent of each coordinate (() with no terms), found once."""
+        return tuple(map(max, zip(*self.terms)))
 
     def is_zero(self):
         return not self.terms
@@ -257,14 +306,22 @@ class FormField:
 
     def coefficients_batch(self, pts, out=None):
         """Coefficient values (N, m) at pts (N, n), by self.indices, into out
-        when it is given; a new array is column-major."""
+        when it is given; a new array is column-major.  Polynomial
+        components share one power ladder, built up to the top exponent of
+        each coordinate over them all, with the bits of their own."""
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dimension:
             raise ArgumentError(f"expected points of shape (N, {self.dimension})")
         if out is None:
             out = np.empty((len(self.indices), pts.shape[0])).T
-        for col, idx in enumerate(self.indices):
-            self._component_batch(idx, pts, out[:, col])
+        if self._tops is None:
+            for col, idx in enumerate(self.indices):
+                self._component_batch(idx, pts, out[:, col])
+        else:
+            powers_of = _power_ladder(pts, self._tops)
+            for col, idx in enumerate(self.indices):
+                self.components[idx].evaluate_batch(pts, out[:, col],
+                                                    powers_of=powers_of)
         if self.support is not None:
             out *= self.support.contains_batch(pts)[:, np.newaxis]
         return out
@@ -280,10 +337,21 @@ class FormField:
         out[...] = comp(pts)
         return out
 
-    @functools.cached_property
+    @_memo
     def _reads(self):
         """The coordinates (0-based, ascending) the coefficients read."""
         return self._reads_of(self.indices)
+
+    @_memo
+    def _tops(self):
+        """Each coordinate's top exponent over the components, or None when
+        a component is not a Polynomial.  Read from the terms, so that the
+        components keep no memo of their own."""
+        comps = self.components.values()
+        if not all(isinstance(c, Polynomial) for c in comps):
+            return None
+        return tuple(max((p[j] for c in comps for p in c.terms), default=0)
+                     for j in range(self.dimension))
 
     def _reads_of(self, indices):
         """Coordinates the given components read: those with a nonzero
@@ -338,11 +406,12 @@ class FormField:
         if self.backend == "polynomial":
             out = {}  # merged index -> terms, in the order partial, * and + give
             for idx, poly in self.components.items():
-                for j in range(1, self.dimension + 1):
-                    merged, sign = sort_with_sign((j,) + idx)
-                    dj = [(p[: j - 1] + (p[j - 1] - 1,) + p[j:], c * p[j - 1] * sign)
-                          for p, c in poly.terms.items() if p[j - 1] and sign]
-                    terms = out.setdefault(merged, {}) if dj else {}
+                for a, merged, sign in _d_plan(self.dimension, idx):
+                    dj = [(p[:a] + (p[a] - 1,) + p[a + 1 :], c * p[a] * sign)
+                          for p, c in poly.terms.items() if p[a]]
+                    if not dj:
+                        continue
+                    terms = out.setdefault(merged, {})
                     for powers, c in dj:
                         terms[powers] = terms.get(powers, 0.0) + c
                         if not terms[powers]:  # + drops a cancelled term
@@ -358,11 +427,8 @@ class FormField:
         # analytic with partials: d omega_merged = sum of sign * d_j omega_idx
         terms = {}  # index -> list of (sign, partial d_j omega_idx)
         for idx in self.indices:
-            for j in range(1, self.dimension + 1):
-                merged, sign = sort_with_sign((j,) + idx)
-                if sign == 0:
-                    continue
-                terms.setdefault(merged, []).append((sign, self.partials[(idx, j)]))
+            for a, merged, sign in _d_plan(self.dimension, idx):
+                terms.setdefault(merged, []).append((sign, self.partials[(idx, a + 1)]))
 
         def component(contribs, pts):
             acc = np.zeros(len(pts))
@@ -379,6 +445,18 @@ class FormField:
             f"FormField(n={self.dimension}, k={self.degree}, "
             f"backend={self.backend!r}, indices={self.indices})"
         )
+
+
+@functools.lru_cache
+def _d_plan(n, idx):
+    """(axis, merged index, sign) with dx_{axis+1} ^ dx_idx = sign dx_merged,
+    for each axis of R^n not in idx, in axis order."""
+    plan = []
+    for j in range(1, n + 1):
+        merged, sign = sort_with_sign((j,) + idx)
+        if sign:
+            plan.append((j - 1, merged, sign))
+    return tuple(plan)
 
 
 # ---------------------------------------------------------------------------

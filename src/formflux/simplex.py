@@ -221,33 +221,51 @@ def integrate_form(omega, simplex, rule=None):
 _SCREEN = 16
 
 
+def _read_span(omega):
+    """The coordinates from the first the coefficients read to the last, as a
+    slice (empty for a form that reads none; FormField._reads)."""
+    reads = omega._reads
+    return slice(reads[0], reads[-1] + 1) if reads else slice(0, 0)
+
+
 def _block_buffer(omega, rows, Q):
-    """Scratch for _integrand_block on blocks of up to `rows` rows of Q nodes."""
-    return np.empty((omega.dimension + 1 + len(omega.indices)) * rows * Q)
+    """Scratch for _integrand_block on blocks of up to `rows` rows of Q nodes:
+    n position columns, then the m coefficient columns, which hold the
+    product term's columns, one per coordinate of _read_span, while the
+    positions are built (k > 1)."""
+    n, span = omega.dimension, _read_span(omega)
+    term = span.stop - span.start if omega.degree > 1 else 0
+    return np.empty((n + max(len(omega.indices), term)) * rows * Q)
 
 
 def _integrand_block(omega, P, base, edges, dets, buf, out):
     """The integrand at the nodes P of a block of rows, into out (rows, Q).
 
     P is (Q, k), the same nodes for every row, or (rows, Q, k), each row's
-    own nodes.  buf is from _block_buffer.  pos[c] = sum_j edges[:, j, c] *
-    P[..., j] + base[:, c], summed in order j = 0, 1, ... without fused
-    multiply-adds, for each coordinate c the coefficients read
-    (FormField._reads).  Coordinate-major, so the coefficients read the
-    column-major (rows * Q, n) view, and write column-major (rows * Q, m)
-    values.  The positions, the product term and the values all live in buf.
+    own nodes.  buf is from _block_buffer.  pos[c] = edges[:, 0, c] *
+    P[..., 0] + edges[:, 1, c] * P[..., 1] + ... + base[:, c], in that
+    order and without fused multiply-adds, for the coordinates c of
+    _read_span all at once: one broadcast multiply and one add per edge, and
+    one add of base.  The coefficients read no other coordinate.
+    Coordinate-major, so the coefficients read the column-major (rows * Q,
+    n) view, and write column-major (rows * Q, m) values.  The positions,
+    the product term and the values all live in buf.
     """
     n, m = omega.dimension, len(omega.indices)
     rows, Q = out.shape
     size = rows * Q
     pos = buf[: n * size].reshape(n, rows, Q)
-    term = buf[n * size : (n + 1) * size].reshape(rows, Q)
-    coeffs = buf[(n + 1) * size : (n + 1 + m) * size].reshape(m, size).T
-    for c in omega._reads:
-        np.multiply(edges[:, 0, c, np.newaxis], P[..., 0], out=pos[c])
-        for j in range(1, P.shape[-1]):
-            pos[c] += np.multiply(edges[:, j, c, np.newaxis], P[..., j], out=term)
-        pos[c] += base[:, c, np.newaxis]
+    if omega._reads:
+        span = _read_span(omega)
+        at = pos[span]
+        e = edges.transpose(1, 2, 0)[:, span, :, np.newaxis]  # (k, span, rows, 1)
+        np.multiply(e[0], P[..., 0], out=at)
+        if len(e) > 1:
+            term = buf[n * size : (n + len(at)) * size].reshape(at.shape)
+        for j in range(1, len(e)):
+            at += np.multiply(e[j], P[..., j], out=term)
+        at += base.T[span, :, np.newaxis]
+    coeffs = buf[n * size : (n + m) * size].reshape(m, size).T
     omega.coefficients_batch(pos.reshape(n, -1).T, out=coeffs)
     contract_minors(coeffs.reshape(rows, Q, m), dets[:, np.newaxis], out=out)
 
@@ -330,8 +348,9 @@ def edge_integrals(omega, rule, base, edges, unit_vectors=None, with_mass=False)
     in one scratch buffer per call, so the positions and coefficients never
     exist for the whole batch; only the (N, Q) integrand does, reduced in
     one forms.row_dot call.  Every step computes row by row, so a simplex
-    gets the same bits in any batch.  Positions are built only for the
-    coordinates the coefficients read (FormField._reads).
+    gets the same bits in any batch.  Positions are built only from the
+    first coordinate the coefficients read to the last (_read_span), and
+    not at all for a form that reads none.
 
     On a stratified segment rule of more than 2 * _SCREEN nodes each row is
     first evaluated at the screen nodes 0, _SCREEN, 2 * _SCREEN, ... and

@@ -24,8 +24,8 @@ Likewise they evaluate their nodes in blocks of forms._NODE_BLOCK, and no
 block size may move a bit.  Nor may the memory layout: coefficient arrays
 are column-major, the points may come in either order, and a polynomial or
 a form may write into a column of a caller's buffer.  Nor may the read
-set: the kernels build only the coordinates a form reads, and
-convolve by evaluating each distinct shift once, while the references
+set: the kernels build only the coordinates from the first a form reads
+to the last, and convolve by evaluating each distinct shift once, while the references
 build and evaluate every coordinate of every node (for the convolution,
 of every distinct shift).  Nor may the
 rough-face screen, wherever each jump of a face's integrand leaves a
@@ -55,6 +55,7 @@ from hypothesis.extra import numpy as hnp
 from formflux import forms
 from formflux.alexander_spanier import (
     CoboundaryMultifunction,
+    _alternating_sum,
     DifferentialMultifunction,
     IntegrationMultifunction,
     UserMultifunction,
@@ -73,6 +74,8 @@ from formflux.domains import (
 from formflux.exterior import (
     Covector,
     _batch_det,
+    contract_minors,
+    minor_dets,
     sort_with_sign,
     sphere_norm,
     unit_sphere_area,
@@ -328,6 +331,101 @@ def test_polynomial_into_a_column_keeps_the_bits(case, data):
     assert np.array_equal(bits(buf[:, col]), bits(reference_polynomial(poly, pts)))
     others = np.arange(buf.shape[1]) != col
     assert np.array_equal(bits(buf)[:, others], before[:, others])
+
+
+# The sums below write their first term straight into the output and add
+# 0.0, which is what adding that term to a zero fill does: a first term of
+# -0.0 gives +0.0.  Their references sum onto zeros.
+ZERO_FILL_POLYNOMIALS = [
+    Polynomial(2, {(1, 0): 2.0}),                  # 2.0 * -0.0 first
+    Polynomial(2, {(1, 1): -1.0, (0, 2): 3.0}),    # -1.0 * x1 * x2 first
+    Polynomial(2, {(0, 0): -3.5}),                 # constant only
+    Polynomial(2, {(0, 0): 1.5, (1, 0): -2.0}),    # constant first
+    Polynomial(2, {}),                             # no terms
+]
+
+
+@pytest.mark.parametrize("poly", ZERO_FILL_POLYNOMIALS, ids=repr)
+def test_polynomial_sums_as_if_onto_zeros(poly):
+    """A first term of -0.0 reads +0.0, and a constant-only or empty
+    polynomial fills every entry: on its own, into a buffer of NaNs, and
+    through a form's power ladder shared with a component of higher
+    exponents."""
+    pts = np.array([[-0.0, -0.0], [0.0, 0.0], [1.0, -0.0], [-0.0, 1.0],
+                    [-2.0, 0.5]])
+    want = reference_polynomial(poly, pts)
+    assert np.array_equal(bits(poly.evaluate_batch(pts)), bits(want))
+    buf = np.full(len(pts), np.nan)
+    poly.evaluate_batch(pts, out=buf)
+    assert np.array_equal(bits(buf), bits(want))
+    omega = FormField.from_polynomials(2, 1, {(1,): poly, (2,): {(3, 3): 1.0}})
+    assert np.array_equal(bits(omega.coefficients_batch(pts)[:, 0]), bits(want))
+
+
+signed_entries = (st.floats(-8.0, 8.0, allow_nan=False, width=64)
+                  | st.sampled_from([-0.0, 0.0]))
+
+
+@st.composite
+def contraction_cases(draw):
+    """coeffs (rows, Q, m) and dets (rows, m), m = 0 to 4, with signed
+    zeros among the entries."""
+    rows, Q, m = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    coeffs = draw(hnp.arrays(np.float64, (rows, Q, m), elements=signed_entries))
+    dets = draw(hnp.arrays(np.float64, (rows, m), elements=signed_entries))
+    return coeffs, dets
+
+
+@PROPERTY
+@given(contraction_cases())
+@example((np.full((1, 2, 1), -0.0), np.ones((1, 1))))
+@example((np.full((2, 3, 2), -0.0), np.array([[1.0, -0.0], [-1.0, 0.0]])))
+@example((np.empty((2, 3, 0)), np.empty((2, 0))))
+def test_contract_minors_sums_as_if_onto_zeros(case):
+    coeffs, dets = case
+    want = ordered_contraction(coeffs, dets)
+    assert same_bits(contract_minors(coeffs, dets[:, np.newaxis]), want)
+    out = np.full(coeffs.shape[:2], np.nan)
+    got = contract_minors(coeffs, dets[:, np.newaxis], out=out)
+    assert got is out and same_bits(out, want)
+
+
+@st.composite
+def one_vector_cases(draw):
+    """(N, 1, n) vectors with signed zeros, and the basis 1-covectors of a
+    non-empty subset of the axes."""
+    n = draw(st.integers(1, 3))
+    vectors = draw(hnp.arrays(np.float64, (draw(st.integers(1, 8)), 1, n),
+                              elements=signed_entries))
+    return vectors, draw(st.lists(st.integers(1, n), min_size=1, max_size=n,
+                                  unique=True))
+
+
+@PROPERTY
+@given(one_vector_cases())
+def test_one_vector_minors_are_the_batch_det_columns(case):
+    vectors, entries = case
+    indices = [(i,) for i in sorted(entries)]
+    want = np.stack([_batch_det(vectors[:, :, [i - 1]]) for i, in indices], axis=1)
+    got = minor_dets(indices, vectors)
+    assert same_bits(got, want)
+    assert not np.shares_memory(got, vectors)
+
+
+def negated_add_sum(face_values):
+    """The alternating face sum as it was: negated copies added to zeros."""
+    out = np.zeros(face_values.shape[1:])
+    for i, vals in enumerate(face_values):
+        out += -vals if i % 2 else vals
+    return out
+
+
+@PROPERTY
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 6)),
+                  elements=signed_entries))
+@example(np.array([[-0.0, -0.0, 0.0], [0.0, -0.0, -0.0], [-0.0, 0.0, -0.0]]))
+def test_alternating_sum_is_the_negated_add(face_values):
+    assert same_bits(_alternating_sum(face_values), negated_add_sum(face_values))
 
 
 @PROPERTY
@@ -914,6 +1012,24 @@ def test_read_sets():
     mixed = FormField.from_polynomials(3, 1, {(1,): {(0, 2, 0): 1.0}, (3,): 2.0})
     assert mixed._reads == (1,)
     assert mixed._reads_of([(3,)]) == ()
+
+
+def test_first_use_memos_read_the_same_every_time():
+    """_reads and total_degree are computed on the first read, kept on the
+    instance, and read back unchanged; a form with a support is a new form
+    whose read set is its own, read before or after its parent's."""
+    poly = Polynomial(2, {(2, 1): 1.0, (0, 4): -2.0})
+    assert "total_degree" not in vars(poly)
+    assert poly.total_degree == 4
+    assert vars(poly)["total_degree"] == 4 and poly.total_degree == 4
+    assert poly.partial(2).total_degree == 3 and poly.total_degree == 4
+    omega = FormField.from_polynomials(2, 1, {(2,): {(1, 0): 1.0}})
+    supported = omega.with_support(Ball(np.zeros(2), 1.0))
+    assert supported._reads == (0, 1)
+    assert omega._reads == (0,) and omega._reads == (0,)
+    assert omega.with_support(Ball(np.zeros(2), 1.0))._reads == (0, 1)
+    assert omega.exterior_derivative()._reads == ()
+    assert omega._reads == (0,) and supported._reads == (0, 1)
 
 
 def test_each_convolution_shifts_what_its_component_reads():
