@@ -317,8 +317,8 @@ class CoboundaryMultifunction(DifferentialMultifunction):
 class StokesResult(float):
     """The residual |dI_omega - I_{d omega}| at one tuple.
 
-    containment is True/False when the hull test decided whether the
-    simplex stays where omega is untruncated, None when no test applies.
+    containment tells whether the simplex stays where omega is untruncated,
+    None when the support's shape cannot decide (see stokes_residual).
     """
 
     def __new__(cls, residual, lhs, rhs, containment):
@@ -341,7 +341,8 @@ def stokes_residual(omega, points, rule=None):
 
     Zero at quadrature precision when the simplex hull avoids any support
     truncation; generically nonzero when the hull straddles the support
-    boundary, which the containment field reports when decidable.
+    boundary.  containment is True without a support, False when a vertex
+    lies outside it, else the support's hull_check_batch (None: undecided).
     """
     if not omega.has_derivative():
         raise ArgumentError("stokes_residual needs a form with a derivative")
@@ -353,8 +354,8 @@ def stokes_residual(omega, points, rule=None):
     rhs = integrate_form(omega.exterior_derivative(), points)
     if omega.support is None:
         containment = True
-    elif omega.support.is_convex:
-        containment = bool(np.all(omega.support.contains_batch(points)))
+    elif not np.all(omega.support.contains_batch(points)):
+        containment = False
     else:
         flags = omega.support.hull_check_batch(points[np.newaxis])
         containment = None if flags is None else bool(flags[0])

@@ -25,6 +25,7 @@ import sys
 from .alexander_spanier import CoboundaryMultifunction, IntegrationMultifunction
 from .domains import domain_from_json
 from .errors import ArgumentError, InefficiencyError, UnsupportedOperationError
+from .estimates import check_seed
 from .experiments import (
     EXPERIMENT_NAMES,
     SUITE_NAMES,
@@ -34,7 +35,6 @@ from .experiments import (
 )
 from .forms import form_from_json
 from .seminorms import (
-    DEFAULT_THETAS,
     SeminormConfig,
     VARIANTS,
     estimates_to_csv,
@@ -59,16 +59,14 @@ def _load_json(path, decode):
 def _resolve_seed(args, fallback=DEFAULT_SEED):
     seed, source = getattr(args, "seed", None), "--seed"
     if seed is None:
-        env, source = os.environ.get("FORMFLUX_SEED"), "FORMFLUX_SEED"
-        if env is None:
+        seed, source = os.environ.get("FORMFLUX_SEED"), "FORMFLUX_SEED"
+        if seed is None:
             return fallback
         try:
-            seed = int(env)
+            seed = int(seed)
         except ValueError:
-            raise ArgumentError(f"FORMFLUX_SEED must be an integer, got {env!r}")
-    if seed < 0:
-        raise ArgumentError(f"{source} must be >= 0, got {seed}")
-    return seed
+            pass  # check_seed refuses the string
+    return check_seed(seed, source)
 
 
 def _build_multifunction(form, k):
@@ -136,24 +134,11 @@ def cmd_sweep(args):
     form = _load_json(args.form, form_from_json)
     domain = _load_json(args.domain, domain_from_json)
     F = _build_multifunction(form, args.k)
-    seed = _resolve_seed(args)
-    thetas = tuple(args.theta) if args.theta else DEFAULT_THETAS
-    sweep = theta_sweep(F, domain, _config_from_args(args, seed), thetas)
-    lines = [
-        f"theta={t}: power = {e.power_value!r} +- {e.power_stderr!r}"
-        for t, e in zip(sweep.thetas, sweep.estimates)
-    ]
-    if sweep.divergent:
-        lines.append("DIVERGENT: growth beyond error bars, no extrapolation")
-    else:
-        lines.append(
-            f"extrapolated power = {sweep.extrapolated_power!r} "
-            f"+- {sweep.extrapolated_power_stderr!r} "
-            f"(fit residual {sweep.fit_residual!r})"
-        )
+    sweep = theta_sweep(F, domain, _config_from_args(args, _resolve_seed(args)),
+                        args.theta)
     svg_text = sweep_svg(sweep) if args.out and not args.no_plot else None
     _emit(args, "sweep", estimates_to_csv(sweep.estimates), svg_text=svg_text,
-          report_lines=lines)
+          report_lines=sweep.report_lines())
     return 0
 
 

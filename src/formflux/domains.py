@@ -39,6 +39,7 @@ import math
 import numpy as np
 
 from .errors import ArgumentError, InefficiencyError, UnsupportedOperationError
+from .estimates import random_stream
 
 __all__ = [
     "Domain",
@@ -219,13 +220,10 @@ def _skip_uniform(rng, rows, lo, hi):
 
 
 def _generator(count, seed):
-    """The generator a sampler draws count points from: seed itself, or a
-    fresh one seeded from the integer."""
+    """The generator a sampler draws count points from (random_stream)."""
     if count < 0:
         raise ArgumentError(f"cannot sample {count} points")
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(np.random.SeedSequence(seed))
+    return random_stream(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +269,10 @@ class Domain:
     def hull_check_batch(self, tuples):
         """Whether the convex hull of each point tuple lies inside the domain.
 
-        tuples has shape (N, m, n) with every point already a member.  Returns
-        a boolean array, or None when this shape cannot decide cheaply.
-        Convex domains always contain the hull of member points.
+        tuples has shape (N, m, n), every point a member: the answer for a
+        tuple with a point outside is undefined.  Returns a boolean array,
+        or None when this shape cannot decide cheaply.  Convex domains
+        contain the hull of member points.
         """
         if self.is_convex:
             return np.ones(len(tuples), dtype=bool)
@@ -284,7 +283,7 @@ class Domain:
     def sample_uniform(self, count, seed=0, out=None):
         """count i.i.d. uniform points via rejection from the bounding box.
 
-        seed may be an integer or a numpy Generator; out, when given, is a
+        seed is an integer >= 0 or a numpy Generator; out, when given, is a
         C-contiguous (count, n) float array that receives the points.  Raises
         InefficiencyError if the acceptance rate falls below 1e-3.  Each
         round takes max(4 * missing, 4096) candidates from the stream,

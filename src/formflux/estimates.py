@@ -6,6 +6,8 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ArgumentError
 
 
@@ -27,6 +29,26 @@ def check_integer(value, what):
             and math.isfinite(value) and float(value).is_integer()):
         return int(value)
     raise ArgumentError(f"{what} must be an integer, got {value!r}")
+
+
+def check_seed(seed, what="seed"):
+    """seed as an int >= 0 (check_integer), else an ArgumentError naming what."""
+    seed = check_integer(seed, what)
+    if seed < 0:
+        raise ArgumentError(f"{what} must be >= 0, got {seed}")
+    return seed
+
+
+def random_stream(seed):
+    """seed if it is a Generator, else default_rng(SeedSequence(check_seed(seed)))."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(np.random.SeedSequence(check_seed(seed)))
+
+
+def within_3_sigma(a, sa, b, sb):
+    """a <= b + 3 (sa + sb): a exceeds b by at most 3 combined standard errors."""
+    return a <= b + 3 * (sa + sb)
 
 
 def delta_method_root(power, power_err, p):

@@ -26,6 +26,7 @@ from .alexander_spanier import (
 )
 from .domains import Annulus, AxisBox, domain_from_json, normalize_rows
 from .errors import ArgumentError
+from .estimates import random_stream, within_3_sigma
 from .exterior import sphere_norm
 from .forms import (
     FormField,
@@ -40,6 +41,7 @@ from .seminorms import (
     DEFAULT_THETAS,
     SeminormConfig,
     bbm_constant,
+    check_thetas,
     estimates_to_csv,
     fixed_theta_seminorm,
     theta_sweep,
@@ -86,11 +88,7 @@ class ExperimentSpec:
         if not 0 < self.tolerance < math.inf:
             raise ArgumentError(f"tolerance must be finite and > 0, "
                                 f"got {self.tolerance!r}")
-        if not self.thetas:
-            raise ArgumentError("theta grid must be non-empty")
-        if not all(isinstance(t, numbers.Real) and not isinstance(t, bool)
-                   and 0 < t < 1 for t in self.thetas):
-            raise ArgumentError(f"thetas must be numbers in (0, 1): {self.thetas!r}")
+        check_thetas(self.thetas)
         if self.expected_kind not in ("closed-form", "oracle", "qualitative"):
             raise ArgumentError(f"unknown expected_kind {self.expected_kind!r}")
         value = self.expected_value
@@ -153,8 +151,8 @@ class ExperimentReport:
     measured: float | None
     target: float | None
     tolerance: float
-    stat_error: float
-    systematic: float
+    stat_error: float = 0.0
+    systematic: float = 0.0
     rows: tuple = ()
     details: dict = field(default_factory=dict)
     lines: tuple = ()
@@ -213,10 +211,7 @@ def run_bbm(spec):
     F = CoboundaryMultifunction(spec.form)
     sweep = theta_sweep(F, spec.domain, spec.config, spec.thetas)
     target, target_err = _target_power(spec)
-    lines = [
-        f"theta={t}: power = {e.power_value!r} +- {e.power_stderr!r}"
-        for t, e in zip(sweep.thetas, sweep.estimates)
-    ]
+    lines = sweep.report_lines()
     details = {
         "divergent": sweep.divergent,
         "diagnostics": sweep.diagnostics,
@@ -225,22 +220,18 @@ def run_bbm(spec):
         "extrapolated_power_stderr": sweep.extrapolated_power_stderr,
         "fit_residual": sweep.fit_residual,
     }
+    measured = sweep.extrapolated_power  # None when the sweep is divergent
     if spec.expected_kind == "qualitative":
         passed = True
-        measured = sweep.extrapolated_power
         lines.append("qualitative run: no target asserted")
     elif sweep.divergent:
         passed = False
-        measured = None
-        lines.append("sweep flagged divergent; no extrapolation offered")
     else:
-        measured = sweep.extrapolated_power
         stat = 3.0 * (sweep.extrapolated_power_stderr + target_err)
         slack = spec.tolerance * abs(target) if target else spec.tolerance
         passed = abs(measured - target) <= slack + stat + sweep.fit_residual
         lines.append(
-            f"extrapolated power {measured!r} vs target {target!r} "
-            f"(slack {slack + stat + sweep.fit_residual!r})"
+            f"target {target!r} (slack {slack + stat + sweep.fit_residual!r})"
         )
     return ExperimentReport(
         name=spec.name,
@@ -290,7 +281,7 @@ def run_stokes_suite(count=1000, seed=0):
     excluded from the verdict."""
     if count < 1:
         raise ArgumentError(f"count must be >= 1, got {count}")
-    rng = np.random.default_rng(seed)
+    rng = random_stream(seed)
     worst = 0.0
     cases = []
     for dimension, degree, n_cases in ((2, 1, count), (3, 2, max(count // 10, 1))):
@@ -319,8 +310,6 @@ def run_stokes_suite(count=1000, seed=0):
         measured=worst,
         target=0.0,
         tolerance=1e-8,
-        stat_error=0.0,
-        systematic=0.0,
         details={"count": count, "seed": seed,
                  "excluded_residual": excluded.residual},
         lines=lines,
@@ -364,7 +353,7 @@ def run_dd_zero_suite(count=1000, seed=0):
     1e-12 relative to its face magnitude."""
     if count < 1:
         raise ArgumentError(f"count must be >= 1, got {count}")
-    rng = np.random.default_rng(seed)
+    rng = random_stream(seed)
     worst = 0.0
     for case in range(count):
         kind = case % 4
@@ -400,8 +389,6 @@ def run_dd_zero_suite(count=1000, seed=0):
         measured=worst,
         target=0.0,
         tolerance=1e-12,
-        stat_error=0.0,
-        systematic=0.0,
         details={"count": count, "seed": seed},
         lines=(f"max relative double-differential over {count} cases: {worst!r}",),
     )
@@ -419,23 +406,15 @@ def run_variant_ordering_check(samples=20000, seed=0):
     passed = True
     for j, theta in enumerate(thetas):
         common = dict(p=2.0, theta=theta, samples=samples, seed=seed, stream=j)
-        full = fixed_theta_seminorm(F, square, SeminormConfig(**common))
-        ball = fixed_theta_seminorm(
-            F, square, SeminormConfig(variant="ball", R=0.5, **common)
-        )
-        cone = fixed_theta_seminorm(
-            F, square,
-            SeminormConfig(variant="ball-cone", R=0.5, c=0.5, **common),
-        )
-        diam = fixed_theta_seminorm(
-            F, square,
-            SeminormConfig(variant="ball", R=square.diameter(), **common),
-        )
+        full, ball, cone, diam = (
+            fixed_theta_seminorm(F, square, SeminormConfig(**common, **variant))
+            for variant in ({}, dict(variant="ball", R=0.5),
+                            dict(variant="ball-cone", R=0.5, c=0.5),
+                            dict(variant="ball", R=square.diameter())))
         rows.extend([cone, ball, full])
-        ok_chain = (
-            cone.value <= ball.value + 3 * (cone.stderr + ball.stderr)
-            and ball.value <= full.value + 3 * (ball.stderr + full.stderr)
-        )
+        ok_chain = (within_3_sigma(cone.value, cone.stderr, ball.value, ball.stderr)
+                    and within_3_sigma(ball.value, ball.stderr, full.value,
+                                       full.stderr))
         ok_diam = diam.value == full.value
         passed = passed and ok_chain and ok_diam
         lines.append(
@@ -449,8 +428,6 @@ def run_variant_ordering_check(samples=20000, seed=0):
         measured=None,
         target=None,
         tolerance=0.0 if passed else 1.0,
-        stat_error=0.0,
-        systematic=0.0,
         rows=tuple(rows),
         details={"samples": samples, "seed": seed, "thetas": thetas},
         lines=tuple(lines),
@@ -472,20 +449,11 @@ def run_diagonal_vanishing_check(samples=30000, seed=0):
     cfg = SeminormConfig(p=2.0, variant="ball", R=1.0, samples=samples,
                          seed=seed)
     sweep = theta_sweep(F, square, cfg)
-    powers = sweep.powers
-    errors = sweep.power_errors
-    decreasing = all(
-        powers[i + 1] <= powers[i] + 3 * (errors[i + 1] + errors[i])
-        for i in range(len(powers) - 1)
-    )
-    final = float(powers[-1])
+    decreasing = sweep.diagnostics["decreasing"]
+    final = float(sweep.powers[-1])
     limit = sweep.extrapolated_power
     small = (limit is not None and abs(limit) <= tol) or final <= tol
     passed = decreasing and small and not sweep.divergent
-    lines = tuple(
-        f"theta={t}: power {e.power_value!r} +- {e.power_stderr!r}"
-        for t, e in zip(sweep.thetas, sweep.estimates)
-    ) + (f"extrapolated power: {limit!r}",)
     return ExperimentReport(
         name="diagonal-vanishing",
         passed=passed,
@@ -497,7 +465,7 @@ def run_diagonal_vanishing_check(samples=30000, seed=0):
         rows=sweep.estimates,
         details={"r": r, "samples": samples, "seed": seed,
                  "decreasing": decreasing},
-        lines=lines,
+        lines=tuple(sweep.report_lines()),
     )
 
 
@@ -517,14 +485,12 @@ def run_mollifier_suite(samples=4000, seed=0, thetas=None):
     lines = []
     passed = True
     for j, theta in enumerate(thetas):
-        cfg = SeminormConfig(
-            p=2.0, variant="ball", R=1.0, theta=theta, samples=samples,
-            seed=seed, stream=j,
-        )
+        cfg = SeminormConfig(p=2.0, variant="ball", R=1.0, theta=theta,
+                             samples=samples, seed=seed, stream=j)
         lhs = fixed_theta_seminorm(lhs_F, inner, cfg)
         rhs = fixed_theta_seminorm(rhs_F, square, cfg)
         rows.extend([lhs, rhs])
-        ok = lhs.value <= rhs.value + 3 * (lhs.stderr + rhs.stderr)
+        ok = within_3_sigma(lhs.value, lhs.stderr, rhs.value, rhs.stderr)
         passed = passed and ok
         lines.append(
             f"theta={theta}: mollified {lhs.value:.6f}+-{lhs.stderr:.1e} "
@@ -537,8 +503,6 @@ def run_mollifier_suite(samples=4000, seed=0, thetas=None):
         measured=None,
         target=None,
         tolerance=0.0 if passed else 1.0,
-        stat_error=0.0,
-        systematic=0.0,
         rows=tuple(rows),
         details={"eps": eta.radius, "samples": samples, "seed": seed,
                  "thetas": thetas},

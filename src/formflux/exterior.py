@@ -29,7 +29,8 @@ import numpy as np
 
 from .domains import normalize_rows
 from .errors import ArgumentError
-from .estimates import Estimate, check_exponent, check_integer, delta_method_root
+from .estimates import (Estimate, check_exponent, check_integer,
+                        delta_method_root, random_stream)
 
 __all__ = [
     "Covector",
@@ -261,7 +262,7 @@ def sphere_norm(alpha: Covector, p: float = 2.0) -> Estimate:
     if decomposable_degree(n, k):
         scale = sphere_power_constant(n, k, p) ** (1.0 / p)
         return Estimate(euclidean_norm(alpha) * scale)
-    rng = np.random.default_rng(np.random.SeedSequence(_MC_SEED))
+    rng = random_stream(_MC_SEED)
     g = normalize_rows(rng.standard_normal((_MC_SAMPLES, k, n)))
     vals = np.abs(alpha.evaluate_batch(g)) ** p
     area = unit_sphere_area(n) ** k

@@ -23,6 +23,7 @@ from .estimates import (
     SeminormEstimate,
     check_exponent,
     check_integer,
+    check_seed,
     delta_method_root,
 )
 from .exterior import (
@@ -136,9 +137,9 @@ class Polynomial:
 
         A monomial is the left-to-right product of its powers x_j^e (zero
         exponents skipped), then times c, and x_j^e = x_j^(e-1) * x_j is
-        built once per coordinate up to its top exponent (_power_ladder),
-        or read from powers_of, the ladder of pts that FormField shares
-        among its components.  No pow: products are correctly rounded,
+        built once per coordinate up to its top exponent (_power_ladder, on
+        each call), or read from powers_of, the ladder of pts that FormField
+        shares among its components.  No pow: products are correctly rounded,
         while numpy's pow gives bits that depend on the host.  The first
         term is written straight into out and 0.0 added to it, the zero
         fill's own rule, so a -0.0 becomes 0.0; each later monomial is
@@ -155,7 +156,7 @@ class Polynomial:
             out.fill(0.0)
             return out
         if powers_of is None:
-            powers_of = _power_ladder(pts, self._tops)
+            powers_of = _power_ladder(pts, map(max, zip(*self.terms)))
         scratch = None
         for i, (powers, c) in enumerate(self.terms.items()):
             factors = [powers_of[j][e] for j, e in enumerate(powers) if e]
@@ -212,11 +213,6 @@ class Polynomial:
         """The largest exponent sum of a term (0 with no terms), found once."""
         return max(map(sum, self.terms), default=0)
 
-    @_memo
-    def _tops(self):
-        """The top exponent of each coordinate (() with no terms), found once."""
-        return tuple(map(max, zip(*self.terms)))
-
     def is_zero(self):
         return not self.terms
 
@@ -240,6 +236,13 @@ class FormField:
             raise ArgumentError(f"unknown backend {backend!r}")
         self.components = {_normalize_index(idx, dimension, degree): comp
                            for idx, comp in (components or {}).items()}
+        polynomial = backend == "polynomial"
+        for idx, comp in self.components.items():
+            if isinstance(comp, Polynomial) != polynomial or (
+                    polynomial and comp.dimension != dimension):
+                raise ArgumentError(f"component {idx} is {comp!r}: a polynomial form "
+                                    f"takes Polynomials in {dimension} variables, "
+                                    "the other backends callables")
         self.indices = sorted(self.components)
         self.support = support
         self.partials = partials  # {(index, axis): callable pts -> (N,)} or None
@@ -265,14 +268,14 @@ class FormField:
                 poly = Polynomial.constant(dimension, poly)
             elif isinstance(poly, dict):
                 poly = Polynomial(dimension, poly)
-            if poly.dimension != dimension:
-                raise ArgumentError("polynomial dimension mismatch")
             comps[idx] = poly
         return cls(dimension, degree, comps, "polynomial", support=support)
 
     @classmethod
     def constant_form(cls, dimension, coefficients):
-        """Constant-coefficient form from {index: value}."""
+        """Constant-coefficient form from a non-empty {index: value}."""
+        if not coefficients:
+            raise ArgumentError("a constant form needs at least one coefficient")
         degree = len(next(iter(coefficients)))
         return cls.from_polynomials(
             dimension,
@@ -314,24 +317,22 @@ class FormField:
             raise ArgumentError(f"expected points of shape (N, {self.dimension})")
         if out is None:
             out = np.empty((len(self.indices), pts.shape[0])).T
-        if self._tops is None:
-            for col, idx in enumerate(self.indices):
-                self._component_batch(idx, pts, out[:, col])
-        else:
-            powers_of = _power_ladder(pts, self._tops)
-            for col, idx in enumerate(self.indices):
-                self.components[idx].evaluate_batch(pts, out[:, col],
-                                                    powers_of=powers_of)
+        powers_of = (_power_ladder(pts, self._tops)
+                     if self.backend == "polynomial" else None)
+        for col, idx in enumerate(self.indices):
+            self._component_batch(idx, pts, out[:, col], powers_of)
         if self.support is not None:
             out *= self.support.contains_batch(pts)[:, np.newaxis]
         return out
 
-    def _component_batch(self, idx, pts, out=None):
+    def _component_batch(self, idx, pts, out=None, powers_of=None):
         """Values (N,) of the component idx at pts (N, n), support ignored,
-        into out when it is given."""
+        into out when it is given.  A Polynomial reads powers_of, the form's
+        ladder of pts, when it is given, else builds its own, since mollify
+        fills only the coordinates that the component reads."""
         comp = self.components[idx]
-        if isinstance(comp, Polynomial):
-            return comp.evaluate_batch(pts, out)
+        if self.backend == "polynomial":
+            return comp.evaluate_batch(pts, out, powers_of=powers_of)
         if out is None:
             return np.asarray(comp(pts), dtype=float)
         out[...] = comp(pts)
@@ -344,12 +345,9 @@ class FormField:
 
     @_memo
     def _tops(self):
-        """Each coordinate's top exponent over the components, or None when
-        a component is not a Polynomial.  Read from the terms, so that the
-        components keep no memo of their own."""
+        """Each coordinate's top exponent over the components of a
+        polynomial form."""
         comps = self.components.values()
-        if not all(isinstance(c, Polynomial) for c in comps):
-            return None
         return tuple(max((p[j] for c in comps for p in c.terms), default=0)
                      for j in range(self.dimension))
 
@@ -357,7 +355,7 @@ class FormField:
         """Coordinates the given components read: those with a nonzero
         exponent in some term; every one for a callable or a support."""
         comps = [self.components[idx] for idx in indices]
-        if self.support is None and all(isinstance(c, Polynomial) for c in comps):
+        if self.support is None and self.backend == "polynomial":
             return tuple(j for j in range(self.dimension)
                          if any(p[j] for c in comps for p in c.terms))
         return tuple(range(self.dimension))
@@ -383,10 +381,8 @@ class FormField:
         )
 
     def is_zero(self):
-        return all(
-            isinstance(p, Polynomial) and p.is_zero()
-            for p in self.components.values()
-        ) or not self.components
+        return not self.components or self.backend == "polynomial" and all(
+            p.is_zero() for p in self.components.values())
 
     # -- calculus ------------------------------------------------------------
 
@@ -669,7 +665,7 @@ def lp_norm(omega, domain, p, samples=20000, seed=0):
     estimated from `samples` uniform points of the domain."""
     check_exponent(p)
     samples = check_integer(samples, "samples")
-    seed = check_integer(seed, "seed")
+    seed = check_seed(seed)
     if samples < 2:
         raise ArgumentError("need at least 2 samples")
     pts = domain.sample_uniform(samples, seed=seed)

@@ -68,7 +68,8 @@ import numpy as np
 from .alexander_spanier import IntegrationMultifunction, Multifunction
 from .domains import normalize_rows, row_all
 from .errors import ArgumentError, InefficiencyError
-from .estimates import SeminormEstimate, check_exponent, delta_method_root
+from .estimates import (SeminormEstimate, check_exponent, check_seed,
+                        delta_method_root, within_3_sigma)
 from .exterior import unit_sphere_area
 from .forms import _NODE_BLOCK, lp_norm
 
@@ -104,9 +105,10 @@ class SeminormConfig:
 
     The degree k is the multifunction's.  p is finite and >= 1.  R applies
     to the ball variants, c to the cone variants, each finite and > 0;
-    either given to a variant that ignores it is an error.  stream
-    separates sampling streams that share one seed (theta sweeps use the
-    theta index), so sweep points are independent yet reproducible.
+    either given to a variant that ignores it is an error.  seed follows
+    estimates.check_seed.  stream separates sampling streams that share one
+    seed (theta sweeps use the theta index), so sweep points are
+    independent yet reproducible.
     """
 
     p: float = 2.0
@@ -119,12 +121,13 @@ class SeminormConfig:
     stream: int = 0
 
     def __post_init__(self):
-        for name, least in (("samples", 2), ("seed", 0), ("stream", 0)):
+        for name, least in (("samples", 2), ("stream", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ArgumentError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ArgumentError(f"{name} must be >= {least}, got {value}")
+        object.__setattr__(self, "seed", check_seed(self.seed))
         check_exponent(self.p)
         if not 0.0 < self.theta < 1.0:
             raise ArgumentError("theta must lie in (0, 1)")
@@ -410,6 +413,11 @@ class SweepResult:
     fit covariance, and fit_residual is the weighted RMS misfit kept as a
     systematic term.  divergent reports growth across the last three
     thetas beyond combined error bars; no extrapolation is offered then.
+
+    diagnostics holds fit_window, the points fitted, and flags set at
+    construction: increasing (decreasing), each power within 3 sigma
+    (estimates.within_3_sigma) below (above) the next, and heavy_tail, some
+    positive power's error above half of it.
     """
 
     thetas: tuple
@@ -420,6 +428,14 @@ class SweepResult:
     fit_residual: float | None
     divergent: bool
     diagnostics: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        p, e = self.powers, self.power_errors
+        object.__setattr__(self, "diagnostics", dict(
+            self.diagnostics,
+            increasing=all(map(within_3_sigma, p, e, p[1:], e[1:])),
+            decreasing=all(map(within_3_sigma, p[1:], e[1:], p, e)),
+            heavy_tail=bool(np.any(e[p > 0] > 0.5 * p[p > 0]))))
 
     @property
     def powers(self):
@@ -434,6 +450,17 @@ class SweepResult:
         if self.extrapolated_power is None:
             return None
         return max(self.extrapolated_power, 0.0) ** (1.0 / self.p)
+
+    def report_lines(self):
+        """The sweep as text: a line per theta with its power and error,
+        then the extrapolated power with its error and fit residual, or
+        DIVERGENT."""
+        return [f"theta={t}: power = {e.power_value!r} +- {e.power_stderr!r}"
+                for t, e in zip(self.thetas, self.estimates)] + [
+            "DIVERGENT: growth beyond error bars, no extrapolation"
+            if self.divergent else
+            f"extrapolated power = {self.extrapolated_power!r} +- "
+            f"{self.extrapolated_power_stderr!r} (fit residual {self.fit_residual!r})"]
 
 
 def _weighted_line_fit(x, y, sigma):
@@ -469,32 +496,33 @@ def _detect_divergence(thetas, powers, errors):
     return slope2 >= slope1
 
 
+def check_thetas(thetas):
+    """thetas as a tuple if it is a sweep's grid, else an ArgumentError: at
+    least 3 numbers (not bools) in (0, 1), strictly increasing."""
+    thetas = tuple(thetas)
+    if not all(isinstance(t, numbers.Real) and not isinstance(t, bool)
+               for t in thetas):
+        raise ArgumentError(f"thetas must be numbers, got {thetas!r}")
+    if len(thetas) < 3 or not all(0.0 < t < 1.0 for t in thetas) or any(
+            b <= a for a, b in zip(thetas, thetas[1:])):
+        raise ArgumentError(f"a theta sweep needs at least 3 thetas in (0, 1), "
+                            f"strictly increasing, got {thetas!r}")
+    return thetas
+
+
 def theta_sweep(F: Multifunction, domain, cfg: SeminormConfig, thetas=None):
     """Fixed-theta estimates along a grid with a theta -> 1 extrapolation.
 
     Each grid point uses an independent sampling stream of the same seed.
     """
-    thetas = tuple(DEFAULT_THETAS if thetas is None else thetas)
-    if len(thetas) < 3:
-        raise ArgumentError("theta sweep needs at least 3 thetas")
-    if any(not 0.0 < t < 1.0 for t in thetas):
-        raise ArgumentError("thetas must lie in (0, 1)")
-    if any(b <= a for a, b in zip(thetas, thetas[1:])):
-        raise ArgumentError("thetas must increase strictly")
+    thetas = check_thetas(DEFAULT_THETAS if thetas is None else thetas)
     estimates = tuple(
         fixed_theta_seminorm(F, domain, replace(cfg, theta=t, stream=j))
         for j, t in enumerate(thetas)
     )
     powers = np.array([e.power_value for e in estimates])
     errors = np.array([e.power_stderr for e in estimates])
-    positive = powers > 0
-    diagnostics = {
-        "monotone_increasing": bool(np.all(np.diff(powers) >= 0)),
-        "monotone_decreasing": bool(np.all(np.diff(powers) <= 0)),
-        "heavy_tail": bool(
-            np.any(errors[positive] > 0.5 * powers[positive])
-        ) if positive.any() else False,
-    }
+    diagnostics = {}
     divergent = bool(_detect_divergence(thetas, powers, errors))
     a = sa = rms = None
     if not divergent:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError
-from .estimates import check_integer
+from .estimates import check_integer, random_stream
 from .exterior import contract_minors, minor_dets
 from .forms import _block_rows, row_dot
 
@@ -114,7 +114,7 @@ def monte_carlo_rule(k, samples=1024, seed=0):
     """Uniform nodes on Delta_k by sorted-uniform spacings, equal weights."""
     k = check_integer(k, "simplex order")
     samples = check_integer(samples, "samples")
-    seed = check_integer(seed, "seed")
+    rng = random_stream(seed)
     if k < 0:
         raise ArgumentError("simplex order must be >= 0")
     if k == 0:
@@ -123,7 +123,6 @@ def monte_carlo_rule(k, samples=1024, seed=0):
         )
     if samples < 1:
         raise ArgumentError("need at least one sample")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     u = np.sort(rng.random((samples, k)), axis=1)
     pts = np.diff(u, axis=1, prepend=0.0)
     wts = np.full(samples, 1.0 / (math.factorial(k) * samples))
@@ -146,10 +145,9 @@ def stratified_segment_rule(samples=1024, seed=0):
     sides is not seen, whether or not the face crosses a jump elsewhere.
     """
     samples = check_integer(samples, "samples")
-    seed = check_integer(seed, "seed")
     if samples < 1:
         raise ArgumentError("need at least one sample")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = random_stream(seed)
     pts = ((np.arange(samples) + rng.random(samples)) / samples)[:, np.newaxis]
     wts = np.full(samples, 1.0 / samples)
     return SimplexQuadratureRule("stratified", 1, pts, wts)
@@ -198,7 +196,11 @@ def integrate_form(omega, simplex, rule=None):
     Pulls back through the affine chart: sum_q w_q omega_{phi(s_q)}(edges),
     computed by edge_integrals as a batch of one, under _form_rule(omega)
     when no rule is given.  Odd permutations of the corners negate the value.
+    A form of degree above n is zero: 0.0 over any degree + 1 points.
     """
+    if (omega.degree > omega.dimension
+            and np.shape(simplex) == (omega.degree + 1, omega.dimension)):
+        return 0.0
     pts = _points(simplex)
     k = pts.shape[0] - 1
     if omega.degree != k:

@@ -409,8 +409,8 @@ def test_convolution_evaluates_each_distinct_shift_once(monkeypatch, case,
     rows = []
     evaluate = Polynomial.evaluate_batch
     monkeypatch.setattr(Polynomial, "evaluate_batch",
-                        lambda poly, pts, *out: rows.append(len(pts))
-                        or evaluate(poly, pts, *out))
+                        lambda poly, pts, *out, **kw: rows.append(len(pts))
+                        or evaluate(poly, pts, *out, **kw))
     closure(np.random.default_rng(0).uniform(0.0, 1.0, size=(7, 2)))
     assert sum(rows) == 7 * per_point
 

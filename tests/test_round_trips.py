@@ -142,7 +142,7 @@ def specs(draw):
         R=draw(length) if "ball" in variant else None,
         c=draw(length) if "cone" in variant else None,
     )
-    thetas = draw(st.lists(st.floats(0.5, 0.999), min_size=1, max_size=5,
+    thetas = draw(st.lists(st.floats(0.5, 0.999), min_size=3, max_size=5,
                            unique=True))
     kind = draw(st.sampled_from(["closed-form", "oracle", "qualitative"]))
     value = draw(st.floats(-10.0, 10.0)) if kind == "closed-form" else None
