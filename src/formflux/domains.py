@@ -18,10 +18,13 @@ They return the bits of the row-wise numpy code they replace:
 elementwise operations are exact, and numpy sums fewer than 8 entries of
 a row in order.  From 8 coordinates on numpy sums pairwise and its
 unrolled min orders signed zeros its own way, so such rows go back to
-numpy's reductions.  `ConvexPolytope` computes each facet's margin
-b_i - a_i . x as an ordered sum over the coordinate columns too, so a
-row's margins do not depend on its batch, as the rows of a BLAS product
-`pts @ normals.T` do.
+numpy's reductions.  The ball and annulus decide membership without a
+square root: sqrt is correctly rounded, so monotone, and comparing
+row_norm with a radius is comparing its sum of squares with a threshold
+found once per radius (`_root_threshold`).  `ConvexPolytope` computes
+each facet's margin b_i - a_i . x as an ordered sum over the coordinate
+columns too, so a row's margins do not depend on its batch, as the rows
+of a BLAS product `pts @ normals.T` do.
 
 Distances to simplices go through one batched kernel, `_dist_to_simplices`:
 the annulus hull check (the center against every tuple) and a polytope hole
@@ -96,17 +99,57 @@ def _column_norm(cols):
     return np.sqrt(_ordered_sum([c * c for c in cols]))
 
 
-def row_norm(x, center=None):
-    """The Euclidean norms of the rows of x - center, with the bits of
-    numpy's linalg.norm over the last axis, one coordinate column at a
-    time; rows of _PAIRWISE or more coordinates go to numpy."""
+def _row_sumsq(x, center=None):
+    """The sums of squares of the rows of x - center that numpy's
+    linalg.norm over the last axis takes the root of: one coordinate
+    column at a time below _PAIRWISE coordinates, numpy's add.reduce from
+    there on.  The offsets from a center are fresh columns, squared and
+    summed in place, in the same order."""
     x = np.asarray(x)
     n = x.shape[-1]
     if not 0 < n < _PAIRWISE:
-        return np.linalg.norm(x if center is None else x - center, axis=-1)
+        d = x if center is None else x - center
+        return np.add.reduce(d * d, axis=-1)
     if center is None:
-        return _column_norm([x[..., j] for j in range(n)])
-    return _column_norm([x[..., j] - center[j] for j in range(n)])
+        return _ordered_sum([x[..., j] * x[..., j] for j in range(n)])
+    total = x[..., 0] - center[0]
+    total *= total
+    for j in range(1, n):
+        d = x[..., j] - center[j]
+        d *= d
+        total += d
+    return total
+
+
+def row_norm(x, center=None):
+    """The Euclidean norms of the rows of x - center, with the bits of
+    numpy's linalg.norm over the last axis."""
+    return np.sqrt(_row_sumsq(x, center))
+
+
+@functools.lru_cache(maxsize=64)
+def _root_threshold(r):
+    """The least double s with sqrt(s) >= r, for a radius r >= 0.
+
+    sqrt is correctly rounded, so monotone: for a sum of squares s (>= 0,
+    inf or NaN), sqrt(s) < r exactly when s < _root_threshold(r), and
+    sqrt(s) > r exactly when s >= _root_threshold(nextafter(r, inf)).
+    Bisection over the bit patterns of [0, inf], which order as their
+    doubles do, so the search takes at most 63 steps whether r * r
+    overflows (the threshold of a radius above sqrt(max) is inf) or
+    underflows.  Cached by radius value, not per shape, so a changed
+    radius cannot meet a stale threshold.
+    """
+    if r <= 0.0:
+        return 0.0
+    lo, hi = 0, int(np.float64(math.inf).view(np.int64))  # sqrt(hi) >= r
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if math.sqrt(np.int64(mid).view(np.float64)) >= r:
+            hi = mid
+        else:
+            lo = mid
+    return float(np.int64(hi).view(np.float64))
 
 
 def normalize_rows(x):
@@ -179,8 +222,8 @@ def _dist_to_simplices(x, verts):
     Every simplex is projected on by one stacked pseudoinverse with lstsq's
     cutoff, so repeated or collinear vertices are handled as a least-squares
     solve handles them; verts that broadcast over many points, such as the
-    facets of a polytope, are inverted once.  A projection with barycentric
-    coordinates >= -1e-12 is the closest point; the other rows recurse on
+    facets of a polytope, are inverted once.  A projection with no negative
+    barycentric coordinate is the closest point; the other rows recurse on
     their m facets.  One vertex is a point distance, two the segment one.
     """
     x = np.asarray(x, dtype=float)
@@ -194,7 +237,7 @@ def _dist_to_simplices(x, verts):
     e = np.swapaxes(verts[..., 1:, :] - v0[..., np.newaxis, :], -1, -2)
     rcond = np.finfo(float).eps * max(n, m - 1)
     s = (np.linalg.pinv(e, rcond=rcond) @ (x - v0)[..., np.newaxis])[..., 0]
-    inside = row_all(s >= -1e-12) & (1.0 - s.sum(axis=-1) >= -1e-12)
+    inside = row_all(s >= 0.0) & (1.0 - s.sum(axis=-1) >= 0.0)
     out = row_norm(x - (v0 + (e @ s[..., np.newaxis])[..., 0]))
     rest = ~inside
     xs = np.broadcast_to(x, rest.shape + (n,))[rest]
@@ -288,24 +331,31 @@ class Domain:
         InefficiencyError if the acceptance rate falls below 1e-3.  Each
         round takes max(4 * missing, 4096) candidates from the stream,
         whatever the acceptance, but draws and tests them 4096 rows at a
-        time (keeping the members in order by compress, cheaper than a mask
-        index) only until count points are in, then skips the rest."""
+        time only until count points are in, then skips the rest.  Every
+        chunk of a call is drawn into one (4096, n) buffer, and its members
+        are compressed in order straight into out when they all fit; the
+        chunk that fills out is compressed and cut."""
         rng = _generator(count, seed)
         lo, hi = self.bounding_box()
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         if out is None:
             out = np.empty((count, self.dimension))
+        chunk = np.empty((4096, self.dimension))
         got = 0
         attempts = 0
         while got < count:
             batch = max(4 * (count - got), 4096)
             for sub in range(0, batch, 4096):
                 rows = min(4096, batch - sub)
-                part = uniform_box(rng, lo, hi, rows)
-                keep = part.compress(self.contains_batch(part), axis=0)
-                take = min(len(keep), count - got)
-                out[got : got + take] = keep[:take]
+                part = uniform_box(rng, lo, hi, rows, chunk[:rows])
+                mask = self.contains_batch(part)
+                take = np.count_nonzero(mask)
+                if take <= count - got:
+                    part.compress(mask, axis=0, out=out[got : got + take])
+                else:
+                    take = count - got
+                    out[got:] = part.compress(mask, axis=0)[:take]
                 got += take
                 if got == count:
                     _skip_uniform(rng, batch - sub - rows, lo, hi)
@@ -344,7 +394,8 @@ class Ball(Domain):
         self.dimension = len(self.center)
 
     def contains_batch(self, pts):
-        return row_norm(pts, self.center) < self.radius
+        # row_norm(pts, center) < radius, bit for bit
+        return _row_sumsq(pts, self.center) < _root_threshold(self.radius)
 
     def dist_to_boundary_batch(self, pts):
         return np.maximum(0.0, self.radius - row_norm(pts, self.center))
@@ -534,12 +585,20 @@ class Annulus(Domain):
         self.dimension = len(self.center)
 
     def contains_batch(self, pts):
-        r = row_norm(pts, self.center)
-        return (r > self.r_in) & (r < self.r_out)
+        # r_in < row_norm(pts, center) < r_out, bit for bit
+        s = _row_sumsq(pts, self.center)
+        out = s >= _root_threshold(math.nextafter(self.r_in, math.inf))
+        out &= s < _root_threshold(self.r_out)
+        return out
 
     def dist_to_boundary_batch(self, pts):
-        r = row_norm(pts, self.center)
-        return np.maximum(0.0, np.minimum(r - self.r_in, self.r_out - r))
+        r = _row_sumsq(pts, self.center)
+        into = r if isinstance(r, np.ndarray) else None  # one point: a scalar
+        r = np.sqrt(r, out=into)
+        outer = self.r_out - r
+        r = np.subtract(r, self.r_in, out=into)
+        r = np.minimum(r, outer, out=into)
+        return np.maximum(0.0, r, out=into)
 
     def volume(self):
         v = unit_ball_volume(self.dimension)

@@ -20,6 +20,7 @@ from formflux.domains import (
     _HOLE_BLOCK,
     _dist_point_to_segments,
     _dist_to_simplices,
+    _root_threshold,
     domain_from_json,
     unit_ball_volume,
 )
@@ -270,6 +271,37 @@ property_domains = st.sampled_from(sorted(PROPERTY_DOMAINS))
 seeds = st.integers(0, 2**32 - 1)
 
 
+# Every shape that samples by rejection (a box draws without it).
+REJECTION_DOMAINS = {
+    name: domain for name, domain in PROPERTY_DOMAINS.items()
+    if not isinstance(domain, AxisBox)
+}
+
+
+# Counts on the edges of a 4096-row chunk, into a fresh array and into a
+# given one: a chunk's members go straight into out when they fit.
+@pytest.mark.parametrize("given_out", [False, True])
+@pytest.mark.parametrize("count", [4095, 4096, 4097])
+@pytest.mark.parametrize("name", sorted(REJECTION_DOMAINS))
+def test_rejection_sampler_matches_reference_at_the_chunk_edges(name, count, given_out):
+    domain = REJECTION_DOMAINS[name]
+    out = np.full((count, domain.dimension), np.nan) if given_out else None
+
+    def sample(domain, count, rng):
+        got = domain.sample_uniform(count, seed=rng, out=out)
+        assert got is out or not given_out
+        return got
+
+    got, state = _sample_or_error(sample, domain, count, count)
+    want, want_state = _sample_or_error(reference_sample_uniform, domain, count, count)
+    assert state == want_state
+    assert type(got) is type(want)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
+
+
 def _box(domain):
     lo, hi = domain.bounding_box()
     return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
@@ -442,6 +474,9 @@ def simplex_batches(draw):
 @example((np.array([[0.5, 0.5]]), np.array([[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]])))
 @example((np.array([[0.0]]), np.array([[[1e-13], [1.0]]])))
 @example((np.array([[-1.75, 1.75, 0.25]]), np.array([[[2.0, -2.0, -0.25], [-1.75, 1.75, 0.25]]])))
+# a degenerate triangle whose projection lies 1e-12 outside it: a tolerance
+# of -1e-12 on the barycentric coordinates read 1.0e-12 for 1.414e-12
+@example((np.array([[0.0, 0.0]]), np.array([[[1.0, 1e-12], [1e-12, 1e-12], [1e-12, 1e-12]]])))
 def test_simplex_distance_matches_the_recursive_lstsq(batch):
     x, verts = batch
     got = _dist_to_simplices(x, verts)
@@ -792,6 +827,104 @@ def test_column_wise_predicates_keep_the_row_major_bits(n, name, layout, seed):
     pts = in_layout(pts, layout)
     assert np.array_equal(domain.contains_batch(pts), want_in)
     assert bits(domain.dist_to_boundary_batch(pts)) == bits(want_dist)
+
+
+# -- square-root-free ball and annulus membership against a sqrt oracle -----
+
+
+def least_sum_with_root_at_least(r):
+    """The least double s with sqrt(s) >= r, stepped to from r * r."""
+    s = r * r
+    while s > 0.0 and math.sqrt(s) >= r:
+        s = math.nextafter(s, -math.inf)
+    while math.sqrt(s) < r:
+        s = math.nextafter(s, math.inf)
+    return s
+
+
+def point_at_square_sum(center, target):
+    """A point whose row of squared offsets from center numpy sums to
+    exactly target: the first offset squares to just below it, the second
+    fills the gap, every other coordinate is the center's."""
+    p = center.copy()
+    p[0] = center[0] + math.sqrt(target)
+    while (p[0] - center[0]) ** 2 >= target:
+        p[0] = math.nextafter(p[0], -math.inf)
+    p[1] = center[1] + math.sqrt(target - (p[0] - center[0]) ** 2)
+    for _ in range(64):
+        total = np.add.reduce((p - center) ** 2)
+        if total == target:
+            return p
+        p[1] = math.nextafter(p[1], math.inf if total < target else center[1])
+    raise AssertionError(f"no point at squared distance {target!r}")
+
+
+# Radii with inexact squares (1/3, 2/3), with exact ones, and far apart.
+RADII = [(1.0 / 3.0, 2.0 / 3.0), (0.5, 1.0), (0.1, 0.7), (2.0 / 3.0, 1.0 - 1e-15)]
+
+
+@settings(max_examples=60, deadline=5000)
+@given(
+    st.sampled_from([1, 2, 3, 8, 9]),
+    st.sampled_from(RADII),
+    st.booleans(),
+    seeds,
+)
+@example(2, RADII[0], False, 0)
+@example(8, RADII[0], True, 1)
+def test_ball_and_annulus_membership_match_the_square_root(n, radii, centred, seed):
+    """Ball and Annulus compare sums of squares against thresholds; they
+    must say what comparing the square root (linalg.norm) with the radius
+    says, at points on and one ulp beside both spheres, at points whose
+    sum is exactly a threshold, and at NaN and infinite rows."""
+    r_in, r_out = radii
+    rng = np.random.default_rng(seed)
+    center = np.zeros(n) if centred else rng.uniform(-2.0, 2.0, n)
+    u = rng.standard_normal((40, n))
+    u /= np.linalg.norm(u, axis=-1)[:, np.newaxis]
+    axes = np.vstack([np.eye(n), -np.eye(n)])
+    rows = []
+    for r in radii:
+        for scale in (math.nextafter(r, 0.0), r, math.nextafter(r, 2.0)):
+            rows += [center + scale * u, center + scale * axes]
+    if n >= 2:
+        # the sums just below and at each threshold: >= against > and
+        # < against <= differ only there
+        for r in (math.nextafter(r_in, math.inf), r_out):
+            t = least_sum_with_root_at_least(r)
+            rows.append([point_at_square_sum(center, s)
+                         for s in (math.nextafter(t, 0.0), t, math.nextafter(t, math.inf))])
+    odd = np.tile(center, (4, 1))
+    odd[:, n - 1] = [math.nan, math.inf, -math.inf, math.nan]
+    odd[3, 0] = math.inf
+    pts = np.vstack(rows + [odd])
+
+    radius = np.linalg.norm(pts - center, axis=-1)
+    annulus = Annulus(center, r_in, r_out)
+    assert np.array_equal(annulus.contains_batch(pts), (radius > r_in) & (radius < r_out))
+    assert np.array_equal(Ball(center, r_out).contains_batch(pts), radius < r_out)
+    assert np.array_equal(Ball(center, r_in).contains_batch(pts), radius < r_in)
+    want_dist = np.maximum(0.0, np.minimum(radius - r_in, r_out - radius))
+    assert bits(annulus.dist_to_boundary_batch(pts)) == bits(want_dist)
+    assert bits(annulus.dist_to_boundary_batch(pts[0])) == bits(want_dist[0])
+    if n >= 2:
+        inner = least_sum_with_root_at_least(math.nextafter(r_in, math.inf))
+        assert np.any(np.add.reduce((pts - center) ** 2, axis=-1) == inner)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, allow_infinity=True))
+@example(5e-324)
+@example(1e-170)  # its square underflows to 0
+@example(1e-160)  # its square is subnormal
+@example(1e200)  # its square overflows
+@example(1.7976931348623157e308)
+@example(1.0 / 3.0)
+def test_root_threshold_is_the_least_sum_with_root_at_least_r(r):
+    t = _root_threshold(r)
+    assert t == least_sum_with_root_at_least(r)
+    assert math.sqrt(t) >= r
+    assert t == 0.0 or math.sqrt(math.nextafter(t, -math.inf)) < r
 
 
 def regular_polytope(facets, turn=0.1):
