@@ -9,10 +9,11 @@ with the declared systematic tolerance; no bare float comparisons.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -247,22 +248,27 @@ def run_bbm(spec):
     )
 
 
-def _random_polynomial(rng, dimension, max_total_degree=3):
-    coeffs = {}
-    for _ in range(5):
-        while True:
-            expo = tuple(int(e) for e in rng.integers(0, max_total_degree + 1,
-                                                      dimension))
-            if sum(expo) <= max_total_degree:
-                break
-        coeffs[expo] = float(rng.uniform(-1.0, 1.0))
-    return Polynomial(dimension, coeffs)
+@functools.lru_cache(maxsize=None)
+def _exponent_table(dimension, max_total_degree):
+    """Every exponent tuple of total degree <= max_total_degree in
+    dimension variables, in lexicographic order."""
+    return tuple(expo for expo in product(range(max_total_degree + 1), repeat=dimension)
+                 if sum(expo) <= max_total_degree)
 
 
 def _random_form(rng, dimension, degree, max_total_degree=3):
+    """A random polynomial form: each component sums 5 terms, each an
+    exponent tuple drawn uniformly from _exponent_table with a U[-1, 1)
+    coefficient.  A repeated exponent keeps its first position and its last
+    coefficient.  The form takes two draws from rng, whatever their values:
+    the table positions, then the coefficients, each C(n, k) x 5."""
+    table = _exponent_table(dimension, max_total_degree)
+    indices = list(combinations(range(1, dimension + 1), degree))
+    picks = rng.integers(0, len(table), (len(indices), 5)).tolist()
+    coeffs = rng.uniform(-1.0, 1.0, (len(indices), 5)).tolist()
     comps = {
-        idx: _random_polynomial(rng, dimension, max_total_degree)
-        for idx in combinations(range(1, dimension + 1), degree)
+        idx: Polynomial._trusted(dimension, {table[j]: c for j, c in zip(row, cs)})
+        for idx, row, cs in zip(indices, picks, coeffs)
     }
     return FormField(dimension, degree, comps, "polynomial")
 

@@ -68,8 +68,8 @@ import numpy as np
 from .alexander_spanier import IntegrationMultifunction, Multifunction
 from .domains import normalize_rows, row_all
 from .errors import ArgumentError, InefficiencyError
-from .estimates import (SeminormEstimate, check_exponent, check_seed,
-                        delta_method_root, within_3_sigma)
+from .estimates import (SeminormEstimate, check_exponent, check_integer,
+                        check_seed, delta_method_root, within_3_sigma)
 from .exterior import unit_sphere_area
 from .forms import _NODE_BLOCK, lp_norm
 
@@ -105,10 +105,11 @@ class SeminormConfig:
 
     The degree k is the multifunction's.  p is finite and >= 1.  R applies
     to the ball variants, c to the cone variants, each finite and > 0;
-    either given to a variant that ignores it is an error.  seed follows
-    estimates.check_seed.  stream separates sampling streams that share one
-    seed (theta sweeps use the theta index), so sweep points are
-    independent yet reproducible.
+    either given to a variant that ignores it is an error.  samples (>= 2)
+    and stream (>= 0) are integers by estimates.check_integer, so 2.0 reads
+    as 2; seed follows estimates.check_seed.  stream separates sampling
+    streams that share one seed (theta sweeps use the theta index), so
+    sweep points are independent yet reproducible.
     """
 
     p: float = 2.0
@@ -122,11 +123,10 @@ class SeminormConfig:
 
     def __post_init__(self):
         for name, least in (("samples", 2), ("stream", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ArgumentError(f"{name} must be an integer, got {value!r}")
+            value = check_integer(getattr(self, name), name)
             if value < least:
                 raise ArgumentError(f"{name} must be >= {least}, got {value}")
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "seed", check_seed(self.seed))
         check_exponent(self.p)
         if not 0.0 < self.theta < 1.0:
@@ -414,7 +414,9 @@ class SweepResult:
     systematic term.  divergent reports growth across the last three
     thetas beyond combined error bars; no extrapolation is offered then.
 
-    diagnostics holds fit_window, the points fitted, and flags set at
+    diagnostics holds fit_window, the points fitted, fit_model, the fitted
+    model as text, fit_chi2, the weighted sum of squared residuals, and
+    fit_dof, fit_window - 2, when a fit was made; and flags set at
     construction: increasing (decreasing), each power within 3 sigma
     (estimates.within_3_sigma) below (above) the next, and heavy_tail, some
     positive power's error above half of it.
@@ -463,10 +465,15 @@ class SweepResult:
             f"{self.extrapolated_power_stderr!r} (fit residual {self.fit_residual!r})"]
 
 
+_FIT_MODEL = "a + b sqrt(1 - theta)"
+
+
 def _weighted_line_fit(x, y, sigma):
-    """Weighted least squares for y = a + b x; returns a, sigma_a, rms, or
-    None when the normal matrix is singular at working precision
-    (cond * eps >= 1), as it is for x values a few ulps apart."""
+    """Weighted least squares for y = a + b x; returns a, sigma_a, rms and
+    chi2, the sum of the squared residuals over the squared sigmas that the
+    fit weighs by (a sigma <= 0 counts as the largest one), or None when
+    the normal matrix is singular at working precision (cond * eps >= 1),
+    as it is for x values a few ulps apart."""
     sigma = np.where(sigma > 0, sigma, np.max(sigma) if np.max(sigma) > 0 else 1.0)
     w = 1.0 / sigma**2
     X = np.stack([np.ones_like(x), x], axis=1)
@@ -478,7 +485,8 @@ def _weighted_line_fit(x, y, sigma):
     coef = cov @ b
     resid = y - X @ coef
     rms = math.sqrt(float(np.mean(resid**2)))
-    return float(coef[0]), math.sqrt(max(float(cov[0, 0]), 0.0)), rms
+    chi2 = float(np.sum(w * resid**2))
+    return float(coef[0]), math.sqrt(max(float(cov[0, 0]), 0.0)), rms, chi2
 
 
 def _detect_divergence(thetas, powers, errors):
@@ -527,17 +535,18 @@ def theta_sweep(F: Multifunction, domain, cfg: SeminormConfig, thetas=None):
     a = sa = rms = None
     if not divergent:
         window = min(4, len(thetas))
-        diagnostics["fit_window"] = window
         xs = np.sqrt(1.0 - np.asarray(thetas[-window:]))
         ys = powers[-window:]
         ss = errors[-window:]
-        fit = (0.0, 0.0, 0.0) if np.all(ys == 0.0) else _weighted_line_fit(xs, ys, ss)
+        fit = (0.0,) * 4 if np.all(ys == 0.0) else _weighted_line_fit(xs, ys, ss)
         if fit is None:
             raise ArgumentError(
                 f"the fit window, thetas {list(thetas[-window:])}, is too narrow "
-                "to resolve a + b sqrt(1 - theta) at double precision"
+                f"to resolve {_FIT_MODEL} at double precision"
             )
-        a, sa, rms = fit
+        a, sa, rms, chi2 = fit
+        diagnostics.update(fit_window=window, fit_model=_FIT_MODEL, fit_chi2=chi2,
+                           fit_dof=window - 2)
     return SweepResult(
         thetas=thetas,
         estimates=estimates,

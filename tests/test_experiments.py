@@ -1,6 +1,8 @@
 import json
 import math
+from collections import Counter
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from formflux.experiments import (
     SUITE_NAMES,
     ExperimentReport,
     ExperimentSpec,
+    _exponent_table,
+    _random_form,
     dd_zero_residual,
     default_spec,
     run_bbm,
@@ -293,3 +297,65 @@ def test_report_csv_empty_without_rows():
         tolerance=1.0, stat_error=0.0, systematic=0.0,
     )
     assert report.to_csv() == ""
+
+
+@pytest.mark.parametrize("n, k, D", [(2, 1, 3), (3, 2, 3), (3, 1, 2), (2, 0, 0),
+                                     (3, 3, 15), (2, 2, 7)])
+def test_random_form_takes_two_draws_whatever_their_values(n, k, D):
+    """The table positions, then the coefficients, each C(n, k) x 5, from a
+    table of C(n + D, n) exponents; a rejection loop's draw count would
+    depend on the values drawn."""
+    rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(20):
+        _random_form(rng, n, k, D)
+        twin.integers(0, math.comb(n + D, n), (math.comb(n, k), 5))
+        twin.uniform(-1.0, 1.0, (math.comb(n, k), 5))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("n, k, D", [(2, 1, 3), (3, 1, 2), (3, 2, 15)])
+def test_random_form_exponents_are_uniform_over_the_table(n, k, D):
+    """The table is every tuple of total degree <= D, in lexicographic
+    order, and over at least 20,000 terms each of its tuples is as frequent
+    as the others.  A polynomial counts a tuple once however often it was
+    drawn, so every count is a sum of equal-probability indicators, and the
+    multinomial chi-square bound, df + 6 sqrt(2 df) (fixed before the first
+    run), is conservative."""
+    table = _exponent_table(n, D)
+    assert table == tuple(e for e in product(range(D + 1), repeat=n) if sum(e) <= D)
+    rng = np.random.default_rng(2024)
+    counts = Counter()
+    while sum(counts.values()) < 20_000:
+        for poly in _random_form(rng, n, k, D).components.values():
+            counts.update(list(poly.terms))
+    assert set(counts) == set(table)
+    total, df = sum(counts.values()), len(table) - 1
+    expected = total / len(table)
+    chi2 = sum((counts[e] - expected) ** 2 / expected for e in table)
+    assert chi2 <= df + 6.0 * math.sqrt(2.0 * df)
+
+
+class _ScriptedDraws:
+    """Stands in for a Generator: hands out fixed table positions and
+    coefficients."""
+
+    def __init__(self, picks, coeffs):
+        self.picks, self.coeffs = np.array(picks), np.array(coeffs)
+
+    def integers(self, low, high, size):
+        assert (low, size) == (0, self.picks.shape)
+        return self.picks
+
+    def uniform(self, low, high, size):
+        assert (low, high, size) == (-1.0, 1.0, self.coeffs.shape)
+        return self.coeffs
+
+
+def test_a_repeated_exponent_keeps_its_first_position_and_last_coefficient():
+    table = _exponent_table(2, 3)
+    draws = _ScriptedDraws([[3, 1, 3, 3, 0], [9, 9, 9, 9, 9]],
+                           [[0.1, 0.2, 0.3, 0.4, 0.5], [0.6, 0.7, 0.8, 0.9, -0.25]])
+    omega = _random_form(draws, 2, 1, 3)
+    first, second = omega.components[(1,)].terms, omega.components[(2,)].terms
+    assert list(first.items()) == [(table[3], 0.4), (table[1], 0.2), (table[0], 0.5)]
+    assert list(second.items()) == [(table[9], -0.25)]

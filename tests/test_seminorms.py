@@ -14,6 +14,7 @@ from formflux.alexander_spanier import (
 )
 from formflux.domains import Annulus, AxisBox, Ball
 from formflux.errors import ArgumentError, InefficiencyError
+from formflux.estimates import SeminormEstimate
 from formflux import seminorms
 from formflux.forms import FormField
 from formflux.seminorms import (
@@ -124,6 +125,34 @@ def test_sweep_of_zero_is_zero():
     assert result.extrapolated_power == 0.0
     assert result.extrapolated_value == 0.0
     assert not result.divergent
+
+
+def test_sweep_names_its_model_and_chi_square(monkeypatch):
+    """A hand-built sweep: sqrt(1 - theta) = 0.5, 0.4, 0.3, 0.2, 0.1 and
+    powers 1 + 2x + e over the last four, with stderrs 0.1, 0.1, 0.2 and 0,
+    which the fit weighs as 0.2.  e = (0.01, -0.01, -0.04, 0.04) is
+    orthogonal to 1 and x under the weights (100, 100, 25, 25), so the fit
+    is a = 1, b = 2 with residuals e, and chi2 = 100 (1e-4 + 1e-4) +
+    25 (16e-4 + 16e-4) = 0.1 on 4 - 2 degrees of freedom."""
+    thetas = (0.75, 0.84, 0.91, 0.96, 0.99)
+    x = np.array([0.5, 0.4, 0.3, 0.2, 0.1])
+    powers = 1.0 + 2.0 * x + np.array([0.0, 0.01, -0.01, -0.04, 0.04])
+    errors = (0.1, 0.1, 0.1, 0.2, 0.0)
+
+    def hand_built(F, domain, cfg):
+        j = cfg.stream
+        return SeminormEstimate(
+            value=math.sqrt(powers[j]), stderr=0.0, power_value=float(powers[j]),
+            power_stderr=errors[j], samples=cfg.samples, acceptance_ratio=1.0)
+
+    monkeypatch.setattr(seminorms, "fixed_theta_seminorm", hand_built)
+    result = theta_sweep(None, UNIT_SQUARE, SeminormConfig(), thetas)
+    assert result.extrapolated_power == pytest.approx(1.0, rel=1e-12)
+    assert result.fit_residual == pytest.approx(math.sqrt(8.5e-4), rel=1e-9)
+    d = result.diagnostics
+    assert (d["fit_window"], d["fit_model"], d["fit_dof"]) == (
+        4, "a + b sqrt(1 - theta)", 2)
+    assert d["fit_chi2"] == pytest.approx(0.1, rel=1e-9)
 
 
 def test_sweep_needs_three_increasing_thetas():
@@ -567,11 +596,19 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("samples", 400.5), ("samples", True), ("seed", 1.5), ("seed", -1),
-    ("seed", "7"), ("stream", -2), ("stream", 0.0),
+    ("seed", "7"), ("stream", -2),
 ])
 def test_config_rejects_non_integer_or_negative_counts(field, value):
     with pytest.raises(ArgumentError, match=field):
         SeminormConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("stream", 2), ("samples", 400), ("seed", 7)])
+def test_config_reads_an_integral_float_count_as_its_integer(field, value):
+    """The package's one integer rule, estimates.check_integer."""
+    cfg = SeminormConfig(**{field: float(value)})
+    assert cfg == SeminormConfig(**{field: value})
+    assert type(getattr(cfg, field)) is int
 
 
 def test_config_takes_numpy_integers():
